@@ -1,5 +1,6 @@
-"""Comparison models: training mean, univariate ridge AR, ridge VAR,
-group-lasso linear Granger, and the unpartitioned sparse kernel model.
+"""Comparison models: training mean, univariate ridge AR, ridge VAR and
+group-lasso linear Granger. (The unpartitioned kernel model `nvar` is fitted
+by solver.fit like the main methods.)
 
 All baselines consume the same lag embedding and standardization as the main
 method and predict in standardized space.
@@ -15,26 +16,27 @@ import scipy.linalg
 from . import solver
 from .errors import DimensionMismatchError, SingularSystemError, UnsupportedKindError
 from .grouplasso import GroupedProblem, SolverOptions, solve_group_lasso
-from .kernels import DEFAULT_DICTIONARY
 from .series import NormStats, SupervisedSet
-from .solver import AdjacencyMatrix, FitConfig, ModelFit, normalize_adjacency
+from .solver import AdjacencyMatrix, normalize_adjacency
 
-BASELINE_KINDS = ("mean", "lar", "lvarl2", "lvarl1", "nvar_full")
+BASELINE_KINDS = ("mean", "lar", "lvarl2", "lvarl1")
 
 
 @dataclass
 class BaselineFit:
-    """A fitted baseline; linear kinds carry a dense (m*p x m) coefficient
-    matrix (rows ordered like the embedded input columns), nvar_full wraps a
-    full kernel model."""
+    """A fitted baseline; all kinds but mean carry a dense (m*p x m)
+    coefficient matrix (rows ordered like the embedded input columns)."""
 
     kind: str
     lag: int
     coef: np.ndarray | None = None
-    inner: ModelFit | None = None
     norm_stats: NormStats | None = None
-    lam: float | np.ndarray | None = None
+    lam: float | None = None
     names: list[str] | None = None
+
+    @property
+    def method(self) -> str:
+        return self.kind
 
 
 def _ridge_solve(G: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
@@ -48,9 +50,13 @@ def _ridge_solve(G: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
 
 
 def fit_baseline(kind: str, train: SupervisedSet, lam: float = 0.0,
-                 dictionary=DEFAULT_DICTIONARY, options: SolverOptions | None = None,
-                 norm_stats: NormStats | None = None, names: list[str] | None = None) -> BaselineFit:
-    """Fit one baseline kind at a fixed regularization value."""
+                 options: SolverOptions | None = None, norm_stats: NormStats | None = None,
+                 names: list[str] | None = None, warm: BaselineFit | None = None) -> BaselineFit:
+    """Fit one baseline kind at a fixed regularization value.
+
+    `warm` is a fit of the same kind on the same rows at another value;
+    lvarl1 starts its solves from it, the closed-form kinds ignore it.
+    """
     if kind not in BASELINE_KINDS:
         raise UnsupportedKindError(f"unknown baseline kind {kind!r}")
     if lam < 0.0:
@@ -75,27 +81,15 @@ def fit_baseline(kind: str, train: SupervisedSet, lam: float = 0.0,
         return BaselineFit(kind=kind, lag=p, coef=coef, norm_stats=norm_stats,
                            lam=lam, names=names)
 
-    if kind == "lvarl1":
-        blocks = [np.ascontiguousarray(X[:, cols]) for cols in train.partition_map]
-        coef = np.zeros((m * p, m))
-        shared_stacked = None
-        shared_sigma = None
-        for s in range(m):
-            problem = GroupedProblem(design_blocks=blocks, target=Y[:, s], penalty=lam)
-            if shared_stacked is not None:
-                problem._stacked = shared_stacked
-                problem._sigma = shared_sigma
-            sol = solve_group_lasso(problem, opts=options)
-            shared_stacked, shared_sigma = problem._stacked, problem._sigma
-            for j, cols in enumerate(train.partition_map):
-                coef[cols, s] = sol.weights[j]
-        return BaselineFit(kind=kind, lag=p, coef=coef, norm_stats=norm_stats,
-                           lam=lam, names=names)
-
-    # nvar_full: the l1 kernel path on the whole input vector (one partition)
-    config = FitConfig(method="nvar", lam=lam, dictionary=dictionary, options=options)
-    inner = solver.fit(train, config, norm_stats=norm_stats, names=names)
-    return BaselineFit(kind=kind, lag=p, inner=inner, norm_stats=norm_stats,
+    # lvarl1: the m outputs share one design
+    design = GroupedProblem([X[:, cols] for cols in train.partition_map], Y[:, 0], lam)
+    coef = np.zeros((m * p, m))
+    for s in range(m):
+        start = None if warm is None else [warm.coef[cols, s] for cols in train.partition_map]
+        sol = solve_group_lasso(design.with_target(Y[:, s], lam), warm_start=start, opts=options)
+        for j, cols in enumerate(train.partition_map):
+            coef[cols, s] = sol.weights[j]
+    return BaselineFit(kind=kind, lag=p, coef=coef, norm_stats=norm_stats,
                        lam=lam, names=names)
 
 
@@ -104,8 +98,6 @@ def predict_baseline(fit: BaselineFit, new_inputs) -> np.ndarray:
     X = np.asarray(new_inputs, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
-    if fit.kind == "nvar_full":
-        return solver.predict(fit.inner, X)
     if fit.kind == "mean":
         m = X.shape[1] // fit.lag
         return np.zeros((X.shape[0], m))

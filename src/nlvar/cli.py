@@ -10,48 +10,26 @@ import numpy as np
 
 from . import harness, modelio
 from .errors import ConfigError, NlvarError
-from .grouplasso import SolverOptions
 from .harness import (
     ALL_METHODS,
     CANONICAL_SEED,
     DEFAULT_HOLDOUT,
     DEFAULT_LAG,
-    GridSpec,
     SyntheticSpec,
-    cv_select,
     evaluate_holdout,
     generate_synthetic,
 )
-from .kernels import DEFAULT_DICTIONARY
-from .series import (
-    MultivariateSeries,
-    lag_embed,
-    read_csv,
-    standardize_apply,
-    standardize_fit,
-    write_csv,
-)
+from .series import MultivariateSeries, lag_embed, read_csv, standardize_apply, write_csv
 
 
 def _load_json(path) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
-
-
-def _fit_settings(doc: dict):
-    dictionary = tuple((kind, param) for kind, param in doc.get("kernels", DEFAULT_DICTIONARY))
-    grid_doc = doc.get("grid", {})
-    grid = GridSpec(
-        count=int(grid_doc.get("count", 15)),
-        low_exp=float(grid_doc.get("low_exp", -3.0)),
-        high_exp=float(grid_doc.get("high_exp", 4.0)),
-        scale=grid_doc.get("scale"),
-    )
-    options = SolverOptions(**doc["solver"]) if doc.get("solver") else None
-    folds = int(doc.get("folds", 5))
-    return dictionary, grid, options, folds
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not JSON: {exc}") from None
 
 
 def _cmd_generate(args):
@@ -64,22 +42,16 @@ def _cmd_generate(args):
 
 
 def _cmd_fit(args):
-    doc = _load_json(args.config)
-    dictionary, grid, options, folds = _fit_settings(doc)
+    # the config file supplies the same settings as a benchmark run's
+    doc = {**_load_json(args.config), "data": {"csv": args.data}, "train": args.train,
+           "lag": args.lag, "methods": [args.method], "lambda": args.lam}
+    config = harness.experiment_config_from_dict(doc)
     series = read_csv(args.data)
-    stats = standardize_fit(series, args.train)
-    std = standardize_apply(series, stats, "forward")
-    train_series = MultivariateSeries(values=std.values[: args.train].copy(),
-                                      names=list(std.names))
-    train_set = lag_embed(train_series, args.lag)
-    if args.lam is not None:
-        lam = args.lam
-    else:
-        lam, _ = cv_select(train_set, args.method, grid, folds,
-                           dictionary=dictionary, options=options)
-    model, _ = harness.fit_method(args.method, train_set, lam, stats=stats,
-                                  names=series.names, dictionary=dictionary,
-                                  options=options)
+    stats, train_set, _ = harness.split_experiment_data(series, config.train, 0, config.lag)
+    lam, _ = harness.select_lambda(config, args.method, train_set)
+    model = harness.fit_method(args.method, train_set, lam, stats=stats, names=series.names,
+                               dictionary=config.dictionary, options=config.options,
+                               feature_tol=config.feature_tol)
     modelio.save_model(model, args.out)
     print(f"fitted {args.method} (lambda={lam:g}) on {train_set.n_pairs} pairs -> {args.out}")
 
@@ -109,9 +81,8 @@ def _cmd_evaluate(args):
     if sup.n_pairs < args.holdout:
         raise ConfigError(f"only {sup.n_pairs} pairs available, requested {args.holdout}")
     holdout = sup.subset(np.arange(sup.n_pairs - args.holdout, sup.n_pairs))
-    method = model.method if hasattr(model, "method") else model.kind
     report = evaluate_holdout(lambda X: modelio.predict_model(model, X), holdout,
-                              method=method)
+                              method=model.method)
     doc = {
         "method": report.method,
         "mse": report.mse,
@@ -169,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--method", required=True, choices=ALL_METHODS)
     f.add_argument("--train", type=int, required=True)
     f.add_argument("--lag", type=int, default=DEFAULT_LAG)
-    f.add_argument("--config", default=None, help="JSON with kernels/grid/folds/solver")
+    f.add_argument("--config", default=None, help="JSON with kernels/grid/folds/solver/feature_tol")
     f.add_argument("--out", required=True)
     group = f.add_mutually_exclusive_group()
     group.add_argument("--lambda", dest="lam", type=float, default=None)

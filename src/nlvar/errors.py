@@ -50,4 +50,8 @@ class UnsupportedKindError(NlvarError):
 
 
 class ConfigError(NlvarError):
-    """Invalid experiment or fit configuration."""
+    """Invalid experiment or fit configuration, or a malformed model document."""
+
+
+class BadDataError(NlvarError, ValueError):
+    """Series or predict input that is unreadable, non-numeric or non-finite."""

@@ -57,9 +57,9 @@ class GroupedProblem:
     target: np.ndarray
     penalty: float
 
-    # stacked design and its largest squared singular value, filled lazily
-    _stacked: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _sigma: float | None = field(default=None, init=False, repr=False, compare=False)
+    # the stacked design and its largest squared singular value, filled
+    # lazily and shared with every problem with_target derives from this one
+    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.design_blocks = [np.ascontiguousarray(b, dtype=float) for b in self.design_blocks]
@@ -74,11 +74,19 @@ class GroupedProblem:
             raise ValueError("penalty must be nonnegative")
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._stacked is None:
+        if "stacked" not in self._shared:
             sizes = np.array([b.shape[1] for b in self.design_blocks])
             starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(int)
-            self._stacked = (np.hstack(self.design_blocks), starts, sizes)
-        return self._stacked
+            self._shared["stacked"] = (np.hstack(self.design_blocks), starts, sizes)
+        return self._shared["stacked"]
+
+    def with_target(self, target, penalty: float) -> "GroupedProblem":
+        """The same design with a new target and penalty. Problems derived
+        this way build the stacked design and estimate its step-size bound
+        once between them."""
+        other = GroupedProblem(self.design_blocks, target, penalty)
+        other._shared = self._shared
+        return other
 
 
 @dataclass
@@ -265,10 +273,9 @@ def solve_group_lasso(problem: GroupedProblem, warm_start=None, opts: SolverOpti
         if [p.shape[0] for p in parts] != list(sizes):
             raise DimensionMismatchError("warm start block sizes do not match the design")
         w0 = np.concatenate(parts)
-    w, trace, iters, converged, sigma = _solve_stacked(
-        B, starts, sizes, problem.target, problem.penalty, opts, w0, problem._sigma
+    w, trace, iters, converged, problem._shared["sigma"] = _solve_stacked(
+        B, starts, sizes, problem.target, problem.penalty, opts, w0, problem._shared.get("sigma")
     )
-    problem._sigma = sigma
     bounds = np.cumsum(sizes)[:-1]
     return GroupedSolution(
         weights=[part.copy() for part in np.split(w, bounds)],

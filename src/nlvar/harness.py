@@ -24,6 +24,7 @@ from .grouplasso import SolverOptions, _solve_stacked
 from .kernels import (
     DEFAULT_DICTIONARY,
     RANK_TOL,
+    KernelSpec,
     build_cross_stack,
     build_feature_stack,
     build_gram_stack,
@@ -113,8 +114,9 @@ class GridSpec:
     scale: float | None = None
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError("grid count must be >= 1")
+        if self.count != int(self.count) or self.count < 1:
+            raise ConfigError(f"grid count must be an integer >= 1, got {self.count!r}")
+        self.count = int(self.count)
         if self.count > 1 and self.low_exp >= self.high_exp:
             raise ConfigError("grid low_exp must be below high_exp")
 
@@ -150,174 +152,64 @@ def scale_count(method: str, m: int, dictionary=DEFAULT_DICTIONARY) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-method fit/predict engines used by the CV loop
+# validation forecasts along the penalty grid, one generator per model family
 
 
-class _MeanEngine:
-    def prepare(self, sub: SupervisedSet):
-        return sub.n_series
-
-    def make_eval(self, ctx, X):
-        return np.asarray(X, dtype=float)
-
-    def fit_at(self, ctx, lam, warm):
-        return None, warm
-
-    def predict(self, ctx, state, eval_ctx):
-        return np.zeros((eval_ctx.shape[0], ctx))
+def _baseline_path(method: str, sub: SupervisedSet, X_val, lams, options):
+    model = None
+    for lam in lams:
+        model = baselines.fit_baseline(method, sub, lam, options=options, warm=model)
+        yield baselines.predict_baseline(model, X_val)
 
 
-class _RidgeEngine:
-    """lar (own lags only) and lvarl2 (all lags)."""
+def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
+                 options: SolverOptions | None, feature_tol: float):
+    """nvarl1 / nvar (l1 route on empirical features) and nvarl12.
 
-    def __init__(self, own_only: bool):
-        self.own_only = own_only
-
-    def prepare(self, sub: SupervisedSet):
-        X, Y = sub.inputs, sub.outputs
-        if self.own_only:
-            per = []
-            for j, cols in enumerate(sub.partition_map):
-                Xj = X[:, cols]
-                per.append((Xj.T @ Xj, Xj.T @ Y[:, j]))
-            return ("lar", per, sub.partition_map, X.shape[1], sub.n_series)
-        return ("lvarl2", X.T @ X, X.T @ Y)
-
-    def make_eval(self, ctx, X):
-        return np.asarray(X, dtype=float)
-
-    def fit_at(self, ctx, lam, warm):
-        if ctx[0] == "lar":
-            _, per, part_map, ncols, m = ctx
-            coef = np.zeros((ncols, m))
-            for j, (G, b) in enumerate(per):
-                coef[part_map[j], j] = baselines._ridge_solve(G, b, lam)
-            return coef, warm
-        _, G, B = ctx
-        return baselines._ridge_solve(G, B, lam), warm
-
-    def predict(self, ctx, coef, eval_ctx):
-        return eval_ctx @ coef
-
-
-class _GroupLassoEngine:
-    """lvarl1: group lasso on raw lag columns, one group per input series."""
-
-    def __init__(self, options: SolverOptions | None):
-        self.options = options or SolverOptions()
-
-    def prepare(self, sub: SupervisedSet):
-        starts = np.array([cols[0] for cols in sub.partition_map])
-        sizes = np.array([len(cols) for cols in sub.partition_map])
-        B = np.ascontiguousarray(sub.inputs)
-        return {"B": B, "starts": starts, "sizes": sizes, "Y": sub.outputs, "sigma": None}
-
-    def make_eval(self, ctx, X):
-        return np.asarray(X, dtype=float)
-
-    def fit_at(self, ctx, lam, warm):
-        B, Y = ctx["B"], ctx["Y"]
-        m = Y.shape[1]
-        warm = warm if warm is not None else [None] * m
-        coef = np.zeros((B.shape[1], m))
-        for s in range(m):
-            w, _, _, _, ctx["sigma"] = _solve_stacked(
-                B, ctx["starts"], ctx["sizes"], Y[:, s], lam, self.options,
-                w0=warm[s], sigma=ctx["sigma"],
-            )
-            coef[:, s] = w
-        return coef, list(coef.T)
-
-    def predict(self, ctx, coef, eval_ctx):
-        return eval_ctx @ coef
-
-
-class _KernelEngine:
-    """nvarl1 / nvar (l1 route on empirical features) and nvarl12."""
-
-    def __init__(self, method: str, dictionary, options: SolverOptions | None,
-                 feature_tol: float = RANK_TOL):
-        self.method = method
-        self.dictionary = dictionary
-        self.options = options or SolverOptions()
-        self.feature_tol = feature_tol
-
-    def prepare(self, sub: SupervisedSet):
-        partitions = [None] if self.method == "nvar" else list(range(sub.n_series))
-        specs, _ = make_specs(partitions, self.dictionary)
-        grams = build_gram_stack(sub.inputs, sub.partition_map, specs=specs)
-        ctx = {
-            "grams": grams,
-            "inputs": sub.inputs,
-            "partition_map": sub.partition_map,
-            "Y": sub.outputs,
-            "sigma": None,
-        }
-        if self.method != "nvarl12":
-            feats = build_feature_stack(grams, self.feature_tol)
-            sizes = np.array([phi.shape[1] for phi in feats.features])
-            ctx["B"] = np.hstack(feats.features)
-            ctx["starts"] = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(int)
-            ctx["sizes"] = sizes
-        return ctx
-
-    def make_eval(self, ctx, X):
-        return build_cross_stack(ctx["grams"], ctx["inputs"], np.asarray(X, dtype=float),
-                                 ctx["partition_map"])
-
-    def fit_at(self, ctx, lam, warm):
-        grams, Y = ctx["grams"], ctx["Y"]
-        m = Y.shape[1]
-        if self.method == "nvarl12":
-            warm = warm if warm is not None else [None] * m
+    Unlike solver.fit this builds the Gram stack, the features and the
+    cross-Gram blocks once for the whole grid.
+    """
+    options = options or SolverOptions()
+    partitions = [None] if method == "nvar" else list(range(sub.n_series))
+    specs, _ = make_specs(partitions, dictionary)
+    grams = build_gram_stack(sub.inputs, sub.partition_map, specs=specs)
+    if method != "nvarl12":
+        feats = build_feature_stack(grams, feature_tol)
+        sizes = np.array([phi.shape[1] for phi in feats.features])
+        B = np.hstack(feats.features)
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(int)
+    cross = build_cross_stack(grams, sub.inputs, np.asarray(X_val, dtype=float),
+                              sub.partition_map)
+    Y = sub.outputs
+    m = Y.shape[1]
+    warm = [None] * m
+    sigma = None
+    for lam in lams:
+        if method == "nvarl12":
             A = np.zeros((grams.n_kernels, m))
             C = np.zeros((grams.n_train, m))
-            new_warm = []
             for s in range(m):
                 task = solver.solve_task_l12(grams, grams.group_index, Y[:, s], lam,
-                                             warm=warm[s], opts=self.options)
+                                             warm=warm[s], opts=options)
                 A[:, s], C[:, s] = task.a, task.c
-                new_warm.append(task.a)
-            return (A, C), new_warm
-        kappa = 2.0 * math.sqrt(lam)
-        warm = warm if warm is not None else [None] * m
-        W = np.zeros((ctx["B"].shape[1], m))
-        for s in range(m):
-            w, _, _, _, ctx["sigma"] = _solve_stacked(
-                ctx["B"], ctx["starts"], ctx["sizes"], Y[:, s], kappa,
-                self.options, w0=warm[s], sigma=ctx["sigma"],
+                warm[s] = task.a
+        else:
+            kappa = 2.0 * math.sqrt(lam)
+            W = np.zeros((B.shape[1], m))
+            for s in range(m):
+                W[:, s], _, _, _, sigma = _solve_stacked(
+                    B, starts, sizes, Y[:, s], kappa, options, w0=warm[s], sigma=sigma,
+                )
+            warm = list(W.T)
+            A = math.sqrt(lam) * np.sqrt(np.add.reduceat(W * W, starts, axis=0))
+            C = np.column_stack(
+                [solver.solve_coefficients(grams, A[:, s], Y[:, s], lam) for s in range(m)]
             )
-            W[:, s] = w
-        A = math.sqrt(lam) * np.sqrt(np.add.reduceat(W * W, ctx["starts"], axis=0))
-        C = np.column_stack(
-            [solver.solve_coefficients(grams, A[:, s], Y[:, s], lam) for s in range(m)]
-        )
-        return (A, C), list(W.T)
-
-    def predict(self, ctx, state, eval_ctx):
-        A, C = state
-        preds = np.zeros((eval_ctx[0].shape[0], C.shape[1]))
-        for d, block in enumerate(eval_ctx):
+        preds = np.zeros((len(X_val), m))
+        for d, block in enumerate(cross):
             if A[d].any():
                 preds += (block @ C) * A[d][None, :]
-        return preds
-
-
-def _make_engine(method: str, dictionary, options, feature_tol=RANK_TOL):
-    if method == "mean":
-        return _MeanEngine()
-    if method == "lar":
-        return _RidgeEngine(own_only=True)
-    if method == "lvarl2":
-        return _RidgeEngine(own_only=False)
-    if method == "lvarl1":
-        return _GroupLassoEngine(options)
-    if method in ("nvarl1", "nvarl12", "nvar"):
-        return _KernelEngine(method, dictionary, options, feature_tol)
-    raise ConfigError(f"unknown method {method!r}")
-
-
-# ---------------------------------------------------------------------------
+        yield preds
 
 
 def cv_select(train: SupervisedSet, method: str, grid: GridSpec | None = None,
@@ -348,18 +240,17 @@ def cv_select(train: SupervisedSet, method: str, grid: GridSpec | None = None,
     if n < 2 * folds:
         raise FoldTooSmallError(f"{n} rows cannot make {folds} usable folds")
 
-    engine = _make_engine(method, dictionary, options, feature_tol)
     blocks = np.array_split(np.arange(n), folds)
     errs = np.zeros((grid.count, folds))
+    descending = [float(lam) for lam in lams[::-1]]
     for f, val_rows in enumerate(blocks):
-        train_rows = np.setdiff1d(np.arange(n), val_rows)
-        ctx = engine.prepare(train.subset(train_rows))
-        eval_ctx = engine.make_eval(ctx, train.inputs[val_rows])
-        Y_val = train.outputs[val_rows]
-        warm = None
-        for k in range(grid.count - 1, -1, -1):
-            state, warm = engine.fit_at(ctx, float(lams[k]), warm)
-            preds = engine.predict(ctx, state, eval_ctx)
+        sub = train.subset(np.setdiff1d(np.arange(n), val_rows))
+        X_val, Y_val = train.inputs[val_rows], train.outputs[val_rows]
+        if method in solver.KERNEL_METHODS:
+            path = _kernel_path(method, sub, X_val, descending, dictionary, options, feature_tol)
+        else:
+            path = _baseline_path(method, sub, X_val, descending, options)
+        for k, preds in zip(range(grid.count - 1, -1, -1), path):
             errs[k, f] = float(np.mean((Y_val - preds) ** 2))
     curve = errs.mean(axis=1)
     k_min = len(curve) - 1 - int(np.argmin(curve[::-1]))
@@ -434,47 +325,43 @@ class ExperimentConfig:
 
 
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a run config from the JSON document accepted by the CLI."""
-    data = doc.get("data", {})
-    synthetic = None
-    csv_path = None
-    if "synthetic" in data:
-        s = data["synthetic"]
-        synthetic = SyntheticSpec(
-            length=int(s.get("length", doc.get("train", 0) + doc.get("holdout", DEFAULT_HOLDOUT))),
-            seed=int(s.get("seed", CANONICAL_SEED)),
-            psi=np.asarray(s["psi"], dtype=float) if s.get("psi") is not None else None,
+    """Build a run config from the JSON document accepted by the CLI.
+
+    Missing or malformed values, bad kernels and unknown grid or solver keys
+    raise ConfigError.
+    """
+    try:
+        data = doc.get("data", {})
+        synthetic = None
+        if "synthetic" in data:
+            s = data["synthetic"]
+            synthetic = SyntheticSpec(
+                length=int(s.get("length", doc.get("train", 0) + doc.get("holdout", DEFAULT_HOLDOUT))),
+                seed=int(s.get("seed", CANONICAL_SEED)),
+                psi=np.asarray(s["psi"], dtype=float) if s.get("psi") is not None else None,
+            )
+        solver_doc = doc.get("solver", {})
+        dictionary = tuple((kind, param) for kind, param in doc.get("kernels", DEFAULT_DICTIONARY))
+        for kind, param in dictionary:
+            KernelSpec(kind=kind, param=param)
+        return ExperimentConfig(
+            train=int(doc["train"]),
+            methods=tuple(doc.get("methods", ALL_METHODS)),
+            synthetic=synthetic,
+            csv_path=data.get("csv"),
+            holdout=int(doc.get("holdout", DEFAULT_HOLDOUT)),
+            lag=int(doc.get("lag", DEFAULT_LAG)),
+            dictionary=dictionary,
+            grid=GridSpec(**doc.get("grid", {})),
+            folds=int(doc.get("folds", 5)),
+            lam=None if doc.get("lambda") is None else float(doc["lambda"]),
+            options=SolverOptions(**solver_doc) if solver_doc else None,
+            feature_tol=float(doc.get("feature_tol", RANK_TOL)),
+            out_dir=doc.get("out_dir"),
+            save_models=bool(doc.get("save_models", False)),
         )
-    if "csv" in data:
-        csv_path = data["csv"]
-    grid_doc = doc.get("grid", {})
-    grid = GridSpec(
-        count=int(grid_doc.get("count", 15)),
-        low_exp=float(grid_doc.get("low_exp", -3.0)),
-        high_exp=float(grid_doc.get("high_exp", 4.0)),
-        scale=grid_doc.get("scale"),
-    )
-    solver_doc = doc.get("solver", {})
-    options = SolverOptions(**solver_doc) if solver_doc else None
-    dictionary = tuple(
-        (kind, param) for kind, param in doc.get("kernels", DEFAULT_DICTIONARY)
-    )
-    return ExperimentConfig(
-        train=int(doc["train"]),
-        methods=tuple(doc.get("methods", ALL_METHODS)),
-        synthetic=synthetic,
-        csv_path=csv_path,
-        holdout=int(doc.get("holdout", DEFAULT_HOLDOUT)),
-        lag=int(doc.get("lag", DEFAULT_LAG)),
-        dictionary=dictionary,
-        grid=grid,
-        folds=int(doc.get("folds", 5)),
-        lam=doc.get("lambda"),
-        options=options,
-        feature_tol=float(doc.get("feature_tol", RANK_TOL)),
-        out_dir=doc.get("out_dir"),
-        save_models=bool(doc.get("save_models", False)),
-    )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config: {type(exc).__name__}: {exc}") from None
 
 
 def split_experiment_data(series: MultivariateSeries, train: int, holdout: int,
@@ -500,27 +387,37 @@ def split_experiment_data(series: MultivariateSeries, train: int, holdout: int,
     return stats, train_set, holdout_set
 
 
+def select_lambda(config: ExperimentConfig, method: str, train_set) -> tuple[float, list | None]:
+    """The penalty a run fits `method` at, and its CV curve (None without CV).
+
+    A fixed config.lam wins; the mean predictor has nothing to select;
+    otherwise cv_select runs at the CV budget (cv_options, else options,
+    else the lighter per-method default).
+    """
+    if config.lam is not None:
+        return float(config.lam), None
+    if method == "mean":
+        return 0.0, None
+    cv_opts = config.cv_options if config.cv_options is not None else config.options
+    if cv_opts is None:
+        cv_opts = _CV_DEFAULT_OPTIONS_L12 if method == "nvarl12" else _CV_DEFAULT_OPTIONS
+    lam, curve = cv_select(train_set, method, config.grid, config.folds,
+                           dictionary=config.dictionary, options=cv_opts,
+                           feature_tol=config.feature_tol)
+    return lam, [float(v) for v in curve]
+
+
 def fit_method(method: str, train_set, lam, stats=None, names=None,
                dictionary=DEFAULT_DICTIONARY, options: SolverOptions | None = None,
                feature_tol: float = RANK_TOL):
-    """Fit one method at a fixed lambda; returns (model, predict_fn)."""
-    if method in ("nvarl1", "nvarl12"):
+    """Fit one method at a fixed lambda: solver.fit for the kernel methods,
+    baselines.fit_baseline for the rest."""
+    if method in solver.KERNEL_METHODS:
         fit_cfg = solver.FitConfig(method=method, lam=lam, dictionary=dictionary,
                                    feature_tol=feature_tol, options=options)
-        model = solver.fit(train_set, fit_cfg, norm_stats=stats, names=names)
-        return model, (lambda X: solver.predict(model, X))
-    kind = "nvar_full" if method == "nvar" else method
-    model = baselines.fit_baseline(kind, train_set, lam, dictionary=dictionary,
-                                   options=options, norm_stats=stats, names=names)
-    return model, (lambda X: baselines.predict_baseline(model, X))
-
-
-def _model_adjacency(method: str, model):
-    if method in ("nvarl1", "nvarl12"):
-        return solver.adjacency(model)
-    if method == "lvarl1":
-        return baselines.baseline_adjacency(model)
-    return None
+        return solver.fit(train_set, fit_cfg, norm_stats=stats, names=names)
+    return baselines.fit_baseline(method, train_set, lam, options=options,
+                                  norm_stats=stats, names=names)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -550,30 +447,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
         entry: dict = {"status": "ok"}
         started = time.perf_counter()
         try:
-            if config.lam is not None:
-                lam = float(config.lam)
-                entry["cv_curve"] = None
-            elif method == "mean":
-                lam = 0.0
-                entry["cv_curve"] = None
-            else:
-                cv_opts = config.cv_options
-                if cv_opts is None and config.options is not None:
-                    cv_opts = config.options
-                if cv_opts is None:
-                    cv_opts = _CV_DEFAULT_OPTIONS_L12 if method == "nvarl12" else _CV_DEFAULT_OPTIONS
-                lam, curve = cv_select(
-                    train_set, method, config.grid, config.folds,
-                    dictionary=config.dictionary, options=cv_opts,
-                    feature_tol=config.feature_tol,
-                )
-                entry["cv_curve"] = [float(v) for v in curve]
-            model, predict_fn = fit_method(
+            lam, entry["cv_curve"] = select_lambda(config, method, train_set)
+            model = fit_method(
                 method, train_set, lam, stats=stats, names=series.names,
                 dictionary=config.dictionary, options=config.options,
                 feature_tol=config.feature_tol,
             )
-            result = evaluate_holdout(predict_fn, holdout_set, method=method, lam=lam)
+            result = evaluate_holdout(lambda X: modelio.predict_model(model, X), holdout_set,
+                                      method=method, lam=lam)
             entry.update(
                 lam=lam,
                 mse=result.mse,
@@ -581,9 +462,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 n_holdout=result.n_holdout,
                 seconds=time.perf_counter() - started,
             )
-            adj = _model_adjacency(method, model)
-            if adj is not None:
-                adjacencies[method] = adj
+            if method in SPARSE_METHODS:
+                adj = adjacencies[method] = modelio.model_adjacency(model)
                 entry["adjacency"] = [[float(v) for v in row] for row in adj.values]
             models[method] = model
         except Exception as exc:  # record and continue with the other methods

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from . import baselines, solver
-from .errors import ConfigError, UnsupportedKindError
+from .errors import BadDataError, ConfigError, UnsupportedKindError
 from .kernels import KernelSpec, _regroup
 from .series import NormStats
 
@@ -31,7 +31,8 @@ def _stats_doc(stats: NormStats | None):
 def _stats_from(doc) -> NormStats | None:
     if doc is None:
         return None
-    return NormStats(mean=np.asarray(doc["mean"]), std=np.asarray(doc["std"]))
+    return NormStats(mean=_finite(doc["mean"], 1, "norm_stats mean"),
+                     std=_finite(doc["std"], 1, "norm_stats std"))
 
 
 def _matrix(x) -> list:
@@ -62,29 +63,54 @@ def model_to_dict(model) -> dict:
             "training_inputs": _matrix(model.training_inputs),
         }
     if isinstance(model, baselines.BaselineFit):
-        doc = {
+        return {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
             "kind": model.kind,
             "lag": model.lag,
             "names": model.names,
             "norm_stats": _stats_doc(model.norm_stats),
-            "lambda": None if model.lam is None else float(np.asarray(model.lam).ravel()[0]),
+            "lambda": None if model.lam is None else float(model.lam),
+            "coef": None if model.coef is None else _matrix(model.coef),
         }
-        if model.kind == "nvar_full":
-            doc["model"] = model_to_dict(model.inner)
-        else:
-            doc["coef"] = None if model.coef is None else _matrix(model.coef)
-        return doc
     raise UnsupportedKindError(f"cannot serialize {type(model).__name__}")
 
 
+def _finite(doc, ndim: int, what: str) -> np.ndarray:
+    arr = np.asarray(doc, dtype=float)
+    _check(arr.ndim == ndim and bool(np.all(np.isfinite(arr))), f"{what} must be a finite {ndim}-d array")
+    return arr
+
+
+def _check(ok: bool, what: str) -> None:
+    if not ok:
+        raise ConfigError(f"malformed model document: {what}")
+
+
 def model_from_dict(doc: dict):
-    if doc.get("format") != FORMAT_NAME:
+    """Rebuild a fitted model, checking every shape the forecasts rely on.
+
+    v1 documents of the retired kind "nvar_full" load as the kernel model
+    they nest.
+    """
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ConfigError("not an nlvar model document")
     if doc.get("version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported model version {doc.get('version')}")
+    try:
+        return _model_from_dict(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed model document: {type(exc).__name__}: {exc}") from None
+
+
+def _model_from_dict(doc: dict):
     kind = doc["kind"]
+    if kind == "nvar_full":
+        return model_from_dict(doc["model"])
+    lag = int(doc["lag"])
+    _check(lag >= 1, "lag must be positive")
+    names = doc["names"]
+    stats = _stats_from(doc["norm_stats"])
     if kind in solver.KERNEL_METHODS:
         specs = [
             KernelSpec(
@@ -95,31 +121,40 @@ def model_from_dict(doc: dict):
             )
             for k in doc["kernels"]
         ]
-        return solver.ModelFit(
-            method=kind,
-            A=np.asarray(doc["weights_a"], dtype=float),
-            C=np.asarray(doc["coefficients"], dtype=float),
-            specs=specs,
-            group_index=_regroup(specs),
-            training_inputs=np.asarray(doc["training_inputs"], dtype=float),
-            norm_stats=_stats_from(doc["norm_stats"]),
-            lag=int(doc["lag"]),
-            lam=np.asarray(doc["lambda"], dtype=float),
-            names=doc["names"],
-        )
-    if kind in baselines.BASELINE_KINDS:
-        inner = model_from_dict(doc["model"]) if kind == "nvar_full" else None
-        coef = doc.get("coef")
-        return baselines.BaselineFit(
-            kind=kind,
-            lag=int(doc["lag"]),
-            coef=None if coef is None else np.asarray(coef, dtype=float),
-            inner=inner,
-            norm_stats=_stats_from(doc["norm_stats"]),
-            lam=doc["lambda"],
-            names=doc["names"],
-        )
-    raise ConfigError(f"unknown model kind {kind!r}")
+        A = _finite(doc["weights_a"], 2, "weights_a")
+        C = _finite(doc["coefficients"], 2, "coefficients")
+        X = _finite(doc["training_inputs"], 2, "training_inputs")
+        lam = _finite(doc["lambda"], 1, "lambda")
+        m = A.shape[1]
+        _check(A.shape[0] == len(specs), f"weights_a has {A.shape[0]} rows for {len(specs)} kernels")
+        _check(C.shape == (X.shape[0], m), f"coefficients are {C.shape}, expected {(X.shape[0], m)}")
+        _check(X.shape[1] == m * lag, f"training_inputs have {X.shape[1]} columns, expected {m * lag}")
+        _check(lam.shape == (m,), f"lambda has {lam.size} entries for {m} outputs")
+        for spec in specs:
+            _check(spec.norm_factor is not None and np.isfinite(spec.norm_factor),
+                   f"{spec.label()} has no finite norm_factor")
+            _check(spec.partition is None or 0 <= spec.partition < m,
+                   f"{spec.label()} names a partition outside 0..{m - 1}")
+        model = solver.ModelFit(method=kind, A=A, C=C, specs=specs, group_index=_regroup(specs),
+                                training_inputs=X, norm_stats=stats, lag=lag, lam=lam, names=names)
+    elif kind in baselines.BASELINE_KINDS:
+        coef = None if doc.get("coef") is None else _finite(doc["coef"], 2, "coef")
+        lam = doc["lambda"]
+        _check(lam is None or np.isfinite(float(lam)), "lambda must be finite")
+        m = None
+        if coef is not None:
+            m = coef.shape[1]
+            _check(coef.shape[0] == m * lag, f"coef is {coef.shape}, expected {(m * lag, m)}")
+        elif stats is not None:
+            m = stats.mean.shape[0]
+        model = baselines.BaselineFit(kind=kind, lag=lag, coef=coef, norm_stats=stats,
+                                      lam=lam, names=names)
+    else:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    if m is not None:
+        _check(names is None or len(names) == m, f"names do not cover {m} series")
+        _check(stats is None or stats.mean.shape[0] == m, f"norm_stats do not cover {m} series")
+    return model
 
 
 def save_model(model, path) -> None:
@@ -129,20 +164,24 @@ def save_model(model, path) -> None:
 
 def load_model(path):
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            return model_from_dict(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not JSON: {exc}") from None
 
 
 def predict_model(model, new_inputs) -> np.ndarray:
     """Standardized-space forecasts from either model family."""
+    X = np.asarray(new_inputs, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise BadDataError("predict inputs contain NaN or infinite values")
     if isinstance(model, solver.ModelFit):
-        return solver.predict(model, new_inputs)
-    return baselines.predict_baseline(model, new_inputs)
+        return solver.predict(model, X)
+    return baselines.predict_baseline(model, X)
 
 
 def model_adjacency(model, threshold: float = solver.ADJ_ZERO_TOL) -> solver.AdjacencyMatrix:
     """Granger adjacency from either model family (sparse kinds only)."""
     if isinstance(model, solver.ModelFit):
-        if model.method == "nvar":
-            raise UnsupportedKindError("adjacency is undefined for the unpartitioned model")
         return solver.adjacency(model, threshold)
     return baselines.baseline_adjacency(model, threshold)

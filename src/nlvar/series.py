@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadDataError,
     BadRangeError,
     ConstantSeriesError,
     DimensionMismatchError,
@@ -40,7 +41,7 @@ class MultivariateSeries:
                 f"series has {m} columns but {len(self.names)} names"
             )
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("series contains NaN or infinite values")
+            raise BadDataError("series contains NaN or infinite values")
 
     @property
     def n_steps(self) -> int:
@@ -186,22 +187,22 @@ def read_csv(path) -> MultivariateSeries:
         try:
             names = next(reader)
         except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+            raise BadDataError(f"{path}: empty file") from None
         names = [name.strip() for name in names]
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(names):
-                raise ValueError(
+                raise BadDataError(
                     f"{path}:{lineno}: expected {len(names)} values, got {len(row)}"
                 )
             try:
                 rows.append([float(cell) for cell in row])
             except ValueError:
-                raise ValueError(
+                raise BadDataError(
                     f"{path}:{lineno}: missing or non-numeric value"
                 ) from None
     if not rows:
-        raise ValueError(f"{path}: no data rows")
+        raise BadDataError(f"{path}: no data rows")
     return MultivariateSeries(values=np.array(rows, dtype=float), names=names)
 
 

@@ -183,23 +183,24 @@ def _finish_l1(group_sol, grams: GramStack, y, lam: float) -> TaskSolution:
     )
 
 
-def solve_task_l1(features: FeatureStack, grams: GramStack, y, lam: float,
+def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, lam: float,
                   warm=None, opts: SolverOptions | None = None) -> TaskSolution:
     """One output task under the entrywise-l1 weight penalty.
 
     The task is solved globally as a group lasso over the empirical features
     with penalty 2*sqrt(lam); the kernel weights follow in closed form as
     a_d = sqrt(lam) * ||z_d||_2 and c from the regularized linear system.
+    `features` may also be a GroupedProblem over the feature blocks: tasks
+    solved on one such problem share its stacked design and step-size bound.
     """
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    problem = GroupedProblem(
-        design_blocks=features.features,
-        target=np.asarray(y, dtype=float).ravel(),
-        penalty=2.0 * math.sqrt(lam),
-    )
+    y = np.asarray(y, dtype=float).ravel()
+    if isinstance(features, FeatureStack):
+        features = GroupedProblem(features.features, y, 0.0)
+    problem = features.with_target(y, 2.0 * math.sqrt(lam))
     sol = solve_group_lasso(problem, warm_start=warm, opts=opts)
-    return _finish_l1(sol, grams, problem.target, lam)
+    return _finish_l1(sol, grams, y, lam)
 
 
 #: Cap on proximal gradient steps within one weight update of the
@@ -313,22 +314,12 @@ def fit(train: SupervisedSet, config: FitConfig, norm_stats: NormStats | None = 
     tasks: list[TaskSolution] = []
     if config.method in ("nvarl1", "nvar"):
         features = build_feature_stack(grams, config.feature_tol)
-        shared_stacked = None
-        shared_sigma = None
+        # the stacked design and its Lipschitz estimate depend only on the
+        # features, so the m tasks share them
+        design = GroupedProblem(features.features, train.outputs[:, 0], 0.0)
         for s in range(m):
-            problem = GroupedProblem(
-                design_blocks=features.features,
-                target=train.outputs[:, s],
-                penalty=2.0 * math.sqrt(lam_vec[s]),
-            )
-            # the stacked design and its Lipschitz estimate depend only on the
-            # features, so the m tasks share them
-            if shared_stacked is not None:
-                problem._stacked = shared_stacked
-                problem._sigma = shared_sigma
-            sol = solve_group_lasso(problem, opts=config.options)
-            shared_stacked, shared_sigma = problem._stacked, problem._sigma
-            tasks.append(_finish_l1(sol, grams, train.outputs[:, s], lam_vec[s]))
+            tasks.append(solve_task_l1(design, grams, train.outputs[:, s], lam_vec[s],
+                                       opts=config.options))
     else:
         for s in range(m):
             tasks.append(

@@ -100,16 +100,26 @@ def test_lvarl1_groups_all_zero_or_all_active():
 
 
 def test_nvar_full_univariate_matches_nvarl1_bitwise():
+    # the unpartitioned kernel model (kind "nvar"; "nvar_full" in v1 files)
+    # sees the one partition nvarl1 sees on a univariate series
     rng = np.random.default_rng(8)
     train = _train(rng, n_total=50, m=1, p=5)
-    base = fit_baseline("nvar_full", train, 1.2)
+    full = fit(train, FitConfig(method="nvar", lam=1.2))
     main = fit(train, FitConfig(method="nvarl1", lam=1.2))
-    assert np.array_equal(base.inner.A, main.A)
-    assert np.array_equal(base.inner.C, main.C)
+    assert np.array_equal(full.A, main.A)
+    assert np.array_equal(full.C, main.C)
     X_new = rng.standard_normal((4, 5))
-    np.testing.assert_array_equal(
-        predict_baseline(base, X_new), predict(main, X_new)
-    )
+    np.testing.assert_array_equal(predict(full, X_new), predict(main, X_new))
+
+
+def test_lvarl1_warm_start_reaches_the_cold_solution():
+    rng = np.random.default_rng(11)
+    train = _train(rng)
+    opts = SolverOptions(max_iter=20000, rel_tol=1e-10)
+    cold = fit_baseline("lvarl1", train, 5.0, options=opts)
+    warm = fit_baseline("lvarl1", train, 5.0, options=opts,
+                        warm=fit_baseline("lvarl1", train, 20.0, options=opts))
+    np.testing.assert_allclose(warm.coef, cold.coef, atol=1e-6)
 
 
 def test_unknown_kind_rejected():

@@ -117,3 +117,53 @@ def test_benchmark_command(tmp_path):
     assert set(report["methods"]) == {"mean", "lvarl2", "lvarl1"}
     assert (out / "mse_table.csv").exists()
     assert (out / "adjacency_lvarl1.csv").exists()
+
+
+@pytest.mark.parametrize("csv_text, config", [
+    ("a,b\n1.0,2.0\n3.0,oops\n", None),
+    (None, {"solver": {"max_iter": 0}}),
+    (None, {"solver": {"maxiter": 5}}),
+    (None, {"grid": {"count": 3, "steps": 2}}),
+    (None, {"grid": {"count": 2.5}}),
+    (None, {"kernels": [["cubic", 3]]}),
+])
+def test_fit_rejects_bad_input_with_exit_code_2(tmp_path, data_csv, csv_text, config):
+    data, cfg = data_csv, tmp_path / "cfg.json"
+    if csv_text is not None:
+        data = tmp_path / "bad.csv"
+        data.write_text(csv_text)
+    cfg.write_text(json.dumps(config or {}))
+    assert main(["fit", "--data", str(data), "--method", "lvarl2", "--train", "150",
+                 "--lag", "3", "--lambda", "1.0", "--config", str(cfg),
+                 "--out", str(tmp_path / "model.json")]) == 2
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_predict_rejects_corrupted_model_with_exit_code_2(tmp_path, data_csv):
+    model_path = tmp_path / "model.json"
+    main(["fit", "--data", str(data_csv), "--method", "nvarl1", "--train", "60",
+          "--lag", "3", "--lambda", "2.0", "--out", str(model_path)])
+    doc = json.loads(model_path.read_text())
+    doc["coefficients"] = doc["coefficients"][:-3]
+    model_path.write_text(json.dumps(doc))
+    rc = main(["predict", "--model", str(model_path), "--data", str(data_csv),
+               "--out", str(tmp_path / "f.csv")])
+    assert rc == 2
+
+
+def test_fit_cv_matches_the_benchmark_fit(tmp_path, data_csv):
+    # same settings, same training window: `fit --cv` must pick the penalty
+    # and write the model a benchmark run does
+    settings = {"grid": {"count": 3, "low_exp": -1, "high_exp": 2}, "folds": 3,
+                "feature_tol": 1e-4}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_csv), "--method", "nvarl1", "--train", "100",
+                 "--lag", "3", "--config", str(cfg), "--cv", "--out", str(model_path)]) == 0
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps({**settings, "data": {"csv": str(data_csv)}, "train": 100,
+                                 "holdout": 50, "lag": 3, "methods": ["nvarl1"],
+                                 "save_models": True}))
+    assert main(["benchmark", "--config", str(bench), "--out", str(tmp_path / "run")]) == 0
+    assert model_path.read_text() == (tmp_path / "run" / "model_nvarl1.json").read_text()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlvar.baselines import fit_baseline, predict_baseline
-from nlvar.errors import ConfigError
+from nlvar.errors import BadDataError, ConfigError
 from nlvar.modelio import (
     load_model,
     model_adjacency,
@@ -43,7 +43,7 @@ def test_kernel_model_round_trip(tmp_path):
     np.testing.assert_array_equal(predict(loaded, X_new), predict(model, X_new))
 
 
-@pytest.mark.parametrize("kind", ["mean", "lar", "lvarl2", "lvarl1", "nvar_full"])
+@pytest.mark.parametrize("kind", ["mean", "lar", "lvarl2", "lvarl1"])
 def test_baseline_round_trip(tmp_path, kind):
     rng = np.random.default_rng(1)
     stats, train = _fixture(rng)
@@ -56,6 +56,23 @@ def test_baseline_round_trip(tmp_path, kind):
     np.testing.assert_array_equal(
         predict_baseline(loaded, X_new), predict_baseline(model, X_new)
     )
+
+
+def test_legacy_nvar_full_document_loads_as_its_kernel_model(tmp_path):
+    # v1 files wrapped the unpartitioned model in a baseline envelope
+    rng = np.random.default_rng(1)
+    stats, train = _fixture(rng)
+    model = fit(train, FitConfig(method="nvar", lam=0.8), norm_stats=stats, names=["s0", "s1"])
+    legacy = {"format": "nlvar-model", "version": 1, "kind": "nvar_full", "lag": 3,
+              "names": ["s0", "s1"], "norm_stats": model_to_dict(model)["norm_stats"],
+              "lambda": 0.8, "model": model_to_dict(model)}
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(legacy))
+    loaded = load_model(path)
+    assert loaded.method == "nvar"
+    X_new = rng.standard_normal((4, train.inputs.shape[1]))
+    np.testing.assert_array_equal(predict_model(loaded, X_new), predict(model, X_new))
+    assert model_to_dict(loaded)["kind"] == "nvar"
 
 
 def test_full_precision_floats(tmp_path):
@@ -94,3 +111,102 @@ def test_rejects_foreign_documents():
         model_from_dict({"format": "something-else"})
     with pytest.raises(ConfigError):
         model_from_dict({"format": "nlvar-model", "version": 999})
+
+
+def _cut(key, rows):
+    def corrupt(doc):
+        doc[key] = doc[key][:rows]
+    return corrupt
+
+
+def _set(key, value):
+    def corrupt(doc):
+        doc[key] = value
+    return corrupt
+
+
+def _set_kernel(field, value):
+    def corrupt(doc):
+        doc["kernels"][0][field] = value
+    return corrupt
+
+
+def _drop_column(key):
+    def corrupt(doc):
+        doc[key] = [row[:-1] for row in doc[key]]
+    return corrupt
+
+
+def _nan_stats(doc):
+    doc["norm_stats"]["std"][0] = float("nan")
+
+
+KERNEL_CORRUPTIONS = {
+    "coefficients cut short": _cut("coefficients", -3),
+    "weights_a missing a kernel row": _cut("weights_a", -1),
+    "extra kernel spec": lambda doc: doc["kernels"].append(dict(doc["kernels"][0])),
+    "coefficients missing an output": _drop_column("coefficients"),
+    "training_inputs missing a column": _drop_column("training_inputs"),
+    "lambda too short": _cut("lambda", 1),
+    "names too long": _set("names", ["s0", "s1", "s2"]),
+    "norm_stats too short": _set("norm_stats", {"mean": [0.0], "std": [1.0]}),
+    "missing norm_factor": _set_kernel("norm_factor", None),
+    "infinite norm_factor": _set_kernel("norm_factor", float("inf")),
+    "partition out of range": _set_kernel("partition", 7),
+    "unknown kernel kind": _set_kernel("kind", "cubic"),
+    "NaN coefficient": lambda doc: doc["coefficients"][0].__setitem__(0, float("nan")),
+    "NaN norm_stats": _nan_stats,
+    "ragged weights_a": lambda doc: doc["weights_a"][0].append(1.0),
+    "missing key": lambda doc: doc.pop("training_inputs"),
+    "zero lag": _set("lag", 0),
+}
+
+BASELINE_CORRUPTIONS = {
+    "coef cut short": _cut("coef", -1),
+    "coef missing an output": _drop_column("coef"),
+    "names too short": _set("names", ["s0"]),
+    "NaN coef": lambda doc: doc["coef"][0].__setitem__(0, float("nan")),
+    "non-numeric lambda": _set("lambda", "big"),
+}
+
+
+def _kernel_doc():
+    stats, train = _fixture(np.random.default_rng(5))
+    model = fit(train, FitConfig(method="nvarl1", lam=1.0), norm_stats=stats, names=["s0", "s1"])
+    return json.loads(json.dumps(model_to_dict(model)))
+
+
+@pytest.mark.parametrize("corruption", sorted(KERNEL_CORRUPTIONS))
+def test_corrupted_kernel_documents_rejected(corruption):
+    doc = _kernel_doc()
+    model_from_dict(doc)
+    KERNEL_CORRUPTIONS[corruption](doc)
+    with pytest.raises(ConfigError):
+        model_from_dict(doc)
+    legacy = {"format": "nlvar-model", "version": 1, "kind": "nvar_full", "lag": 3,
+              "names": None, "norm_stats": None, "lambda": 1.0, "model": doc}
+    with pytest.raises(ConfigError):
+        model_from_dict(legacy)
+
+
+@pytest.mark.parametrize("corruption", sorted(BASELINE_CORRUPTIONS))
+def test_corrupted_baseline_documents_rejected(corruption):
+    stats, train = _fixture(np.random.default_rng(6))
+    doc = json.loads(json.dumps(model_to_dict(
+        fit_baseline("lvarl1", train, 1.0, norm_stats=stats, names=["s0", "s1"]))))
+    model_from_dict(doc)
+    BASELINE_CORRUPTIONS[corruption](doc)
+    with pytest.raises(ConfigError):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_predict_rejects_non_finite_inputs(bad):
+    rng = np.random.default_rng(7)
+    stats, train = _fixture(rng)
+    X = rng.standard_normal((2, train.inputs.shape[1]))
+    X[1, 2] = bad
+    for model in (fit(train, FitConfig(method="nvarl1", lam=1.0), norm_stats=stats),
+                  fit_baseline("lvarl2", train, 1.0, norm_stats=stats)):
+        with pytest.raises(BadDataError):
+            predict_model(model, X)
