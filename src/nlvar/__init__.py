@@ -1,64 +1,18 @@
 """Kernel-based one-step-ahead forecasting of multivariate time series with
 learned sparse kernel weights and Granger-causality graph extraction."""
 
-from .baselines import BaselineFit, baseline_adjacency, fit_baseline, predict_baseline
-from .grouplasso import (
-    GroupedProblem,
-    GroupedSolution,
-    SolverOptions,
-    block_soft_threshold,
-    optimality_gap,
-    solve_group_lasso,
-)
-from .harness import (
-    CANONICAL_SEED,
-    EvalReport,
-    ExperimentConfig,
-    GridSpec,
-    SyntheticSpec,
-    cv_select,
-    default_psi,
-    evaluate_holdout,
-    fit_method,
-    generate_synthetic,
-    run_experiment,
-    split_experiment_data,
-)
-from .kernels import (
-    DEFAULT_DICTIONARY,
-    FeatureStack,
-    GramStack,
-    KernelSpec,
-    build_feature_stack,
-    build_gram_stack,
-    cross_gram,
-    empirical_features,
-    gram_matrix,
-    kernel_eval,
-)
+from .grouplasso import GroupedProblem, optimality_gap
+from .harness import SyntheticSpec, cv_select, generate_synthetic, split_experiment_data
+from .kernels import build_gram_stack
 from .modelio import load_model, model_adjacency, predict_model, save_model
 from .series import (
     MultivariateSeries,
-    NormStats,
-    SupervisedSet,
     lag_embed,
     read_csv,
     standardize_apply,
     standardize_fit,
     write_csv,
 )
-from .solver import (
-    AdjacencyMatrix,
-    FitConfig,
-    ModelFit,
-    TaskSolution,
-    adjacency,
-    fit,
-    predict,
-    solve_coefficients,
-    solve_task_l1,
-    solve_task_l12,
-    task_objective,
-)
+from .solver import FitConfig, ModelFit, adjacency, fit, predict, solve_coefficients
 
 __version__ = "0.1.0"

@@ -81,8 +81,10 @@ def fit_baseline(kind: str, train: SupervisedSet, lam: float = 0.0,
         return BaselineFit(kind=kind, lag=p, coef=coef, norm_stats=norm_stats,
                            lam=lam, names=names)
 
-    # lvarl1: the m outputs share one design
-    design = GroupedProblem([X[:, cols] for cols in train.partition_map], Y[:, 0], lam)
+    # lvarl1: the m outputs share one design, stacked row-major; the solve's
+    # rounding, and so a CV curve, depends on the design's memory order
+    blocks = [np.ascontiguousarray(X[:, cols]) for cols in train.partition_map]
+    design = GroupedProblem(blocks, Y[:, 0], lam)
     coef = np.zeros((m * p, m))
     for s in range(m):
         start = None if warm is None else [warm.coef[cols, s] for cols in train.partition_map]

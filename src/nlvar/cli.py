@@ -56,13 +56,19 @@ def _cmd_fit(args):
     print(f"fitted {args.method} (lambda={lam:g}) on {train_set.n_pairs} pairs -> {args.out}")
 
 
-def _cmd_predict(args):
+def _load_embedded(args):
+    """The --model file and the --data CSV, standardized and lag-embedded
+    with the model's own statistics and lag."""
     model = modelio.load_model(args.model)
     series = read_csv(args.data)
     if model.norm_stats is None:
-        raise ConfigError("model carries no normalization stats; cannot predict raw data")
-    std = standardize_apply(series, model.norm_stats, "forward")
-    sup = lag_embed(std, model.lag)
+        raise ConfigError("model carries no normalization stats; cannot read raw data")
+    sup = lag_embed(standardize_apply(series, model.norm_stats, "forward"), model.lag)
+    return model, series, sup
+
+
+def _cmd_predict(args):
+    model, series, sup = _load_embedded(args)
     preds_std = modelio.predict_model(model, sup.inputs)
     preds = preds_std * model.norm_stats.std + model.norm_stats.mean
     names = model.names or series.names
@@ -72,12 +78,7 @@ def _cmd_predict(args):
 
 
 def _cmd_evaluate(args):
-    model = modelio.load_model(args.model)
-    series = read_csv(args.data)
-    if model.norm_stats is None:
-        raise ConfigError("model carries no normalization stats; cannot evaluate raw data")
-    std = standardize_apply(series, model.norm_stats, "forward")
-    sup = lag_embed(std, model.lag)
+    model, _, sup = _load_embedded(args)
     if sup.n_pairs < args.holdout:
         raise ConfigError(f"only {sup.n_pairs} pairs available, requested {args.holdout}")
     holdout = sup.subset(np.arange(sup.n_pairs - args.holdout, sup.n_pairs))
@@ -179,7 +180,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except NlvarError as exc:
+    except (NlvarError, OSError) as exc:  # OSError: a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

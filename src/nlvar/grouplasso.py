@@ -31,20 +31,19 @@ _STEP_GROWTH = 2.0
 #: plateaued at its numerical gap floor and the best iterate is returned.
 _PLATEAU_CHECKS = 50
 
+#: A rejected trial step shrinks by this factor. Every solve starts from the
+#: step 1/sigma, sigma bounding the curvature of the smooth part.
+BACKTRACK_FACTOR = 0.5
+
 
 @dataclass
 class SolverOptions:
     max_iter: int = 2000
     rel_tol: float = 1e-7
-    initial_step: float = 1.0
-    backtrack_factor: float = 0.5
-    nonneg: bool = False
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must be in (0, 1)")
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be positive")
 
@@ -62,7 +61,7 @@ class GroupedProblem:
     _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.design_blocks = [np.ascontiguousarray(b, dtype=float) for b in self.design_blocks]
+        self.design_blocks = [np.asarray(b, dtype=float) for b in self.design_blocks]
         self.target = np.asarray(self.target, dtype=float).ravel()
         n = self.target.shape[0]
         for g, block in enumerate(self.design_blocks):
@@ -76,8 +75,7 @@ class GroupedProblem:
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if "stacked" not in self._shared:
             sizes = np.array([b.shape[1] for b in self.design_blocks])
-            starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(int)
-            self._shared["stacked"] = (np.hstack(self.design_blocks), starts, sizes)
+            self._shared["stacked"] = (np.hstack(self.design_blocks), group_starts(sizes), sizes)
         return self._shared["stacked"]
 
     def with_target(self, target, penalty: float) -> "GroupedProblem":
@@ -97,23 +95,19 @@ class GroupedSolution:
     converged: bool
 
 
-def block_soft_threshold(v, t: float, nonneg: bool = False) -> np.ndarray:
-    """Proximal operator of t*||.||_2, optionally restricted to the nonnegative orthant.
+def group_starts(sizes) -> np.ndarray:
+    """Offsets of contiguous groups of the given sizes in a stacked vector."""
+    return np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(int)
 
-    With nonneg the vector is first clamped elementwise at zero and the
-    clamped vector shrunk; this is the exact prox of the norm plus the
-    orthant indicator.
+
+def prox_groups(v, t: float, starts, sizes, nonneg: bool = False) -> np.ndarray:
+    """Proximal operator of t * sum_g ||v_g||_2 over the contiguous groups.
+
+    Each group shrinks towards zero by t in norm and vanishes when its norm
+    is at most t. With nonneg the vector is first clamped elementwise at zero
+    and the clamped groups shrunk; this is the exact prox of the penalty
+    plus the orthant indicator.
     """
-    v = np.asarray(v, dtype=float)
-    if nonneg:
-        v = np.maximum(v, 0.0)
-    nrm = float(np.linalg.norm(v))
-    if nrm <= t:
-        return np.zeros_like(v)
-    return v * (1.0 - t / nrm)
-
-
-def _prox_groups(v, t, starts, sizes, nonneg):
     if nonneg:
         v = np.maximum(v, 0.0)
     gn = np.sqrt(np.add.reduceat(v * v, starts))
@@ -121,7 +115,7 @@ def _prox_groups(v, t, starts, sizes, nonneg):
     return v * np.repeat(scale, sizes)
 
 
-def _group_penalty(w, starts) -> float:
+def group_penalty(w, starts) -> float:
     return float(np.sum(np.sqrt(np.add.reduceat(w * w, starts))))
 
 
@@ -163,11 +157,11 @@ def _solve_stacked(B, starts, sizes, y, kappa, opts, w0=None, sigma=None):
 
     if sigma is None:
         sigma = _largest_sq_singular(B)
-    step = opts.initial_step / max(sigma, 1e-30)
+    step = 1.0 / max(sigma, 1e-30)
 
     r = (B @ w - y) if w.any() else -y
     f = float(r @ r)
-    trace = [f + kappa * _group_penalty(w, starts)]
+    trace = [f + kappa * group_penalty(w, starts)]
     if not np.isfinite(trace[0]):
         raise NonFiniteObjectiveError("objective not finite at the starting point")
 
@@ -194,9 +188,6 @@ def _solve_stacked(B, starts, sizes, y, kappa, opts, w0=None, sigma=None):
             f = float(r @ r)
         grad = 2.0 * (B.T @ r)
         if rel_change < opts.rel_tol:
-            if opts.nonneg:
-                converged = True
-                break
             gap = _gap_from_gradient(w, grad, kappa, starts, sizes)
             if gap <= eps_kkt:
                 converged = True
@@ -222,14 +213,14 @@ def _solve_stacked(B, starts, sizes, y, kappa, opts, w0=None, sigma=None):
             step *= _STEP_GROWTH
         clean_accept = True
         while True:
-            w_new = _prox_groups(w - step * grad, step * kappa, starts, sizes, opts.nonneg)
+            w_new = prox_groups(w - step * grad, step * kappa, starts, sizes)
             delta = w_new - w
             dd = float(delta @ delta)
             if dd == 0.0:
                 # numerical prox fixed point: fall back to the base step so a
                 # stalled (too small) step cannot freeze the iteration
                 r_new, f_new = r, f
-                step = opts.initial_step / max(sigma, 1e-30)
+                step = 1.0 / max(sigma, 1e-30)
                 clean_accept = False
                 break
             r_new = r + B @ delta
@@ -237,13 +228,13 @@ def _solve_stacked(B, starts, sizes, y, kappa, opts, w0=None, sigma=None):
             bound = f + float(grad @ delta) + dd / (2.0 * step)
             if f_new <= bound + 1e-12 * max(1.0, abs(f)):
                 break
-            step *= opts.backtrack_factor
+            step *= BACKTRACK_FACTOR
             clean_accept = False
             if step <= 1e-300:
                 raise NonFiniteObjectiveError("line search underflow; design may contain non-finite values")
 
         w, r, f = w_new, r_new, f_new
-        obj = f + kappa * _group_penalty(w, starts)
+        obj = f + kappa * group_penalty(w, starts)
         if not np.isfinite(obj):
             raise NonFiniteObjectiveError(f"objective became {obj} at iteration {it}")
         rel_change = abs(trace[-1] - obj) / max(abs(trace[-1]), 1e-300)
@@ -260,9 +251,7 @@ def solve_group_lasso(problem: GroupedProblem, warm_start=None, opts: SolverOpti
 
     Stops when the relative objective change drops below opts.rel_tol AND the
     largest per-group KKT violation is at most 1e-4*kappa (for kappa > 0),
-    or when max_iter is hit (converged=False, best iterate kept). With
-    opts.nonneg the orthant-constrained prox is used and the stopping rule is
-    the objective criterion alone.
+    or when max_iter is hit (converged=False, best iterate kept).
     """
     if opts is None:
         opts = SolverOptions()
@@ -276,9 +265,8 @@ def solve_group_lasso(problem: GroupedProblem, warm_start=None, opts: SolverOpti
     w, trace, iters, converged, problem._shared["sigma"] = _solve_stacked(
         B, starts, sizes, problem.target, problem.penalty, opts, w0, problem._shared.get("sigma")
     )
-    bounds = np.cumsum(sizes)[:-1]
     return GroupedSolution(
-        weights=[part.copy() for part in np.split(w, bounds)],
+        weights=[part.copy() for part in np.split(w, starts[1:])],
         objective_trace=trace,
         iterations=iters,
         converged=converged,

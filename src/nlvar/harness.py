@@ -20,7 +20,9 @@ from .errors import (
     DimensionMismatchError,
     FoldTooSmallError,
 )
-from .grouplasso import SolverOptions, _solve_stacked
+# the benchmark tracer times the CV solves through this module's binding of
+# the stacked ISTA loop, so the CV path calls it directly
+from .grouplasso import GroupedProblem, SolverOptions, _solve_stacked
 from .kernels import (
     DEFAULT_DICTIONARY,
     RANK_TOL,
@@ -28,7 +30,6 @@ from .kernels import (
     build_cross_stack,
     build_feature_stack,
     build_gram_stack,
-    make_specs,
 )
 from .series import MultivariateSeries, SupervisedSet, lag_embed, read_csv, standardize_apply, standardize_fit
 
@@ -43,7 +44,7 @@ CANONICAL_SEED = 20
 DEFAULT_LAG = 5
 DEFAULT_HOLDOUT = 500
 
-#: Iteration budgets for CV fits when no cv_options are given: candidate
+#: Iteration budgets for CV fits when no solver options are given: candidate
 #: penalties only need to be ranked, not solved to final-fit precision. The
 #: alternating method pays a dense factorization per outer iteration, so its
 #: CV budget is tighter still.
@@ -171,13 +172,10 @@ def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
     """
     options = options or SolverOptions()
     partitions = [None] if method == "nvar" else list(range(sub.n_series))
-    specs, _ = make_specs(partitions, dictionary)
-    grams = build_gram_stack(sub.inputs, sub.partition_map, specs=specs)
+    grams = build_gram_stack(sub.inputs, sub.partition_map, dictionary, partitions)
     if method != "nvarl12":
         feats = build_feature_stack(grams, feature_tol)
-        sizes = np.array([phi.shape[1] for phi in feats.features])
-        B = np.hstack(feats.features)
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(int)
+        B, starts, sizes = GroupedProblem(feats.features, sub.outputs[:, 0], 0.0).stacked()
     cross = build_cross_stack(grams, sub.inputs, np.asarray(X_val, dtype=float),
                               sub.partition_map)
     Y = sub.outputs
@@ -201,7 +199,7 @@ def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
                     B, starts, sizes, Y[:, s], kappa, options, w0=warm[s], sigma=sigma,
                 )
             warm = list(W.T)
-            A = math.sqrt(lam) * np.sqrt(np.add.reduceat(W * W, starts, axis=0))
+            A = solver.l1_weights(W, starts, lam)
             C = np.column_stack(
                 [solver.solve_coefficients(grams, A[:, s], Y[:, s], lam) for s in range(m)]
             )
@@ -305,9 +303,6 @@ class ExperimentConfig:
     folds: int = 5
     lam: float | None = None
     options: SolverOptions | None = None
-    # CV fits only rank candidate penalties, so they run with a lighter
-    # iteration budget than the final fit; pass explicit cv_options to change
-    cv_options: SolverOptions | None = None
     feature_tol: float = RANK_TOL
     out_dir: str | None = None
     save_models: bool = False
@@ -390,20 +385,20 @@ def split_experiment_data(series: MultivariateSeries, train: int, holdout: int,
 def select_lambda(config: ExperimentConfig, method: str, train_set) -> tuple[float, list | None]:
     """The penalty a run fits `method` at, and its CV curve (None without CV).
 
-    A fixed config.lam wins; the mean predictor has nothing to select;
-    otherwise cv_select runs at the CV budget (cv_options, else options,
-    else the lighter per-method default).
+    A fixed config.lam wins; the mean predictor has nothing to select; a
+    one-point grid is its own choice; otherwise cv_select runs at the CV
+    budget (config.options, else the lighter per-method default).
     """
     if config.lam is not None:
         return float(config.lam), None
     if method == "mean":
         return 0.0, None
-    cv_opts = config.cv_options if config.cv_options is not None else config.options
-    if cv_opts is None:
-        cv_opts = _CV_DEFAULT_OPTIONS_L12 if method == "nvarl12" else _CV_DEFAULT_OPTIONS
+    cv_opts = config.options or (_CV_DEFAULT_OPTIONS_L12 if method == "nvarl12" else _CV_DEFAULT_OPTIONS)
     lam, curve = cv_select(train_set, method, config.grid, config.folds,
                            dictionary=config.dictionary, options=cv_opts,
                            feature_tol=config.feature_tol)
+    if config.grid.count == 1:
+        return lam, None
     return lam, [float(v) for v in curve]
 
 

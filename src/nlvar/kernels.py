@@ -102,15 +102,24 @@ class FeatureStack:
             self.ranks = [phi.shape[1] for phi in self.features]
 
 
-def make_specs(partitions, dictionary=DEFAULT_DICTIONARY) -> tuple[list[KernelSpec], list[tuple[int, int]]]:
+def make_specs(partitions, dictionary=DEFAULT_DICTIONARY) -> list[KernelSpec]:
     """Instantiate the dictionary on each partition, partition-major order."""
-    specs: list[KernelSpec] = []
-    group_index: list[tuple[int, int]] = []
-    for g, part in enumerate(partitions):
-        for i, (kind, param) in enumerate(dictionary):
-            specs.append(KernelSpec(kind=kind, param=param, partition=part))
-            group_index.append((g, i))
-    return specs, group_index
+    return [KernelSpec(kind=kind, param=param, partition=part)
+            for part in partitions for kind, param in dictionary]
+
+
+def group_index_of(specs) -> list[tuple[int, int]]:
+    """(group g, position i within the group) of every kernel, kernels sharing
+    a partition forming one group, numbered in order of first appearance."""
+    group_index = []
+    seen: dict = {}
+    counts: dict = {}
+    for spec in specs:
+        g = seen.setdefault(spec.partition, len(seen))
+        i = counts.get(g, 0)
+        counts[g] = i + 1
+        group_index.append((g, i))
+    return group_index
 
 
 def partition_columns(spec: KernelSpec, partition_map) -> list[int] | slice:
@@ -195,37 +204,22 @@ def empirical_features(K: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def build_gram_stack(inputs: np.ndarray, partition_map, specs=None, dictionary=DEFAULT_DICTIONARY,
+def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTIONARY,
                      partitions=None) -> GramStack:
     """Normalized Gram matrices for every dictionary kernel on every partition.
 
     `partitions` defaults to one partition per series; pass [None] for the
     unpartitioned full-input variant.
     """
-    if specs is None:
-        if partitions is None:
-            partitions = list(range(len(partition_map)))
-        specs, group_index = make_specs(partitions, dictionary)
-    else:
-        group_index = _regroup(specs)
+    if partitions is None:
+        partitions = list(range(len(partition_map)))
+    specs = make_specs(partitions, dictionary)
     grams = []
     for spec in specs:
         cols = partition_columns(spec, partition_map)
         G, _ = gram_matrix(spec, inputs[:, cols])
         grams.append(G)
-    return GramStack(grams=grams, specs=specs, group_index=group_index)
-
-
-def _regroup(specs) -> list[tuple[int, int]]:
-    group_index = []
-    seen: dict = {}
-    counts: dict = {}
-    for spec in specs:
-        g = seen.setdefault(spec.partition, len(seen))
-        i = counts.get(g, 0)
-        counts[g] = i + 1
-        group_index.append((g, i))
-    return group_index
+    return GramStack(grams=grams, specs=specs, group_index=group_index_of(specs))
 
 
 def build_feature_stack(stack: GramStack, tol: float = RANK_TOL) -> FeatureStack:

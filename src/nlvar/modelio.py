@@ -15,7 +15,7 @@ import numpy as np
 
 from . import baselines, solver
 from .errors import BadDataError, ConfigError, UnsupportedKindError
-from .kernels import KernelSpec, _regroup
+from .kernels import KernelSpec, group_index_of
 from .series import NormStats
 
 FORMAT_NAME = "nlvar-model"
@@ -135,7 +135,7 @@ def _model_from_dict(doc: dict):
                    f"{spec.label()} has no finite norm_factor")
             _check(spec.partition is None or 0 <= spec.partition < m,
                    f"{spec.label()} names a partition outside 0..{m - 1}")
-        model = solver.ModelFit(method=kind, A=A, C=C, specs=specs, group_index=_regroup(specs),
+        model = solver.ModelFit(method=kind, A=A, C=C, specs=specs, group_index=group_index_of(specs),
                                 training_inputs=X, norm_stats=stats, lag=lag, lam=lam, names=names)
     elif kind in baselines.BASELINE_KINDS:
         coef = None if doc.get("coef") is None else _finite(doc["coef"], 2, "coef")

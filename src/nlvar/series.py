@@ -152,6 +152,12 @@ def standardize_apply(
     return MultivariateSeries(values=values, names=list(series.names))
 
 
+def lag_columns(m: int, p: int) -> list[list[int]]:
+    """The input columns of each of m series in a lag-p embedding:
+    series j owns columns j*p .. j*p+p-1."""
+    return [[j * p + k for k in range(p)] for j in range(m)]
+
+
 def lag_embed(series: MultivariateSeries, p: int) -> SupervisedSet:
     """Build one-step-ahead supervised pairs from ``p`` past observations.
 
@@ -173,8 +179,7 @@ def lag_embed(series: MultivariateSeries, p: int) -> SupervisedSet:
         for k in range(p):
             inputs[:, j * p + k] = col[p - 1 - k : p - 1 - k + n]
     outputs = series.values[p:].copy()
-    partition_map = [[j * p + k for k in range(p)] for j in range(m)]
-    return SupervisedSet(inputs=inputs, outputs=outputs, lag=p, partition_map=partition_map)
+    return SupervisedSet(inputs=inputs, outputs=outputs, lag=p, partition_map=lag_columns(m, p))
 
 
 def read_csv(path) -> MultivariateSeries:

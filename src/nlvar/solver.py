@@ -3,9 +3,10 @@
 Two regularization routes: the entrywise-l1 route reduces each per-output
 task to a group lasso on empirical features and recovers the kernel weights
 in closed form; the l1/l2 route groups kernels by input partition and
-alternates exact coefficient solves with a single proximal gradient step on
-the nonnegative weights. Each output series is an independent task; the
-fitted weights stack into the matrix read out as a Granger graph.
+alternates exact coefficient solves with backtracked proximal gradient steps
+on the nonnegative weights, iterated until the weight subproblem is
+stationary (at most A_STEP_MAX steps). Each output series is an independent
+task; the fitted weights stack into the matrix read out as a Granger graph.
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ from .errors import (
     UnsupportedKindError,
 )
 from .grouplasso import (
+    BACKTRACK_FACTOR,
     GroupedProblem,
     SolverOptions,
-    _group_penalty,
-    _prox_groups,
+    group_penalty,
+    group_starts,
+    prox_groups,
     solve_group_lasso,
 )
 from .kernels import (
@@ -40,10 +43,9 @@ from .kernels import (
     build_feature_stack,
     build_gram_stack,
     cross_gram,
-    make_specs,
     partition_columns,
 )
-from .series import NormStats, SupervisedSet
+from .series import NormStats, SupervisedSet, lag_columns
 
 KERNEL_METHODS = ("nvarl1", "nvarl12", "nvar")
 
@@ -129,8 +131,7 @@ def task_objective(grams: GramStack, y, a, c, lam: float, method: str) -> float:
     if method == "l1":
         penalty = float(a.sum())
     elif method == "l12":
-        starts, _ = _group_layout(grams.group_index)
-        penalty = _group_penalty(a, starts)
+        penalty = group_penalty(a, group_starts(_group_sizes(grams.group_index)))
     else:
         raise ValueError(f"method must be 'l1' or 'l12', got {method!r}")
     return fit_term + lam * quad + penalty
@@ -156,31 +157,19 @@ def solve_coefficients(grams: GramStack, a, y, lam: float) -> np.ndarray:
     return c
 
 
-def _group_layout(group_index) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, sizes) of the contiguous partition groups in a kernel stack."""
+def _group_sizes(group_index) -> np.ndarray:
+    """Sizes of the partition groups of a kernel stack, in stack order."""
     gids = [g for g, _ in group_index]
-    starts = [0] + [d for d in range(1, len(gids)) if gids[d] != gids[d - 1]]
-    for d in range(1, len(gids)):
-        if gids[d] < gids[d - 1]:
-            raise ValueError("kernels of one partition must be contiguous")
-    starts = np.asarray(starts, dtype=int)
-    sizes = np.diff(np.append(starts, len(gids)))
-    return starts, sizes
+    if any(later < earlier for earlier, later in zip(gids, gids[1:])):
+        raise ValueError("kernels of one partition must be contiguous")
+    return np.unique(gids, return_counts=True)[1]
 
 
-def _finish_l1(group_sol, grams: GramStack, y, lam: float) -> TaskSolution:
-    """Recover (a, c) from a feature-space group-lasso solution."""
-    a = math.sqrt(lam) * np.array([np.linalg.norm(z) for z in group_sol.weights])
-    c = solve_coefficients(grams, a, y, lam)
-    obj = task_objective(grams, y, a, c, lam, "l1")
-    return TaskSolution(
-        a=a,
-        c=c,
-        z_blocks=group_sol.weights,
-        objective=obj,
-        converged=group_sol.converged,
-        objective_trace=group_sol.objective_trace,
-    )
+def l1_weights(Z, starts, lam: float) -> np.ndarray:
+    """Kernel weights a_d = sqrt(lam) * ||z_d||_2 from stacked feature-space
+    weights Z (one task's vector, or one column per task); `starts` are the
+    offsets of the kernels' feature blocks."""
+    return math.sqrt(lam) * np.sqrt(np.add.reduceat(Z * Z, starts, axis=0))
 
 
 def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, lam: float,
@@ -200,7 +189,12 @@ def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, 
         features = GroupedProblem(features.features, y, 0.0)
     problem = features.with_target(y, 2.0 * math.sqrt(lam))
     sol = solve_group_lasso(problem, warm_start=warm, opts=opts)
-    return _finish_l1(sol, grams, y, lam)
+    _, starts, _ = problem.stacked()
+    a = l1_weights(np.concatenate(sol.weights), starts, lam)
+    c = solve_coefficients(grams, a, y, lam)
+    return TaskSolution(a=a, c=c, z_blocks=sol.weights,
+                        objective=task_objective(grams, y, a, c, lam, "l1"),
+                        converged=sol.converged, objective_trace=sol.objective_trace)
 
 
 #: Cap on proximal gradient steps within one weight update of the
@@ -227,7 +221,8 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
     l = grams.n_kernels
     if len(group_index) != l:
         raise DimensionMismatchError("group index does not match the gram stack")
-    starts, sizes = _group_layout(group_index)
+    sizes = _group_sizes(group_index)
+    starts = group_starts(sizes)
 
     if warm is None:
         a = np.full(l, 1.0 / l)
@@ -250,27 +245,27 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
             return yy - 2.0 * float(Uty @ vec) + float(vec @ (G @ vec)) + lam * float(q @ vec)
 
         sigma = float(np.linalg.eigvalsh(G)[-1])
-        step = opts.initial_step / max(sigma, 1e-30)
+        step = 1.0 / max(sigma, 1e-30)
         g_a = smooth(a)
-        comp = g_a + _group_penalty(a, starts)
+        comp = g_a + group_penalty(a, starts)
         for _ in range(A_STEP_MAX):
             grad = 2.0 * (G @ a - Uty) + lam * q
             while True:
-                a_new = _prox_groups(a - step * grad, step, starts, sizes, nonneg=True)
+                a_new = prox_groups(a - step * grad, step, starts, sizes, nonneg=True)
                 delta = a_new - a
                 dd = float(delta @ delta)
                 if dd == 0.0:
                     break
                 if smooth(a_new) <= g_a + float(grad @ delta) + dd / (2.0 * step) + 1e-12 * max(1.0, abs(g_a)):
                     break
-                step *= opts.backtrack_factor
+                step *= BACKTRACK_FACTOR
                 if step <= 1e-300:
                     raise NonFiniteObjectiveError("weight-step line search underflow")
             if dd == 0.0:
                 break
             a = a_new
             g_a = smooth(a)
-            comp_new = g_a + _group_penalty(a, starts)
+            comp_new = g_a + group_penalty(a, starts)
             moved = abs(comp - comp_new)
             comp = comp_new
             if moved <= 0.1 * opts.rel_tol * max(abs(comp), 1e-300):
@@ -308,8 +303,7 @@ def fit(train: SupervisedSet, config: FitConfig, norm_stats: NormStats | None = 
         raise ConfigError(f"lam must be scalar or length {m}, got {lam_vec.size}")
 
     partitions = [None] if config.method == "nvar" else list(range(m))
-    specs, _ = make_specs(partitions, config.dictionary)
-    grams = build_gram_stack(train.inputs, train.partition_map, specs=specs)
+    grams = build_gram_stack(train.inputs, train.partition_map, config.dictionary, partitions)
 
     tasks: list[TaskSolution] = []
     if config.method in ("nvarl1", "nvar"):
@@ -341,10 +335,6 @@ def fit(train: SupervisedSet, config: FitConfig, norm_stats: NormStats | None = 
     )
 
 
-def _derived_partition_map(n_cols: int, p: int) -> list[list[int]]:
-    return [[j * p + k for k in range(p)] for j in range(n_cols // p)]
-
-
 def predict(fit_result: ModelFit, new_inputs) -> np.ndarray:
     """One-step forecasts (standardized space) for lag-embedded input rows."""
     X = np.asarray(new_inputs, dtype=float)
@@ -354,7 +344,7 @@ def predict(fit_result: ModelFit, new_inputs) -> np.ndarray:
         raise DimensionMismatchError(
             f"inputs have {X.shape[1]} columns, model expects {fit_result.training_inputs.shape[1]}"
         )
-    part_map = _derived_partition_map(X.shape[1], fit_result.lag)
+    part_map = lag_columns(X.shape[1] // fit_result.lag, fit_result.lag)
     preds = np.zeros((X.shape[0], fit_result.n_outputs))
     for d, spec in enumerate(fit_result.specs):
         row = fit_result.A[d]

@@ -117,6 +117,11 @@ def test_benchmark_command(tmp_path):
     assert set(report["methods"]) == {"mean", "lvarl2", "lvarl1"}
     assert (out / "mse_table.csv").exists()
     assert (out / "adjacency_lvarl1.csv").exists()
+    assert main(["benchmark", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+#: a table entry naming a file that is never written
+MISSING = "missing"
 
 
 @pytest.mark.parametrize("csv_text, config", [
@@ -126,17 +131,23 @@ def test_benchmark_command(tmp_path):
     (None, {"grid": {"count": 3, "steps": 2}}),
     (None, {"grid": {"count": 2.5}}),
     (None, {"kernels": [["cubic", 3]]}),
+    (MISSING, None),
+    (None, MISSING),
 ])
-def test_fit_rejects_bad_input_with_exit_code_2(tmp_path, data_csv, csv_text, config):
+def test_fit_rejects_bad_input_with_exit_code_2(tmp_path, data_csv, capsys, csv_text, config):
     data, cfg = data_csv, tmp_path / "cfg.json"
     if csv_text is not None:
         data = tmp_path / "bad.csv"
-        data.write_text(csv_text)
-    cfg.write_text(json.dumps(config or {}))
+        if csv_text != MISSING:
+            data.write_text(csv_text)
+    if config != MISSING:
+        cfg.write_text(json.dumps(config or {}))
+    capsys.readouterr()
     assert main(["fit", "--data", str(data), "--method", "lvarl2", "--train", "150",
                  "--lag", "3", "--lambda", "1.0", "--config", str(cfg),
                  "--out", str(tmp_path / "model.json")]) == 2
     assert not (tmp_path / "model.json").exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_predict_rejects_corrupted_model_with_exit_code_2(tmp_path, data_csv):
@@ -149,6 +160,9 @@ def test_predict_rejects_corrupted_model_with_exit_code_2(tmp_path, data_csv):
     rc = main(["predict", "--model", str(model_path), "--data", str(data_csv),
                "--out", str(tmp_path / "f.csv")])
     assert rc == 2
+    assert main(["predict", "--model", str(tmp_path / "nope.json"), "--data", str(data_csv),
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_fit_cv_matches_the_benchmark_fit(tmp_path, data_csv):

@@ -6,38 +6,48 @@ from nlvar.errors import DimensionMismatchError, NonFiniteObjectiveError
 from nlvar.grouplasso import (
     GroupedProblem,
     SolverOptions,
-    block_soft_threshold,
+    group_starts,
     optimality_gap,
+    prox_groups,
     solve_group_lasso,
 )
 
 TIGHT = SolverOptions(max_iter=100000, rel_tol=1e-13)
 
 
+def _prox(v, t, nonneg=False):
+    """prox_groups with the whole vector as one group."""
+    v = np.asarray(v, dtype=float)
+    return prox_groups(v, t, np.array([0]), np.array([v.size]), nonneg=nonneg)
+
+
 def test_prox_at_exact_threshold():
-    np.testing.assert_array_equal(block_soft_threshold(np.array([3.0, 4.0]), 5.0), [0.0, 0.0])
+    np.testing.assert_array_equal(_prox([3.0, 4.0], 5.0), [0.0, 0.0])
 
 
 def test_prox_shrinks_by_closed_form():
-    np.testing.assert_allclose(
-        block_soft_threshold(np.array([3.0, 4.0]), 2.5), [1.5, 2.0], rtol=1e-15
-    )
+    np.testing.assert_allclose(_prox([3.0, 4.0], 2.5), [1.5, 2.0], rtol=1e-15)
 
 
 def test_prox_nonneg_clamps_then_shrinks():
-    np.testing.assert_allclose(
-        block_soft_threshold(np.array([-3.0, 4.0]), 2.0, nonneg=True), [0.0, 2.0], rtol=1e-15
-    )
+    np.testing.assert_allclose(_prox([-3.0, 4.0], 2.0, nonneg=True), [0.0, 2.0], rtol=1e-15)
 
 
 def test_prox_identity_at_zero_threshold():
     v = np.array([0.3, -1.7, 2.2])
-    out = block_soft_threshold(v, 0.0)
+    out = _prox(v, 0.0)
     assert np.array_equal(out, v)
 
 
 def test_prox_zero_vector():
-    np.testing.assert_array_equal(block_soft_threshold(np.zeros(3), 1.0), np.zeros(3))
+    np.testing.assert_array_equal(_prox(np.zeros(3), 1.0), np.zeros(3))
+
+
+def test_prox_thresholds_each_group_on_its_own():
+    sizes = np.array([2, 1, 2])
+    v = np.array([3.0, 4.0, -0.5, 0.0, -2.0])
+    out = prox_groups(v, 1.0, group_starts(sizes), sizes)
+    np.testing.assert_allclose(out, [2.4, 3.2, 0.0, 0.0, -1.0], rtol=1e-15)
 
 
 def test_unpenalized_solve_is_least_squares():
@@ -59,7 +69,7 @@ def test_orthonormal_design_matches_prox():
     kappa = 1.3
     sol = solve_group_lasso(GroupedProblem([Q], y, kappa), opts=TIGHT)
     np.testing.assert_allclose(
-        sol.weights[0], block_soft_threshold(Q.T @ y, kappa / 2.0), atol=1e-9
+        sol.weights[0], _prox(Q.T @ y, kappa / 2.0), atol=1e-9
     )
 
 
@@ -169,22 +179,8 @@ def test_solution_reports_iterations_and_convergence():
     assert sol.iterations == 1
 
 
-def test_nonneg_solve_stays_in_orthant_and_descends():
-    rng = np.random.default_rng(12)
-    blocks, y = random_grouped_instance(rng)
-    problem = GroupedProblem(blocks, y, 0.4)
-    sol = solve_group_lasso(problem, opts=SolverOptions(nonneg=True, max_iter=20000, rel_tol=1e-10))
-    assert sol.converged
-    for w in sol.weights:
-        assert w.min(initial=0.0) >= 0.0
-    # no worse than the all-zero point
-    assert sol.objective_trace[-1] <= float(y @ y) + 1e-12
-
-
 def test_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverOptions(backtrack_factor=1.0)
     with pytest.raises(ValueError):
         SolverOptions(rel_tol=0.0)

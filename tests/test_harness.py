@@ -18,9 +18,10 @@ from nlvar.harness import (
     scale_count,
     split_experiment_data,
 )
-from nlvar.kernels import build_feature_stack, build_gram_stack
+from nlvar.harness import _kernel_path
+from nlvar.kernels import DEFAULT_DICTIONARY, RANK_TOL, build_feature_stack, build_gram_stack
 from nlvar.series import MultivariateSeries, lag_embed
-from nlvar.solver import solve_task_l1
+from nlvar.solver import FitConfig, fit, predict, solve_task_l1
 
 
 def test_generator_deterministic_and_shaped():
@@ -146,6 +147,20 @@ def test_cv_warm_start_equivalence_on_l1_path():
     assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
 
 
+@pytest.mark.parametrize("method", ["nvarl1", "nvar", "nvarl12"])
+def test_cv_path_matches_the_final_fit(method):
+    # at one penalty from a cold start the CV path's validation forecasts
+    # are those of solver.fit and solver.predict, up to rounding: the two
+    # nvarl1 call sites of the stacked solver must not drift apart
+    series = generate_synthetic(SyntheticSpec(length=100, seed=23))
+    _, train, val = split_experiment_data(series, train=70, holdout=30, lag=3)
+    options = SolverOptions(max_iter=300, rel_tol=1e-6)
+    path = _kernel_path(method, train, val.inputs, [2.0], DEFAULT_DICTIONARY, options, RANK_TOL)
+    model = fit(train, FitConfig(method=method, lam=2.0, options=options))
+    assert model.A.any()
+    np.testing.assert_allclose(next(path), predict(model, val.inputs), rtol=1e-9, atol=1e-9)
+
+
 def test_evaluate_perfect_predictions():
     rng = np.random.default_rng(4)
     series = MultivariateSeries(rng.standard_normal((30, 2)), ["a", "b"])
@@ -258,6 +273,22 @@ def test_run_experiment_smoke_and_artifacts(tmp_path):
     adj = (tmp_path / "adjacency_lvarl1.csv").read_text().strip().splitlines()
     assert adj[0] == "y1,y2,y3,y4,y5"
     assert len(adj) == 6
+
+
+def test_single_point_grid_report_is_strict_json(tmp_path):
+    # a one-point grid runs no CV, so the report carries no CV curve (a NaN
+    # there would make report.json invalid JSON)
+    config = _small_config(tmp_path, methods=("mean", "lvarl2", "lvarl1"))
+    config.grid = GridSpec(count=1, low_exp=0.0)
+    run_experiment(config)
+
+    def reject(constant):
+        raise ValueError(f"report.json holds {constant}")
+
+    saved = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+    for entry in saved["methods"].values():
+        assert entry["status"] == "ok"
+        assert entry["cv_curve"] is None
 
 
 def test_run_experiment_deterministic():

@@ -15,6 +15,7 @@ from nlvar.kernels import (
     cross_gram,
     empirical_features,
     gram_matrix,
+    group_index_of,
     kernel_eval,
     make_specs,
 )
@@ -193,7 +194,7 @@ def test_partition_isolation():
 
 
 def test_full_partition_specs():
-    specs, group_index = make_specs([None])
+    specs = make_specs([None])
     assert len(specs) == len(DEFAULT_DICTIONARY)
     assert all(spec.partition is None for spec in specs)
-    assert group_index == [(0, i) for i in range(len(DEFAULT_DICTIONARY))]
+    assert group_index_of(specs) == [(0, i) for i in range(len(DEFAULT_DICTIONARY))]

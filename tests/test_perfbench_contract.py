@@ -2,6 +2,7 @@
 named module bindings. These tests catch, in about a second, a change that
 removes one of those bindings or moves work off the path it times."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -9,7 +10,8 @@ from pathlib import Path
 
 from nlvar.harness import ExperimentConfig, GridSpec, SyntheticSpec, run_experiment
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -24,6 +26,24 @@ def test_every_traced_entry_point_resolves():
     for mod_name, attr, _, _ in _tracing().ENTRY_POINTS:
         binding = getattr(importlib.import_module(mod_name), attr, None)
         assert callable(binding), f"{mod_name}.{attr}"
+
+
+def test_every_benchmark_import_resolves():
+    # the benchmark imports these names from the package; a trimmed export
+    # or a renamed function must fail here, not in a benchmark run
+    checked = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nlvar":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
+                    checked.append(alias.name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "nlvar":
+                        importlib.import_module(alias.name)
+    assert "ModelFit" in checked and "experiment_config_from_dict" in checked
 
 
 def test_nvarl1_final_fit_solves_each_output_once_through_solver():
