@@ -13,6 +13,6 @@ from .series import (
     standardize_fit,
     write_csv,
 )
-from .solver import FitConfig, ModelFit, adjacency, fit, predict, solve_coefficients
+from .solver import ModelFit, adjacency, fit, predict, solve_coefficients
 
 __version__ = "0.1.0"

@@ -19,24 +19,20 @@ from .grouplasso import GroupedProblem, SolverOptions, solve_group_lasso
 from .series import NormStats, SupervisedSet
 from .solver import AdjacencyMatrix, normalize_adjacency
 
-BASELINE_KINDS = ("mean", "lar", "lvarl2", "lvarl1")
+BASELINE_METHODS = ("mean", "lar", "lvarl2", "lvarl1")
 
 
 @dataclass
 class BaselineFit:
-    """A fitted baseline; all kinds but mean carry a dense (m*p x m)
+    """A fitted baseline; all methods but mean carry a dense (m*p x m)
     coefficient matrix (rows ordered like the embedded input columns)."""
 
-    kind: str
+    method: str
     lag: int
     coef: np.ndarray | None = None
     norm_stats: NormStats | None = None
     lam: float | None = None
     names: list[str] | None = None
-
-    @property
-    def method(self) -> str:
-        return self.kind
 
 
 def _ridge_solve(G: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
@@ -49,36 +45,36 @@ def _ridge_solve(G: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
         ) from exc
 
 
-def fit_baseline(kind: str, train: SupervisedSet, lam: float = 0.0,
+def fit_baseline(method: str, train: SupervisedSet, lam: float = 0.0,
                  options: SolverOptions | None = None, norm_stats: NormStats | None = None,
                  names: list[str] | None = None, warm: BaselineFit | None = None) -> BaselineFit:
-    """Fit one baseline kind at a fixed regularization value.
+    """Fit one baseline method at a fixed regularization value.
 
-    `warm` is a fit of the same kind on the same rows at another value;
-    lvarl1 starts its solves from it, the closed-form kinds ignore it.
+    `warm` is a fit of the same method on the same rows at another value;
+    lvarl1 starts its solves from it, the closed-form methods ignore it.
     """
-    if kind not in BASELINE_KINDS:
-        raise UnsupportedKindError(f"unknown baseline kind {kind!r}")
+    if method not in BASELINE_METHODS:
+        raise UnsupportedKindError(f"unknown baseline method {method!r}")
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     X, Y = train.inputs, train.outputs
     m, p = train.n_series, train.lag
 
-    if kind == "mean":
-        return BaselineFit(kind=kind, lag=p, norm_stats=norm_stats, names=names)
+    if method == "mean":
+        return BaselineFit(method=method, lag=p, norm_stats=norm_stats, names=names)
 
-    if kind == "lar":
+    if method == "lar":
         coef = np.zeros((m * p, m))
         for j, cols in enumerate(train.partition_map):
             Xj = X[:, cols]
             w = _ridge_solve(Xj.T @ Xj, Xj.T @ Y[:, j], lam)
             coef[cols, j] = w
-        return BaselineFit(kind=kind, lag=p, coef=coef, norm_stats=norm_stats,
+        return BaselineFit(method=method, lag=p, coef=coef, norm_stats=norm_stats,
                            lam=lam, names=names)
 
-    if kind == "lvarl2":
+    if method == "lvarl2":
         coef = _ridge_solve(X.T @ X, X.T @ Y, lam)
-        return BaselineFit(kind=kind, lag=p, coef=coef, norm_stats=norm_stats,
+        return BaselineFit(method=method, lag=p, coef=coef, norm_stats=norm_stats,
                            lam=lam, names=names)
 
     # lvarl1: the m outputs share one design, stacked row-major; the solve's
@@ -91,7 +87,7 @@ def fit_baseline(kind: str, train: SupervisedSet, lam: float = 0.0,
         sol = solve_group_lasso(design.with_target(Y[:, s], lam), warm_start=start, opts=options)
         for j, cols in enumerate(train.partition_map):
             coef[cols, s] = sol.weights[j]
-    return BaselineFit(kind=kind, lag=p, coef=coef, norm_stats=norm_stats,
+    return BaselineFit(method=method, lag=p, coef=coef, norm_stats=norm_stats,
                        lam=lam, names=names)
 
 
@@ -100,7 +96,7 @@ def predict_baseline(fit: BaselineFit, new_inputs) -> np.ndarray:
     X = np.asarray(new_inputs, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
-    if fit.kind == "mean":
+    if fit.method == "mean":
         m = X.shape[1] // fit.lag
         return np.zeros((X.shape[0], m))
     if X.shape[1] != fit.coef.shape[0]:
@@ -113,8 +109,8 @@ def predict_baseline(fit: BaselineFit, new_inputs) -> np.ndarray:
 def baseline_adjacency(fit: BaselineFit, threshold: float = solver.ADJ_ZERO_TOL) -> AdjacencyMatrix:
     """Granger graph of the group-lasso linear model: entry (j, s) is the l2
     norm of series j's lag coefficients in output s's predictor."""
-    if fit.kind != "lvarl1":
-        raise UnsupportedKindError(f"adjacency is only defined for lvarl1, not {fit.kind!r}")
+    if fit.method != "lvarl1":
+        raise UnsupportedKindError(f"adjacency is only defined for lvarl1, not {fit.method!r}")
     mp, m = fit.coef.shape
     p = fit.lag
     raw = np.zeros((mp // p, m))

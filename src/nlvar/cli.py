@@ -22,16 +22,6 @@ from .harness import (
 from .series import MultivariateSeries, lag_embed, read_csv, standardize_apply, write_csv
 
 
-def _load_json(path) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not JSON: {exc}") from None
-
-
 def _cmd_generate(args):
     psi = None
     if args.psi is not None:
@@ -43,15 +33,14 @@ def _cmd_generate(args):
 
 def _cmd_fit(args):
     # the config file supplies the same settings as a benchmark run's
-    doc = {**_load_json(args.config), "data": {"csv": args.data}, "train": args.train,
+    settings = {} if args.config is None else modelio.read_json(args.config)
+    doc = {**settings, "data": {"csv": args.data}, "train": args.train,
            "lag": args.lag, "methods": [args.method], "lambda": args.lam}
     config = harness.experiment_config_from_dict(doc)
     series = read_csv(args.data)
     stats, train_set, _ = harness.split_experiment_data(series, config.train, 0, config.lag)
     lam, _ = harness.select_lambda(config, args.method, train_set)
-    model = harness.fit_method(args.method, train_set, lam, stats=stats, names=series.names,
-                               dictionary=config.dictionary, options=config.options,
-                               feature_tol=config.feature_tol)
+    model = harness.fit_method(config, args.method, train_set, lam, stats, series.names)
     modelio.save_model(model, args.out)
     print(f"fitted {args.method} (lambda={lam:g}) on {train_set.n_pairs} pairs -> {args.out}")
 
@@ -69,11 +58,10 @@ def _load_embedded(args):
 
 def _cmd_predict(args):
     model, series, sup = _load_embedded(args)
-    preds_std = modelio.predict_model(model, sup.inputs)
-    preds = preds_std * model.norm_stats.std + model.norm_stats.mean
-    names = model.names or series.names
-    write_csv(MultivariateSeries(values=preds, names=list(names)), args.out)
-    print(f"wrote {preds.shape[0]} forecasts to {args.out} "
+    preds_std = MultivariateSeries(values=modelio.predict_model(model, sup.inputs),
+                                   names=list(model.names or series.names))
+    write_csv(standardize_apply(preds_std, model.norm_stats, "inverse"), args.out)
+    print(f"wrote {preds_std.n_steps} forecasts to {args.out} "
           f"(row k forecasts data row k+{model.lag})")
 
 
@@ -82,33 +70,23 @@ def _cmd_evaluate(args):
     if sup.n_pairs < args.holdout:
         raise ConfigError(f"only {sup.n_pairs} pairs available, requested {args.holdout}")
     holdout = sup.subset(np.arange(sup.n_pairs - args.holdout, sup.n_pairs))
-    report = evaluate_holdout(lambda X: modelio.predict_model(model, X), holdout,
-                              method=model.method)
-    doc = {
-        "method": report.method,
-        "mse": report.mse,
-        "mse_std": report.mse_std,
-        "n_holdout": report.n_holdout,
-    }
+    mse, mse_std = evaluate_holdout(lambda X: modelio.predict_model(model, X), holdout)
+    doc = {"method": model.method, "mse": mse, "mse_std": mse_std, "n_holdout": holdout.n_pairs}
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
-    print(f"{report.method}: holdout mse {report.mse:.6f} (std {report.mse_std:.6f}) -> {args.out}")
+    print(f"{model.method}: holdout mse {mse:.6f} (std {mse_std:.6f}) -> {args.out}")
 
 
 def _cmd_adjacency(args):
     model = modelio.load_model(args.model)
     adj = modelio.model_adjacency(model, threshold=args.threshold)
     names = adj.names or [f"y{j + 1}" for j in range(adj.values.shape[0])]
-    rows = [",".join(names)]
-    rows += [",".join(repr(float(v)) for v in row) for row in adj.values]
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    write_csv(MultivariateSeries(values=adj.values, names=list(names)), args.out)
     print(f"wrote {adj.values.shape[0]}x{adj.values.shape[1]} adjacency to {args.out}")
 
 
 def _cmd_benchmark(args):
-    doc = _load_json(args.config)
-    config = harness.experiment_config_from_dict(doc)
+    config = harness.experiment_config_from_dict(modelio.read_json(args.config))
     if args.out is not None:
         config.out_dir = args.out
     report = harness.run_experiment(config)

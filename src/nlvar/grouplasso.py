@@ -44,7 +44,7 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.rel_tol <= 0.0:
+        if not self.rel_tol > 0.0:  # NaN included
             raise ValueError("rel_tol must be positive")
 
 

@@ -19,6 +19,7 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     FoldTooSmallError,
+    NlvarError,
 )
 # the benchmark tracer times the CV solves through this module's binding of
 # the stacked ISTA loop, so the CV path calls it directly
@@ -31,7 +32,8 @@ from .kernels import (
     build_feature_stack,
     build_gram_stack,
 )
-from .series import MultivariateSeries, SupervisedSet, lag_embed, read_csv, standardize_apply, standardize_fit
+from .series import (MultivariateSeries, SupervisedSet, lag_embed, read_csv, standardize_apply,
+                     standardize_fit, write_csv)
 
 ALL_METHODS = ("mean", "lar", "lvarl2", "lvarl1", "nvar", "nvarl1", "nvarl12")
 
@@ -101,23 +103,33 @@ def generate_synthetic(spec: SyntheticSpec) -> MultivariateSeries:
     return MultivariateSeries(values=values, names=names)
 
 
+def _as_int(value, what: str) -> int:
+    """An integer-valued config entry as int; a non-integral value raises
+    ConfigError instead of being truncated."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass
 class GridSpec:
-    """Logarithmic regularization grid 10^k * scale, k linearly spaced.
-
-    scale defaults to sqrt(n_train_pairs) * (number of kernels or groups of
-    the method); set it explicitly to override.
-    """
+    """Logarithmic regularization grid 10^k * scale, k linearly spaced; the
+    scale is sqrt(n_train_pairs) * (number of kernels or groups of the
+    method)."""
 
     count: int = 15
     low_exp: float = -3.0
     high_exp: float = 4.0
-    scale: float | None = None
 
     def __post_init__(self):
-        if self.count != int(self.count) or self.count < 1:
-            raise ConfigError(f"grid count must be an integer >= 1, got {self.count!r}")
-        self.count = int(self.count)
+        self.count = _as_int(self.count, "grid count")
+        if self.count < 1:
+            raise ConfigError(f"grid count must be >= 1, got {self.count}")
+        if not (math.isfinite(self.low_exp) and math.isfinite(self.high_exp)):
+            raise ConfigError("grid low_exp and high_exp must be finite")
         if self.count > 1 and self.low_exp >= self.high_exp:
             raise ConfigError("grid low_exp must be below high_exp")
 
@@ -126,16 +138,6 @@ class GridSpec:
             return np.array([10.0 ** self.low_exp * scale])
         exps = np.linspace(self.low_exp, self.high_exp, self.count)
         return 10.0**exps * scale
-
-
-@dataclass
-class EvalReport:
-    mse: float
-    mse_std: float
-    per_step_errors: np.ndarray
-    n_holdout: int
-    method: str = ""
-    lam: float | None = None
 
 
 def scale_count(method: str, m: int, dictionary=DEFAULT_DICTIONARY) -> int:
@@ -229,10 +231,7 @@ def cv_select(train: SupervisedSet, method: str, grid: GridSpec | None = None,
         raise FoldTooSmallError("need at least 2 folds")
     grid = grid or GridSpec()
     n = train.n_pairs
-    scale = grid.scale
-    if scale is None:
-        scale = math.sqrt(n) * scale_count(method, train.n_series, dictionary)
-    lams = grid.values(scale)
+    lams = grid.values(math.sqrt(n) * scale_count(method, train.n_series, dictionary))
     if grid.count == 1:
         return float(lams[0]), np.full(1, np.nan)
     if n < 2 * folds:
@@ -258,9 +257,8 @@ def cv_select(train: SupervisedSet, method: str, grid: GridSpec | None = None,
     return float(lams[best]), curve
 
 
-def evaluate_holdout(predict_fn, holdout: SupervisedSet, method: str = "",
-                     lam: float | None = None) -> EvalReport:
-    """Hold-out MSE of a standardized-space predictor.
+def evaluate_holdout(predict_fn, holdout: SupervisedSet) -> tuple[float, float]:
+    """(mse, mse_std): hold-out MSE of a standardized-space predictor.
 
     Per-step error is ||y_t - yhat_t||^2 / m; mse_std is the standard error
     of the mean over hold-out steps.
@@ -275,14 +273,7 @@ def evaluate_holdout(predict_fn, holdout: SupervisedSet, method: str = "",
     per_step = np.mean((holdout.outputs - preds) ** 2, axis=1)
     n = per_step.shape[0]
     mse_std = float(per_step.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return EvalReport(
-        mse=float(per_step.mean()),
-        mse_std=mse_std,
-        per_step_errors=per_step,
-        n_holdout=n,
-        method=method,
-        lam=lam,
-    )
+    return float(per_step.mean()), mse_std
 
 
 # ---------------------------------------------------------------------------
@@ -317,38 +308,49 @@ class ExperimentConfig:
             raise ConfigError(f"train={self.train} too small for lag={self.lag}")
         if self.holdout < 1:
             raise ConfigError("holdout must be >= 1")
+        if self.lam is not None:
+            if not (math.isfinite(self.lam) and self.lam >= 0.0):
+                raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
+            if self.lam == 0.0 and set(self.methods) & set(solver.KERNEL_METHODS):
+                raise ConfigError("lambda must be > 0 for the kernel methods")
+        if not 0.0 < self.feature_tol < 1.0:
+            raise ConfigError(f"feature_tol must lie in (0, 1), got {self.feature_tol}")
 
 
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a run config from the JSON document accepted by the CLI.
 
-    Missing or malformed values, bad kernels and unknown grid or solver keys
-    raise ConfigError.
+    Missing or malformed values (a non-integral count or size included),
+    bad kernels and unknown grid or solver keys raise ConfigError.
     """
     try:
+        train = _as_int(doc["train"], "train")
+        holdout = _as_int(doc.get("holdout", DEFAULT_HOLDOUT), "holdout")
         data = doc.get("data", {})
         synthetic = None
         if "synthetic" in data:
             s = data["synthetic"]
             synthetic = SyntheticSpec(
-                length=int(s.get("length", doc.get("train", 0) + doc.get("holdout", DEFAULT_HOLDOUT))),
-                seed=int(s.get("seed", CANONICAL_SEED)),
+                length=_as_int(s.get("length", train + holdout), "synthetic length"),
+                seed=_as_int(s.get("seed", CANONICAL_SEED), "synthetic seed"),
                 psi=np.asarray(s["psi"], dtype=float) if s.get("psi") is not None else None,
             )
-        solver_doc = doc.get("solver", {})
+        solver_doc = dict(doc.get("solver") or {})
+        if "max_iter" in solver_doc:
+            solver_doc["max_iter"] = _as_int(solver_doc["max_iter"], "solver max_iter")
         dictionary = tuple((kind, param) for kind, param in doc.get("kernels", DEFAULT_DICTIONARY))
         for kind, param in dictionary:
             KernelSpec(kind=kind, param=param)
         return ExperimentConfig(
-            train=int(doc["train"]),
+            train=train,
             methods=tuple(doc.get("methods", ALL_METHODS)),
             synthetic=synthetic,
             csv_path=data.get("csv"),
-            holdout=int(doc.get("holdout", DEFAULT_HOLDOUT)),
-            lag=int(doc.get("lag", DEFAULT_LAG)),
+            holdout=holdout,
+            lag=_as_int(doc.get("lag", DEFAULT_LAG), "lag"),
             dictionary=dictionary,
             grid=GridSpec(**doc.get("grid", {})),
-            folds=int(doc.get("folds", 5)),
+            folds=_as_int(doc.get("folds", 5), "folds"),
             lam=None if doc.get("lambda") is None else float(doc["lambda"]),
             options=SolverOptions(**solver_doc) if solver_doc else None,
             feature_tol=float(doc.get("feature_tol", RANK_TOL)),
@@ -402,17 +404,14 @@ def select_lambda(config: ExperimentConfig, method: str, train_set) -> tuple[flo
     return lam, [float(v) for v in curve]
 
 
-def fit_method(method: str, train_set, lam, stats=None, names=None,
-               dictionary=DEFAULT_DICTIONARY, options: SolverOptions | None = None,
-               feature_tol: float = RANK_TOL):
-    """Fit one method at a fixed lambda: solver.fit for the kernel methods,
+def fit_method(config: ExperimentConfig, method: str, train_set, lam, stats=None, names=None):
+    """Fit one method at a fixed lambda with the run's dictionary, feature
+    tolerance and solver options: solver.fit for the kernel methods,
     baselines.fit_baseline for the rest."""
     if method in solver.KERNEL_METHODS:
-        fit_cfg = solver.FitConfig(method=method, lam=lam, dictionary=dictionary,
-                                   feature_tol=feature_tol, options=options)
-        return solver.fit(train_set, fit_cfg, norm_stats=stats, names=names)
-    return baselines.fit_baseline(method, train_set, lam, options=options,
-                                  norm_stats=stats, names=names)
+        return solver.fit(method, train_set, lam, config.options, stats, names,
+                          dictionary=config.dictionary, feature_tol=config.feature_tol)
+    return baselines.fit_baseline(method, train_set, lam, config.options, stats, names)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -443,25 +442,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
         started = time.perf_counter()
         try:
             lam, entry["cv_curve"] = select_lambda(config, method, train_set)
-            model = fit_method(
-                method, train_set, lam, stats=stats, names=series.names,
-                dictionary=config.dictionary, options=config.options,
-                feature_tol=config.feature_tol,
-            )
-            result = evaluate_holdout(lambda X: modelio.predict_model(model, X), holdout_set,
-                                      method=method, lam=lam)
-            entry.update(
-                lam=lam,
-                mse=result.mse,
-                mse_std=result.mse_std,
-                n_holdout=result.n_holdout,
-                seconds=time.perf_counter() - started,
-            )
+            model = fit_method(config, method, train_set, lam, stats, series.names)
+            mse, mse_std = evaluate_holdout(lambda X: modelio.predict_model(model, X), holdout_set)
+            entry.update(lam=lam, mse=mse, mse_std=mse_std, n_holdout=holdout_set.n_pairs,
+                         seconds=time.perf_counter() - started)
             if method in SPARSE_METHODS:
                 adj = adjacencies[method] = modelio.model_adjacency(model)
                 entry["adjacency"] = [[float(v) for v in row] for row in adj.values]
             models[method] = model
-        except Exception as exc:  # record and continue with the other methods
+        except (NlvarError, np.linalg.LinAlgError) as exc:  # record; go on with the others
             entry = {"status": "failed", "error": f"{type(exc).__name__}: {exc}",
                      "seconds": time.perf_counter() - started}
         report["methods"][method] = entry
@@ -486,9 +475,8 @@ def _write_artifacts(report, adjacencies, models, config: ExperimentConfig):
             lines.append(f"{method},,,,failed")
     (out / "mse_table.csv").write_text("\n".join(lines) + "\n")
     for method, adj in adjacencies.items():
-        rows = [",".join(report["names"])]
-        rows += [",".join(repr(float(v)) for v in row) for row in adj.values]
-        (out / f"adjacency_{method}.csv").write_text("\n".join(rows) + "\n")
+        write_csv(MultivariateSeries(values=adj.values, names=report["names"]),
+                  out / f"adjacency_{method}.csv")
     if config.save_models:
         for method, model in models.items():
             modelio.save_model(model, out / f"model_{method}.json")

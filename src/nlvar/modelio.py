@@ -41,13 +41,7 @@ def _matrix(x) -> list:
 
 def model_to_dict(model) -> dict:
     if isinstance(model, solver.ModelFit):
-        return {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "kind": model.method,
-            "lag": model.lag,
-            "names": model.names,
-            "norm_stats": _stats_doc(model.norm_stats),
+        body = {
             "lambda": [float(v) for v in model.lam],
             "kernels": [
                 {
@@ -62,18 +56,22 @@ def model_to_dict(model) -> dict:
             "coefficients": _matrix(model.C),
             "training_inputs": _matrix(model.training_inputs),
         }
-    if isinstance(model, baselines.BaselineFit):
-        return {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "kind": model.kind,
-            "lag": model.lag,
-            "names": model.names,
-            "norm_stats": _stats_doc(model.norm_stats),
+    elif isinstance(model, baselines.BaselineFit):
+        body = {
             "lambda": None if model.lam is None else float(model.lam),
             "coef": None if model.coef is None else _matrix(model.coef),
         }
-    raise UnsupportedKindError(f"cannot serialize {type(model).__name__}")
+    else:
+        raise UnsupportedKindError(f"cannot serialize {type(model).__name__}")
+    return {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "kind": model.method,
+        "lag": model.lag,
+        "names": model.names,
+        "norm_stats": _stats_doc(model.norm_stats),
+        **body,
+    }
 
 
 def _finite(doc, ndim: int, what: str) -> np.ndarray:
@@ -137,7 +135,7 @@ def _model_from_dict(doc: dict):
                    f"{spec.label()} names a partition outside 0..{m - 1}")
         model = solver.ModelFit(method=kind, A=A, C=C, specs=specs, group_index=group_index_of(specs),
                                 training_inputs=X, norm_stats=stats, lag=lag, lam=lam, names=names)
-    elif kind in baselines.BASELINE_KINDS:
+    elif kind in baselines.BASELINE_METHODS:
         coef = None if doc.get("coef") is None else _finite(doc["coef"], 2, "coef")
         lam = doc["lambda"]
         _check(lam is None or np.isfinite(float(lam)), "lambda must be finite")
@@ -147,7 +145,7 @@ def _model_from_dict(doc: dict):
             _check(coef.shape[0] == m * lag, f"coef is {coef.shape}, expected {(m * lag, m)}")
         elif stats is not None:
             m = stats.mean.shape[0]
-        model = baselines.BaselineFit(kind=kind, lag=lag, coef=coef, norm_stats=stats,
+        model = baselines.BaselineFit(method=kind, lag=lag, coef=coef, norm_stats=stats,
                                       lam=lam, names=names)
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -162,12 +160,18 @@ def save_model(model, path) -> None:
         json.dump(model_to_dict(model), fh)
 
 
-def load_model(path):
+def read_json(path):
+    """The parsed JSON document in a file; a file that is not JSON raises
+    ConfigError."""
     with open(path) as fh:
         try:
-            return model_from_dict(json.load(fh))
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not JSON: {exc}") from None
+
+
+def load_model(path):
+    return model_from_dict(read_json(path))
 
 
 def predict_model(model, new_inputs) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -95,21 +94,6 @@ class AdjacencyMatrix:
 
     values: np.ndarray
     names: list[str] | None = None
-
-
-@dataclass
-class FitConfig:
-    method: str = "nvarl1"
-    lam: float | Sequence[float] = 1.0
-    dictionary: tuple = DEFAULT_DICTIONARY
-    feature_tol: float = RANK_TOL
-    options: SolverOptions | None = None
-
-    def __post_init__(self):
-        if self.method not in KERNEL_METHODS:
-            raise ConfigError(
-                f"method must be one of {KERNEL_METHODS}, got {self.method!r}"
-            )
 
 
 def task_objective(grams: GramStack, y, a, c, lam: float, method: str) -> float:
@@ -227,7 +211,7 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
     if warm is None:
         a = np.full(l, 1.0 / l)
     else:
-        a = np.array(warm.a if isinstance(warm, TaskSolution) else warm, dtype=float).ravel()
+        a = np.array(warm, dtype=float).ravel()
         if a.shape[0] != l or a.min(initial=0.0) < 0.0:
             raise DimensionMismatchError("warm start must be a nonnegative length-l vector")
 
@@ -288,41 +272,37 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
     )
 
 
-def fit(train: SupervisedSet, config: FitConfig, norm_stats: NormStats | None = None,
-        names: list[str] | None = None) -> ModelFit:
-    """Fit all m output tasks over a shared Gram stack built once.
+def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions | None = None,
+        norm_stats: NormStats | None = None, names: list[str] | None = None, *,
+        dictionary=DEFAULT_DICTIONARY, feature_tol: float = RANK_TOL) -> ModelFit:
+    """Fit all m output tasks of a kernel method at penalty `lam` over a
+    shared Gram stack built once.
 
     Tasks are independent: each sees the same kernels and its own output
     column, so the columns of A and C match per-task solves exactly.
     """
+    if method not in KERNEL_METHODS:
+        raise ConfigError(f"method must be one of {KERNEL_METHODS}, got {method!r}")
+    lam = float(lam)
     m = train.n_series
-    lam_vec = np.asarray(config.lam, dtype=float).ravel()
-    if lam_vec.size == 1:
-        lam_vec = np.full(m, float(lam_vec[0]))
-    elif lam_vec.size != m:
-        raise ConfigError(f"lam must be scalar or length {m}, got {lam_vec.size}")
-
-    partitions = [None] if config.method == "nvar" else list(range(m))
-    grams = build_gram_stack(train.inputs, train.partition_map, config.dictionary, partitions)
+    partitions = [None] if method == "nvar" else list(range(m))
+    grams = build_gram_stack(train.inputs, train.partition_map, dictionary, partitions)
 
     tasks: list[TaskSolution] = []
-    if config.method in ("nvarl1", "nvar"):
-        features = build_feature_stack(grams, config.feature_tol)
+    if method in ("nvarl1", "nvar"):
+        features = build_feature_stack(grams, feature_tol)
         # the stacked design and its Lipschitz estimate depend only on the
         # features, so the m tasks share them
         design = GroupedProblem(features.features, train.outputs[:, 0], 0.0)
         for s in range(m):
-            tasks.append(solve_task_l1(design, grams, train.outputs[:, s], lam_vec[s],
-                                       opts=config.options))
+            tasks.append(solve_task_l1(design, grams, train.outputs[:, s], lam, opts=options))
     else:
         for s in range(m):
-            tasks.append(
-                solve_task_l12(grams, grams.group_index, train.outputs[:, s],
-                               lam_vec[s], opts=config.options)
-            )
+            tasks.append(solve_task_l12(grams, grams.group_index, train.outputs[:, s], lam,
+                                        opts=options))
 
     return ModelFit(
-        method=config.method,
+        method=method,
         A=np.column_stack([t.a for t in tasks]),
         C=np.column_stack([t.c for t in tasks]),
         specs=grams.specs,
@@ -330,7 +310,7 @@ def fit(train: SupervisedSet, config: FitConfig, norm_stats: NormStats | None = 
         training_inputs=train.inputs.copy(),
         norm_stats=norm_stats,
         lag=train.lag,
-        lam=lam_vec,
+        lam=np.full(m, lam),
         names=list(names) if names is not None else None,
     )
 

@@ -10,7 +10,7 @@ from nlvar.baselines import (
 from nlvar.errors import DimensionMismatchError, UnsupportedKindError
 from nlvar.grouplasso import SolverOptions
 from nlvar.series import MultivariateSeries, lag_embed
-from nlvar.solver import FitConfig, fit, predict
+from nlvar.solver import fit, predict
 
 
 def _train(rng, n_total=80, m=3, p=4):
@@ -52,7 +52,7 @@ def test_lar_random_walk_coefficients_predict_last_value():
     coef = np.zeros_like(model.coef)
     for j, cols in enumerate(train.partition_map):
         coef[cols[0], j] = 1.0  # weight 1 on the most recent own value
-    model = BaselineFit(kind="lar", lag=3, coef=coef)
+    model = BaselineFit(method="lar", lag=3, coef=coef)
     preds = predict_baseline(model, train.inputs)
     last = np.column_stack([train.inputs[:, cols[0]] for cols in train.partition_map])
     np.testing.assert_array_equal(preds, last)
@@ -104,8 +104,8 @@ def test_nvar_full_univariate_matches_nvarl1_bitwise():
     # sees the one partition nvarl1 sees on a univariate series
     rng = np.random.default_rng(8)
     train = _train(rng, n_total=50, m=1, p=5)
-    full = fit(train, FitConfig(method="nvar", lam=1.2))
-    main = fit(train, FitConfig(method="nvarl1", lam=1.2))
+    full = fit("nvar", train, 1.2)
+    main = fit("nvarl1", train, 1.2)
     assert np.array_equal(full.A, main.A)
     assert np.array_equal(full.C, main.C)
     X_new = rng.standard_normal((4, 5))
@@ -138,7 +138,7 @@ def test_predict_checks_dimensions():
 
 
 def test_adjacency_zero_coefficients():
-    model = BaselineFit(kind="lvarl1", lag=2, coef=np.zeros((6, 3)))
+    model = BaselineFit(method="lvarl1", lag=2, coef=np.zeros((6, 3)))
     adj = baseline_adjacency(model)
     np.testing.assert_array_equal(adj.values, np.zeros((3, 3)))
 
@@ -146,7 +146,7 @@ def test_adjacency_zero_coefficients():
 def test_adjacency_single_active_group():
     coef = np.zeros((6, 3))
     coef[2:4, 1] = [0.3, -0.4]  # series 1's lags -> output 1
-    model = BaselineFit(kind="lvarl1", lag=2, coef=coef)
+    model = BaselineFit(method="lvarl1", lag=2, coef=coef)
     adj = baseline_adjacency(model)
     expected = np.zeros((3, 3))
     expected[1, 1] = 1.0
@@ -154,6 +154,6 @@ def test_adjacency_single_active_group():
 
 
 def test_adjacency_requires_lvarl1():
-    model = BaselineFit(kind="lvarl2", lag=2, coef=np.zeros((6, 3)))
+    model = BaselineFit(method="lvarl2", lag=2, coef=np.zeros((6, 3)))
     with pytest.raises(UnsupportedKindError):
         baseline_adjacency(model)

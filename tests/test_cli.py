@@ -118,6 +118,9 @@ def test_benchmark_command(tmp_path):
     assert (out / "mse_table.csv").exists()
     assert (out / "adjacency_lvarl1.csv").exists()
     assert main(["benchmark", "--config", str(tmp_path / "nope.json")]) == 2
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "lambda": -1}))
+    assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "neg")]) == 2
+    assert not (tmp_path / "neg").exists()
 
 
 #: a table entry naming a file that is never written
@@ -133,6 +136,11 @@ MISSING = "missing"
     (None, {"kernels": [["cubic", 3]]}),
     (MISSING, None),
     (None, MISSING),
+    (None, {"folds": 2.9}),
+    (None, {"holdout": 10.5}),
+    (None, {"feature_tol": -1}),
+    (None, {"solver": {"max_iter": 2.5}}),
+    (None, {"grid": {"count": 3, "scale": 2.0}}),
 ])
 def test_fit_rejects_bad_input_with_exit_code_2(tmp_path, data_csv, capsys, csv_text, config):
     data, cfg = data_csv, tmp_path / "cfg.json"
@@ -148,6 +156,15 @@ def test_fit_rejects_bad_input_with_exit_code_2(tmp_path, data_csv, capsys, csv_
                  "--out", str(tmp_path / "model.json")]) == 2
     assert not (tmp_path / "model.json").exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("method, lam", [("nvarl1", "0"), ("lvarl2", "-1"), ("nvarl1", "nan")])
+def test_fit_rejects_bad_lambda_with_exit_code_2(tmp_path, data_csv, capsys, method, lam):
+    capsys.readouterr()
+    assert main(["fit", "--data", str(data_csv), "--method", method, "--train", "150",
+                 "--lag", "3", f"--lambda={lam}", "--out", str(tmp_path / "model.json")]) == 2
+    assert not (tmp_path / "model.json").exists()
+    assert capsys.readouterr().err.startswith("error: lambda must be")
 
 
 def test_predict_rejects_corrupted_model_with_exit_code_2(tmp_path, data_csv):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from nlvar.errors import ConfigError, DimensionMismatchError, FoldTooSmallError
+from nlvar import baselines
+from nlvar.errors import BadRangeError, ConfigError, DimensionMismatchError, FoldTooSmallError
 from nlvar.grouplasso import SolverOptions
 from nlvar.harness import (
     ExperimentConfig,
@@ -21,7 +22,7 @@ from nlvar.harness import (
 from nlvar.harness import _kernel_path
 from nlvar.kernels import DEFAULT_DICTIONARY, RANK_TOL, build_feature_stack, build_gram_stack
 from nlvar.series import MultivariateSeries, lag_embed
-from nlvar.solver import FitConfig, fit, predict, solve_task_l1
+from nlvar.solver import fit, predict, solve_task_l1
 
 
 def test_generator_deterministic_and_shaped():
@@ -76,9 +77,9 @@ def test_grid_single_value_skips_cv():
     rng = np.random.default_rng(0)
     series = MultivariateSeries(rng.standard_normal((40, 2)), ["a", "b"])
     train = lag_embed(series, 2)
-    grid = GridSpec(count=1, low_exp=0.5, scale=2.0)
+    grid = GridSpec(count=1, low_exp=0.5)
     lam, curve = cv_select(train, "lvarl2", grid, folds=5)
-    assert lam == pytest.approx(10.0**0.5 * 2.0)
+    assert lam == pytest.approx(10.0**0.5 * np.sqrt(train.n_pairs) * scale_count("lvarl2", 2))
     assert np.isnan(curve).all()
 
 
@@ -156,7 +157,7 @@ def test_cv_path_matches_the_final_fit(method):
     _, train, val = split_experiment_data(series, train=70, holdout=30, lag=3)
     options = SolverOptions(max_iter=300, rel_tol=1e-6)
     path = _kernel_path(method, train, val.inputs, [2.0], DEFAULT_DICTIONARY, options, RANK_TOL)
-    model = fit(train, FitConfig(method=method, lam=2.0, options=options))
+    model = fit(method, train, 2.0, options)
     assert model.A.any()
     np.testing.assert_allclose(next(path), predict(model, val.inputs), rtol=1e-9, atol=1e-9)
 
@@ -165,20 +166,19 @@ def test_evaluate_perfect_predictions():
     rng = np.random.default_rng(4)
     series = MultivariateSeries(rng.standard_normal((30, 2)), ["a", "b"])
     holdout = lag_embed(series, 2)
-    report = evaluate_holdout(lambda X: holdout.outputs.copy(), holdout, method="oracle")
-    assert report.mse == 0.0
-    assert report.mse_std == 0.0
-    assert report.n_holdout == holdout.n_pairs
+    mse, mse_std = evaluate_holdout(lambda X: holdout.outputs.copy(), holdout)
+    assert mse == 0.0
+    assert mse_std == 0.0
 
 
 def test_evaluate_zero_predictor_measures_variance():
     rng = np.random.default_rng(5)
     series = MultivariateSeries(rng.standard_normal((400, 3)), ["a", "b", "c"])
     holdout = lag_embed(series, 2)
-    report = evaluate_holdout(lambda X: np.zeros((X.shape[0], 3)), holdout)
+    mse, _ = evaluate_holdout(lambda X: np.zeros((X.shape[0], 3)), holdout)
     direct = np.mean(np.sum(holdout.outputs**2, axis=1) / 3.0)
-    assert report.mse == pytest.approx(direct, rel=1e-12)
-    assert report.mse == pytest.approx(1.0, abs=0.15)
+    assert mse == pytest.approx(direct, rel=1e-12)
+    assert mse == pytest.approx(1.0, abs=0.15)
 
 
 def test_evaluate_rejects_bad_shapes():
@@ -338,14 +338,70 @@ def test_grid_spec_validation():
         GridSpec(count=3, low_exp=2.0, high_exp=-1.0)
 
 
+_GOOD_DOC = {"data": {"synthetic": {"length": 160, "seed": 3}}, "train": 100, "holdout": 40,
+             "lag": 3, "methods": ["mean", "nvarl1"]}
+
+
+@pytest.mark.parametrize("change", [
+    {"train": 100.9},
+    {"lag": 3.7},
+    {"folds": 2.9},
+    {"holdout": 40.5},
+    {"holdout": "40"},
+    {"data": {"synthetic": {"length": 160.5}}},
+    {"data": {"synthetic": {"seed": 3.5}}},
+    {"grid": {"count": 2.5}},
+    {"grid": {"count": 3, "scale": 2.0}},  # the scale follows from the data
+    {"grid": {"count": 3, "low_exp": float("nan")}},
+    {"solver": {"rel_tol": float("nan")}},
+    {"solver": {"max_iter": 2.5}},
+    {"lambda": float("nan")},
+    {"lambda": float("inf")},
+    {"lambda": -1.0},
+    {"lambda": 0.0},  # a kernel method is listed
+    {"feature_tol": -1.0},
+    {"feature_tol": 0.0},
+    {"feature_tol": 1.0},
+])
+def test_config_rejects_bad_values(change):
+    with pytest.raises(ConfigError):
+        experiment_config_from_dict({**_GOOD_DOC, **change})
+
+
+def test_config_accepts_integral_floats_and_zero_lambda_for_baselines():
+    cfg = experiment_config_from_dict({**_GOOD_DOC, "train": 100.0, "methods": ["mean", "lvarl2"],
+                                       "lambda": 0.0})
+    assert cfg.train == 100 and isinstance(cfg.train, int)
+    assert cfg.lam == 0.0
+
+
 def test_run_experiment_records_failures_and_continues(tmp_path):
     config = _small_config(tmp_path, methods=("mean", "lvarl2"))
     config.train = 130
     config.holdout = 40  # needs 170 rows, series has 160
-    with pytest.raises(Exception):
+    with pytest.raises(BadRangeError):
         run_experiment(config)
-    # per-method failure (not data-level): break one method via bad options
-    config = _small_config(tmp_path, methods=("mean", "lvarl1"))
-    config.options = SolverOptions(max_iter=1)  # lvarl1 still fine, just loose
+    # a per-method failure: too many folds for the 117 training pairs stops
+    # every method that runs CV, while the mean predictor needs none
+    config = _small_config(tmp_path, methods=("mean", "lvarl2", "lvarl1"))
+    config.folds = 100
     report = run_experiment(config)
     assert report["methods"]["mean"]["status"] == "ok"
+    for method in ("lvarl2", "lvarl1"):
+        entry = report["methods"][method]
+        assert entry["status"] == "failed"
+        assert entry["error"].startswith("FoldTooSmallError: ")
+    assert "lvarl2,,,,failed" in (tmp_path / "mse_table.csv").read_text().splitlines()
+
+
+def test_run_experiment_lets_programming_errors_propagate(monkeypatch):
+    # only typed nlvar and linear-algebra failures become "failed" rows; a
+    # bug surfaces as itself
+    def broken(*args, **kwargs):
+        raise TypeError("a bug in a fit")
+
+    monkeypatch.setattr(baselines, "fit_baseline", broken)
+    config = _small_config(methods=("mean", "lvarl2"))
+    config.lam = 1.0
+    with pytest.raises(TypeError, match="a bug in a fit"):
+        run_experiment(config)

@@ -14,7 +14,7 @@ from nlvar.modelio import (
     save_model,
 )
 from nlvar.series import MultivariateSeries, lag_embed, standardize_apply, standardize_fit
-from nlvar.solver import FitConfig, fit, predict
+from nlvar.solver import fit, predict
 
 
 def _fixture(rng, n_total=60, m=2, p=3):
@@ -28,7 +28,7 @@ def _fixture(rng, n_total=60, m=2, p=3):
 def test_kernel_model_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     stats, train = _fixture(rng)
-    model = fit(train, FitConfig(method="nvarl1", lam=1.2), norm_stats=stats,
+    model = fit("nvarl1", train, 1.2, norm_stats=stats,
                 names=["s0", "s1"])
     path = tmp_path / "model.json"
     save_model(model, path)
@@ -51,7 +51,7 @@ def test_baseline_round_trip(tmp_path, kind):
     path = tmp_path / f"{kind}.json"
     save_model(model, path)
     loaded = load_model(path)
-    assert loaded.kind == kind
+    assert loaded.method == kind
     X_new = rng.standard_normal((4, train.inputs.shape[1]))
     np.testing.assert_array_equal(
         predict_baseline(loaded, X_new), predict_baseline(model, X_new)
@@ -62,7 +62,7 @@ def test_legacy_nvar_full_document_loads_as_its_kernel_model(tmp_path):
     # v1 files wrapped the unpartitioned model in a baseline envelope
     rng = np.random.default_rng(1)
     stats, train = _fixture(rng)
-    model = fit(train, FitConfig(method="nvar", lam=0.8), norm_stats=stats, names=["s0", "s1"])
+    model = fit("nvar", train, 0.8, norm_stats=stats, names=["s0", "s1"])
     legacy = {"format": "nlvar-model", "version": 1, "kind": "nvar_full", "lag": 3,
               "names": ["s0", "s1"], "norm_stats": model_to_dict(model)["norm_stats"],
               "lambda": 0.8, "model": model_to_dict(model)}
@@ -78,7 +78,7 @@ def test_legacy_nvar_full_document_loads_as_its_kernel_model(tmp_path):
 def test_full_precision_floats(tmp_path):
     rng = np.random.default_rng(2)
     stats, train = _fixture(rng)
-    model = fit(train, FitConfig(method="nvarl12", lam=0.9), norm_stats=stats)
+    model = fit("nvarl12", train, 0.9, norm_stats=stats)
     doc = json.loads(json.dumps(model_to_dict(model)))
     again = model_from_dict(doc)
     assert np.array_equal(again.C, model.C)
@@ -88,7 +88,7 @@ def test_full_precision_floats(tmp_path):
 def test_predict_model_dispatches():
     rng = np.random.default_rng(3)
     stats, train = _fixture(rng)
-    kernel = fit(train, FitConfig(method="nvarl1", lam=1.0), norm_stats=stats)
+    kernel = fit("nvarl1", train, 1.0, norm_stats=stats)
     base = fit_baseline("lvarl2", train, 1.0, norm_stats=stats)
     X = rng.standard_normal((3, train.inputs.shape[1]))
     np.testing.assert_array_equal(predict_model(kernel, X), predict(kernel, X))
@@ -98,7 +98,7 @@ def test_predict_model_dispatches():
 def test_model_adjacency_dispatches():
     rng = np.random.default_rng(4)
     stats, train = _fixture(rng)
-    kernel = fit(train, FitConfig(method="nvarl1", lam=1.0), norm_stats=stats)
+    kernel = fit("nvarl1", train, 1.0, norm_stats=stats)
     adj = model_adjacency(kernel)
     assert adj.values.shape == (2, 2)
     base = fit_baseline("lvarl1", train, 2.0, norm_stats=stats)
@@ -172,7 +172,7 @@ BASELINE_CORRUPTIONS = {
 
 def _kernel_doc():
     stats, train = _fixture(np.random.default_rng(5))
-    model = fit(train, FitConfig(method="nvarl1", lam=1.0), norm_stats=stats, names=["s0", "s1"])
+    model = fit("nvarl1", train, 1.0, norm_stats=stats, names=["s0", "s1"])
     return json.loads(json.dumps(model_to_dict(model)))
 
 
@@ -206,7 +206,7 @@ def test_predict_rejects_non_finite_inputs(bad):
     stats, train = _fixture(rng)
     X = rng.standard_normal((2, train.inputs.shape[1]))
     X[1, 2] = bad
-    for model in (fit(train, FitConfig(method="nvarl1", lam=1.0), norm_stats=stats),
+    for model in (fit("nvarl1", train, 1.0, norm_stats=stats),
                   fit_baseline("lvarl2", train, 1.0, norm_stats=stats)):
         with pytest.raises(BadDataError):
             predict_model(model, X)

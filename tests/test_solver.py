@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from oracles import alternating_l1_oracle, cg_solve
 
-from nlvar.errors import UnsupportedKindError
+from nlvar.errors import ConfigError, UnsupportedKindError
 from nlvar.grouplasso import SolverOptions
 from nlvar.kernels import GramStack, KernelSpec, build_feature_stack, build_gram_stack
 from nlvar.series import MultivariateSeries, lag_embed
 from nlvar.solver import (
-    FitConfig,
     adjacency,
     fit,
     predict,
@@ -226,8 +225,7 @@ def _toy_train(rng, n_total=60, m=3, p=2):
 def test_fit_separability_bitwise():
     rng = np.random.default_rng(12)
     train = _toy_train(rng)
-    cfg = FitConfig(method="nvarl1", lam=2.0)
-    model = fit(train, cfg)
+    model = fit("nvarl1", train, 2.0)
     grams = build_gram_stack(train.inputs, train.partition_map)
     feats = build_feature_stack(grams)
     for s in range(3):
@@ -242,9 +240,8 @@ def test_fit_permutation_equivariance():
     perm = [2, 0, 1]
     permuted = train.subset(np.arange(train.n_pairs))
     permuted.outputs = permuted.outputs[:, perm]
-    cfg = FitConfig(method="nvarl1", lam=1.5)
-    base = fit(train, cfg)
-    swapped = fit(permuted, cfg)
+    base = fit("nvarl1", train, 1.5)
+    swapped = fit("nvarl1", permuted, 1.5)
     assert np.array_equal(swapped.A, base.A[:, perm])
     assert np.array_equal(swapped.C, base.C[:, perm])
 
@@ -253,7 +250,7 @@ def test_fit_huge_lambda_zeroes_weights_both_methods():
     rng = np.random.default_rng(14)
     train = _toy_train(rng)
     for method in ("nvarl1", "nvarl12"):
-        model = fit(train, FitConfig(method=method, lam=1e9))
+        model = fit(method, train, 1e9)
         np.testing.assert_array_equal(model.A, 0.0)
 
 
@@ -261,14 +258,14 @@ def test_fit_weights_nonnegative_both_methods():
     rng = np.random.default_rng(15)
     train = _toy_train(rng)
     for method in ("nvarl1", "nvarl12"):
-        model = fit(train, FitConfig(method=method, lam=0.8))
+        model = fit(method, train, 0.8)
         assert model.A.min() >= 0.0
 
 
 def test_predict_zero_weights_gives_zero():
     rng = np.random.default_rng(16)
     train = _toy_train(rng)
-    model = fit(train, FitConfig(method="nvarl1", lam=1e9))
+    model = fit("nvarl1", train, 1e9)
     preds = predict(model, train.inputs[:4])
     np.testing.assert_array_equal(preds, 0.0)
 
@@ -276,7 +273,7 @@ def test_predict_zero_weights_gives_zero():
 def test_predict_on_training_inputs_matches_fitted_values():
     rng = np.random.default_rng(17)
     train = _toy_train(rng)
-    model = fit(train, FitConfig(method="nvarl1", lam=1.0))
+    model = fit("nvarl1", train, 1.0)
     preds = predict(model, train.inputs)
     grams = build_gram_stack(train.inputs, train.partition_map)
     expected = np.zeros_like(preds)
@@ -294,7 +291,7 @@ def test_predict_representer_equivalence_through_pipeline():
     y = train.outputs[:, 0]
     task = solve_task_l1(feats, grams, y, 0.7, opts=TIGHT)
     feat_pred = sum(phi @ z for phi, z in zip(feats.features, task.z_blocks))
-    model = fit(train, FitConfig(method="nvarl1", lam=0.7, options=TIGHT))
+    model = fit("nvarl1", train, 0.7, TIGHT)
     preds = predict(model, train.inputs)
     assert np.linalg.norm(preds[:, 0] - feat_pred) <= 1e-6 * np.linalg.norm(y)
 
@@ -302,7 +299,7 @@ def test_predict_representer_equivalence_through_pipeline():
 def test_adjacency_zero_and_single_entry():
     rng = np.random.default_rng(19)
     train = _toy_train(rng)
-    model = fit(train, FitConfig(method="nvarl1", lam=1e9))
+    model = fit("nvarl1", train, 1e9)
     adj = adjacency(model)
     np.testing.assert_array_equal(adj.values, np.zeros((3, 3)))
 
@@ -316,7 +313,7 @@ def test_adjacency_zero_and_single_entry():
 def test_adjacency_sums_within_partitions_and_rescales():
     rng = np.random.default_rng(20)
     train = _toy_train(rng)
-    model = fit(train, FitConfig(method="nvarl1", lam=1e9))
+    model = fit("nvarl1", train, 1e9)
     model.A[0, 0] = 1.0   # partition 0 -> output 0
     model.A[1, 0] = 3.0   # same partition, same output
     model.A[12, 2] = 2.0  # partition 2 -> output 2
@@ -331,7 +328,7 @@ def test_adjacency_sums_within_partitions_and_rescales():
 def test_adjacency_rejects_full_partition_model():
     rng = np.random.default_rng(21)
     train = _toy_train(rng, m=1, p=4)
-    model = fit(train, FitConfig(method="nvar", lam=1.0))
+    model = fit("nvar", train, 1.0)
     with pytest.raises(UnsupportedKindError):
         adjacency(model)
 
@@ -339,8 +336,19 @@ def test_adjacency_rejects_full_partition_model():
 def test_predict_accepts_single_row():
     rng = np.random.default_rng(22)
     train = _toy_train(rng)
-    model = fit(train, FitConfig(method="nvarl1", lam=1.0))
+    model = fit("nvarl1", train, 1.0)
     one = predict(model, train.inputs[0])
     many = predict(model, train.inputs[:1])
     assert one.shape == (1, 3)
     np.testing.assert_array_equal(one, many)
+
+
+def test_fit_takes_one_kernel_method_and_one_scalar_lambda():
+    rng = np.random.default_rng(23)
+    train = _toy_train(rng)
+    with pytest.raises(ConfigError):
+        fit("lvarl2", train, 1.0)
+    with pytest.raises(TypeError):
+        fit("nvarl1", train, [1.0, 2.0, 3.0])
+    model = fit("nvarl1", train, 1.0)
+    assert np.array_equal(model.lam, np.full(3, 1.0))
