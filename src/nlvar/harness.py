@@ -299,6 +299,9 @@ class ExperimentConfig:
     save_models: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.methods, (list, tuple)):
+            raise ConfigError(f"methods must be a list of method names, got {self.methods!r}")
+        self.methods = tuple(self.methods)
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; valid: {list(ALL_METHODS)}")
@@ -343,7 +346,7 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
             KernelSpec(kind=kind, param=param)
         return ExperimentConfig(
             train=train,
-            methods=tuple(doc.get("methods", ALL_METHODS)),
+            methods=doc.get("methods", ALL_METHODS),
             synthetic=synthetic,
             csv_path=data.get("csv"),
             holdout=holdout,

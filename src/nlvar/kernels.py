@@ -154,7 +154,22 @@ def _raw_gram(spec: KernelSpec, rows: np.ndarray, other: np.ndarray | None = Non
     if spec.kind == "linear":
         return Z @ X.T
     if spec.kind == "polynomial":
-        return (1.0 + Z @ X.T) ** spec.param
+        # square-and-multiply, not libm pow: degree 2 is bitwise x**2, each
+        # product moves the result by at most about one ulp, and a degree
+        # read from a config or model file costs log2(degree) products
+        base = 1.0 + Z @ X.T
+        out = None
+        degree = spec.param
+        while True:
+            if degree & 1:
+                if out is None:
+                    out = base
+                else:
+                    out *= base
+            degree >>= 1
+            if not degree:
+                return out
+            base = base * base  # a new array: `out` may still be the old one
     sq = (
         np.sum(Z * Z, axis=1)[:, None]
         - 2.0 * (Z @ X.T)

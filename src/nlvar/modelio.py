@@ -160,14 +160,18 @@ def save_model(model, path) -> None:
         json.dump(model_to_dict(model), fh)
 
 
-def read_json(path):
-    """The parsed JSON document in a file; a file that is not JSON raises
+def read_json(path) -> dict:
+    """The JSON object in a file (a config or a model document); a file that
+    is not JSON, or whose top-level value is not an object, raises
     ConfigError."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: not a JSON object but {type(doc).__name__}")
+    return doc
 
 
 def load_model(path):

@@ -52,6 +52,10 @@ KERNEL_METHODS = ("nvarl1", "nvarl12", "nvar")
 #: exact zeros (proximal solvers produce true zeros; this only removes dust).
 ADJ_ZERO_TOL = 1e-8
 
+#: Rows of new inputs per cross-Gram block in `predict`: a block and its
+#: temporaries stay in cache, and memory does not grow with the row count.
+_PREDICT_BLOCK_ROWS = 64
+
 
 @dataclass
 class TaskSolution:
@@ -325,14 +329,18 @@ def predict(fit_result: ModelFit, new_inputs) -> np.ndarray:
             f"inputs have {X.shape[1]} columns, model expects {fit_result.training_inputs.shape[1]}"
         )
     part_map = lag_columns(X.shape[1] // fit_result.lag, fit_result.lag)
+    active = []
+    for spec, weights in zip(fit_result.specs, fit_result.A):
+        if weights.any():
+            cols = partition_columns(spec, part_map)
+            active.append((spec, cols, fit_result.training_inputs[:, cols], weights[None, :]))
     preds = np.zeros((X.shape[0], fit_result.n_outputs))
-    for d, spec in enumerate(fit_result.specs):
-        row = fit_result.A[d]
-        if not row.any():
-            continue
-        cols = partition_columns(spec, part_map)
-        block = cross_gram(spec, fit_result.training_inputs[:, cols], X[:, cols])
-        preds += (block @ fit_result.C) * row[None, :]
+    for start in range(0, X.shape[0], _PREDICT_BLOCK_ROWS):
+        rows = X[start:start + _PREDICT_BLOCK_ROWS]
+        out = preds[start:start + _PREDICT_BLOCK_ROWS]
+        for spec, cols, train_cols, weights in active:
+            block = cross_gram(spec, train_cols, rows[:, cols])
+            out += (block @ fit_result.C) * weights
     return preds
 
 

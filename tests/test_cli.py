@@ -141,6 +141,7 @@ MISSING = "missing"
     (None, {"feature_tol": -1}),
     (None, {"solver": {"max_iter": 2.5}}),
     (None, {"grid": {"count": 3, "scale": 2.0}}),
+    (None, [1]),  # a config that is not a JSON object
 ])
 def test_fit_rejects_bad_input_with_exit_code_2(tmp_path, data_csv, capsys, csv_text, config):
     data, cfg = data_csv, tmp_path / "cfg.json"

@@ -362,6 +362,7 @@ _GOOD_DOC = {"data": {"synthetic": {"length": 160, "seed": 3}}, "train": 100, "h
     {"feature_tol": -1.0},
     {"feature_tol": 0.0},
     {"feature_tol": 1.0},
+    {"methods": "mean"},  # a string, not a list of names
 ])
 def test_config_rejects_bad_values(change):
     with pytest.raises(ConfigError):

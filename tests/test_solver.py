@@ -7,6 +7,7 @@ from nlvar.grouplasso import SolverOptions
 from nlvar.kernels import GramStack, KernelSpec, build_feature_stack, build_gram_stack
 from nlvar.series import MultivariateSeries, lag_embed
 from nlvar.solver import (
+    _PREDICT_BLOCK_ROWS,
     adjacency,
     fit,
     predict,
@@ -341,6 +342,18 @@ def test_predict_accepts_single_row():
     many = predict(model, train.inputs[:1])
     assert one.shape == (1, 3)
     np.testing.assert_array_equal(one, many)
+
+
+def test_predict_over_several_blocks_matches_one_row_calls():
+    rng = np.random.default_rng(23)
+    train = _toy_train(rng)
+    model = fit("nvarl1", train, 1.0)
+    assert np.count_nonzero(model.A) > 3
+    # a partial last block after two full ones
+    rows = rng.standard_normal((2 * _PREDICT_BLOCK_ROWS + 5, train.inputs.shape[1]))
+    batch = predict(model, rows)
+    single = np.vstack([predict(model, row) for row in rows])
+    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-12 * np.abs(single).max())
 
 
 def test_fit_takes_one_kernel_method_and_one_scalar_lambda():
