@@ -95,6 +95,11 @@ class GroupedSolution:
     converged: bool
 
 
+def kkt_tolerance(opts: SolverOptions) -> float:
+    """KKT tolerance over the penalty: KKT_REL_TOL, tighter for a tighter rel_tol."""
+    return max(1e-8, min(KKT_REL_TOL, 1e3 * opts.rel_tol))
+
+
 def group_starts(sizes) -> np.ndarray:
     """Offsets of contiguous groups of the given sizes in a stacked vector."""
     return np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(int)
@@ -166,10 +171,7 @@ def _solve_stacked(B, starts, sizes, y, kappa, opts, w0=None, sigma=None):
         raise NonFiniteObjectiveError("objective not finite at the starting point")
 
     if kappa > 0.0:
-        # a tighter objective tolerance also tightens the KKT stop, so small
-        # instances can be solved to (near) exact optimality; the default
-        # rel_tol maps to the contractual 1e-4 * kappa
-        eps_kkt = kappa * max(1e-8, min(KKT_REL_TOL, 1e3 * opts.rel_tol))
+        eps_kkt = kappa * kkt_tolerance(opts)
     else:
         # pure least squares: run the gradient down to (near-)orthogonality
         eps_kkt = max(1e-8, 1e-14 * 2.0 * float(np.linalg.norm(B.T @ y)))

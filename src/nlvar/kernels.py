@@ -71,19 +71,23 @@ class KernelSpec:
 
 @dataclass
 class GramStack:
-    """The l normalized training Gram matrices with their specs.
+    """The l normalized training Gram matrices, one (l, n, n) array, with
+    their specs (a list of n x n matrices is stacked on construction).
 
     group_index[d] is the (partition j, within-partition i) pair of kernel d;
     kernels sharing a partition are contiguous.
     """
 
-    grams: list[np.ndarray]
+    grams: np.ndarray
     specs: list[KernelSpec]
     group_index: list[tuple[int, int]]
 
+    def __post_init__(self):
+        self.grams = np.asarray(self.grams, dtype=float)
+
     @property
     def n_kernels(self) -> int:
-        return len(self.grams)
+        return self.grams.shape[0]
 
     @property
     def n_train(self) -> int:
@@ -185,7 +189,7 @@ def gram_matrix(spec: KernelSpec, rows: np.ndarray) -> tuple[np.ndarray, float]:
     G = 0.5 * (G + G.T)
     n = G.shape[0]
     tr = float(np.trace(G))
-    if tr < 1e-12:
+    if not (np.isfinite(tr) and tr >= 1e-12):  # inf: the kernel overflowed
         raise DegenerateKernelError(f"{spec.label()}: Gram trace {tr:.3e}")
     rho = n / tr
     spec.norm_factor = rho
@@ -229,11 +233,11 @@ def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTI
     if partitions is None:
         partitions = list(range(len(partition_map)))
     specs = make_specs(partitions, dictionary)
-    grams = []
-    for spec in specs:
+    n = inputs.shape[0]
+    grams = np.empty((len(specs), n, n))  # filled in place: no second copy
+    for d, spec in enumerate(specs):
         cols = partition_columns(spec, partition_map)
-        G, _ = gram_matrix(spec, inputs[:, cols])
-        grams.append(G)
+        grams[d], _ = gram_matrix(spec, inputs[:, cols])
     return GramStack(grams=grams, specs=specs, group_index=group_index_of(specs))
 
 

@@ -2,11 +2,11 @@
 
 Two regularization routes: the entrywise-l1 route reduces each per-output
 task to a group lasso on empirical features and recovers the kernel weights
-in closed form; the l1/l2 route groups kernels by input partition and
-alternates exact coefficient solves with backtracked proximal gradient steps
-on the nonnegative weights, iterated until the weight subproblem is
-stationary (at most A_STEP_MAX steps). Each output series is an independent
-task; the fitted weights stack into the matrix read out as a Granger graph.
+in closed form; the l1/l2 route groups kernels by input partition,
+eliminates the coefficients and solves the convex reduced problem in the
+nonnegative weights by proximal Newton, to the group stationarity gap. Each
+output series is an independent task; the fitted weights stack into the
+matrix read out as a Granger graph.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .grouplasso import (
     SolverOptions,
     group_penalty,
     group_starts,
+    kkt_tolerance,
     prox_groups,
     solve_group_lasso,
 )
@@ -109,12 +110,8 @@ def task_objective(grams: GramStack, y, a, c, lam: float, method: str) -> float:
         raise DimensionMismatchError(f"{a.shape[0]} weights for {grams.n_kernels} kernels")
     if a.min(initial=0.0) < 0.0:
         raise ValueError("kernel weights must be nonnegative")
-    pred = np.zeros_like(y)
-    quad = 0.0
-    for d in np.flatnonzero(a):
-        Kc = grams.grams[d] @ c
-        pred += a[d] * Kc
-        quad += a[d] * float(c @ Kc)
+    pred = a @ np.tensordot(grams.grams, c, axes=1)
+    quad = float(c @ pred)
     fit_term = float(np.sum((y - pred) ** 2))
     if method == "l1":
         penalty = float(a.sum())
@@ -125,6 +122,17 @@ def task_objective(grams: GramStack, y, a, c, lam: float, method: str) -> float:
     return fit_term + lam * quad + penalty
 
 
+def _factor_system(grams: GramStack, a, lam: float):
+    """M = sum_d a_d K^d + lam I, by one pass over the stack, and its lower
+    Cholesky factor."""
+    M = np.tensordot(a, grams.grams, axes=1)
+    M.flat[::M.shape[0] + 1] += lam
+    try:
+        return M, scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"coefficient system not positive definite: {exc}") from exc
+
+
 def solve_coefficients(grams: GramStack, a, y, lam: float) -> np.ndarray:
     """Expansion coefficients c from the positive definite system
     (sum_d a_d K^d + lam I) c = y, by Cholesky with one refinement pass."""
@@ -132,16 +140,9 @@ def solve_coefficients(grams: GramStack, a, y, lam: float) -> np.ndarray:
         raise ValueError(f"lam must be positive, got {lam}")
     a = np.asarray(a, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    n = grams.n_train
-    M = np.eye(n) * lam
-    for d in np.flatnonzero(a):
-        M += a[d] * grams.grams[d]
-    try:
-        factor = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-        c = scipy.linalg.cho_solve(factor, y, check_finite=False)
-        c += scipy.linalg.cho_solve(factor, y - M @ c, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"coefficient system not positive definite: {exc}") from exc
+    M, factor = _factor_system(grams, a, lam)
+    c = scipy.linalg.cho_solve(factor, y, check_finite=False)
+    c += scipy.linalg.cho_solve(factor, y - M @ c, check_finite=False)
     return c
 
 
@@ -185,21 +186,29 @@ def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, 
                         converged=sol.converged, objective_trace=sol.objective_trace)
 
 
-#: Cap on proximal gradient steps within one weight update of the
-#: alternating l1/l2 solver (the subproblem is l-dimensional and cheap;
-#: running it to stationarity keeps the number of expensive coefficient
-#: solves small).
-A_STEP_MAX = 200
+#: Cap on the projected proximal gradient steps minimizing one Newton model.
+_MODEL_STEPS_MAX = 1000
+
+
+def _group_gap(a, q, starts, sizes) -> float:
+    """Group stationarity gap at a, q = -grad h: |q_d - a_d/||a_g||| on a
+    group with a_g != 0, (||q_g|| - 1)+ on a zero group."""
+    norms = np.sqrt(np.add.reduceat(a * a, starts))
+    unit = a / np.repeat(np.where(norms > 0.0, norms, 1.0), sizes)
+    active = np.maximum.reduceat(np.abs(q - unit), starts)
+    idle = np.maximum(np.sqrt(np.add.reduceat(q * q, starts)) - 1.0, 0.0)
+    return float(np.where(norms > 0.0, active, idle).max())
 
 
 def solve_task_l12(grams: GramStack, group_index, y, lam: float,
                    warm=None, opts: SolverOptions | None = None) -> TaskSolution:
     """One output task under the l1/l2 penalty grouping kernels by partition.
 
-    Alternating minimization: an exact coefficient solve, then backtracked
-    proximal gradient steps on the nonnegative weights (iterated until the
-    weight subproblem is stationary) per outer iteration. Jointly
-    non-convex, so the result may be a local minimum.
+    With c eliminated the task is min h(a) + sum_g ||a_g|| over a >= 0, where
+    h(a) = lam y^T M^-1 y, M = sum_d a_d K^d + lam I, is convex, with gradient
+    -q, q_d = lam c^T K^d c, and Hessian 2 lam U^T M^-1 U, U = [K^d c].
+    Proximal Newton steps, backtracked on the true objective (a monotone
+    trace), until the group stationarity gap is at most kkt_tolerance(opts).
     """
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
@@ -212,61 +221,52 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
     sizes = _group_sizes(group_index)
     starts = group_starts(sizes)
 
-    if warm is None:
-        a = np.full(l, 1.0 / l)
-    else:
-        a = np.array(warm, dtype=float).ravel()
-        if a.shape[0] != l or a.min(initial=0.0) < 0.0:
-            raise DimensionMismatchError("warm start must be a nonnegative length-l vector")
+    a = np.full(l, 1.0 / l) if warm is None else np.array(warm, dtype=float).ravel()
+    if a.shape[0] != l or a.min(initial=0.0) < 0.0:
+        raise DimensionMismatchError("warm start must be a nonnegative length-l vector")
 
-    yy = float(y @ y)
-    trace: list[float] = []
-    converged = False
-    for it in range(1, opts.max_iter + 1):
-        c = solve_coefficients(grams, a, y, lam)
-        U = np.column_stack([K @ c for K in grams.grams])
-        q = U.T @ c
-        Uty = U.T @ y
-        G = U.T @ U
+    tol = kkt_tolerance(opts)
 
-        def smooth(vec):
-            return yy - 2.0 * float(Uty @ vec) + float(vec @ (G @ vec)) + lam * float(q @ vec)
-
-        sigma = float(np.linalg.eigvalsh(G)[-1])
-        step = 1.0 / max(sigma, 1e-30)
-        g_a = smooth(a)
-        comp = g_a + group_penalty(a, starts)
-        for _ in range(A_STEP_MAX):
-            grad = 2.0 * (G @ a - Uty) + lam * q
-            while True:
-                a_new = prox_groups(a - step * grad, step, starts, sizes, nonneg=True)
-                delta = a_new - a
-                dd = float(delta @ delta)
-                if dd == 0.0:
-                    break
-                if smooth(a_new) <= g_a + float(grad @ delta) + dd / (2.0 * step) + 1e-12 * max(1.0, abs(g_a)):
-                    break
-                step *= BACKTRACK_FACTOR
-                if step <= 1e-300:
-                    raise NonFiniteObjectiveError("weight-step line search underflow")
-            if dd == 0.0:
-                break
-            a = a_new
-            g_a = smooth(a)
-            comp_new = g_a + group_penalty(a, starts)
-            moved = abs(comp - comp_new)
-            comp = comp_new
-            if moved <= 0.1 * opts.rel_tol * max(abs(comp), 1e-300):
-                break
-
-        obj = comp
+    def at(point):  # (q, H, penalty, objective); the n x n factor dies on return
+        factor = _factor_system(grams, point, lam)[1]
+        c = scipy.linalg.cho_solve(factor, y, check_finite=False)
+        penalty = group_penalty(point, starts)
+        obj = lam * float(y @ c) + penalty
         if not np.isfinite(obj):
-            raise NonFiniteObjectiveError(f"objective became {obj} at outer iteration {it}")
-        if trace and abs(trace[-1] - obj) <= opts.rel_tol * max(abs(trace[-1]), 1e-300):
-            trace.append(obj)
-            converged = True
-            break
+            raise NonFiniteObjectiveError(f"objective became {obj}")
+        U = np.tensordot(grams.grams, c, axes=1)  # row d is K^d c
+        H = 2.0 * lam * (U @ scipy.linalg.cho_solve(factor, U.T, check_finite=False))
+        return lam * (U @ c), H, penalty, obj
+
+    q, H, penalty, obj = at(a)
+    trace: list[float] = []
+    for it in range(opts.max_iter + 1):
         trace.append(obj)
+        converged = _group_gap(a, q, starts, sizes) <= tol
+        if converged or it == opts.max_iter:
+            break
+        # minimize the model -q.(b - a) + (b - a).H(b - a)/2 + sum_g ||b_g||
+        # over b >= 0 by projected proximal gradient from b = a
+        sigma = max(float(np.linalg.eigvalsh(H)[-1]), 1e-30)
+        b = a
+        for _ in range(_MODEL_STEPS_MAX):
+            b_prev, b = b, prox_groups(b - (H @ (b - a) - q) / sigma, 1.0 / sigma, starts,
+                                       sizes, nonneg=True)
+            if sigma * float(np.abs(b - b_prev).max()) <= 0.1 * tol:
+                break
+        decrease = group_penalty(b, starts) - penalty - float(q @ (b - a))
+        t = 1.0
+        # Armijo backtrack (a step must achieve 1e-4 of the predicted decrease)
+        # while that decrease stays above the objective's rounding
+        while -t * decrease > 1e-14 * abs(obj):
+            trial = np.maximum(a + t * (b - a), 0.0)
+            point = at(trial)
+            if point[-1] <= obj + 1e-4 * t * decrease:
+                a, (q, H, penalty, obj) = trial, point
+                break
+            t *= BACKTRACK_FACTOR
+        else:
+            break
 
     c = solve_coefficients(grams, a, y, lam)
     obj = task_objective(grams, y, a, c, lam, "l12")
@@ -292,18 +292,15 @@ def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions | 
     partitions = [None] if method == "nvar" else list(range(m))
     grams = build_gram_stack(train.inputs, train.partition_map, dictionary, partitions)
 
-    tasks: list[TaskSolution] = []
     if method in ("nvarl1", "nvar"):
         features = build_feature_stack(grams, feature_tol)
         # the stacked design and its Lipschitz estimate depend only on the
         # features, so the m tasks share them
         design = GroupedProblem(features.features, train.outputs[:, 0], 0.0)
-        for s in range(m):
-            tasks.append(solve_task_l1(design, grams, train.outputs[:, s], lam, opts=options))
+        tasks = [solve_task_l1(design, grams, y, lam, opts=options) for y in train.outputs.T]
     else:
-        for s in range(m):
-            tasks.append(solve_task_l12(grams, grams.group_index, train.outputs[:, s], lam,
-                                        opts=options))
+        tasks = [solve_task_l12(grams, grams.group_index, y, lam, opts=options)
+                 for y in train.outputs.T]
 
     return ModelFit(
         method=method,

@@ -159,6 +159,16 @@ def test_fit_rejects_bad_input_with_exit_code_2(tmp_path, data_csv, capsys, csv_
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_fit_with_an_overflowing_kernel_exits_2_and_writes_no_model(tmp_path, data_csv, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernels": [["polynomial", 1000000000], ["linear", None]]}))
+    capsys.readouterr()
+    assert main(["fit", "--data", str(data_csv), "--method", "nvarl1", "--train", "150",
+                 "--lambda", "1", "--config", str(cfg), "--out", str(tmp_path / "model.json")]) == 2
+    assert not (tmp_path / "model.json").exists()
+    assert "Gram trace inf" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method, lam", [("nvarl1", "0"), ("lvarl2", "-1"), ("nvarl1", "nan")])
 def test_fit_rejects_bad_lambda_with_exit_code_2(tmp_path, data_csv, capsys, method, lam):
     capsys.readouterr()

@@ -86,6 +86,9 @@ def test_gram_psd_and_symmetric_by_independent_eigensolver():
 def test_gram_degenerate_trace_raises():
     with pytest.raises(DegenerateKernelError):
         gram_matrix(KernelSpec("linear"), np.zeros((4, 3)))
+    # a kernel that overflows has an infinite trace
+    with pytest.raises(DegenerateKernelError):
+        gram_matrix(KernelSpec("polynomial", 10**9), np.ones((4, 3)))
 
 
 def test_cross_gram_consistent_with_training():

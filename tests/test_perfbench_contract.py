@@ -64,3 +64,25 @@ def test_nvarl1_final_fit_solves_each_output_once_through_solver():
     assert all(entry["status"] == "ok" for entry in report["methods"].values())
     assert len(tracer.l1_flags) == 5
     assert not tracer.broken
+
+
+def test_nvarl12_fit_records_coefficient_solves_and_newton_counts():
+    # the traced fit-l12-large run requires solver.coef calls and reads the
+    # solver.l12_* counters from each solve_task_l12 result
+    config = ExperimentConfig(
+        train=60, holdout=20, lag=3, methods=("mean", "nvarl12"), lam=1.0,
+        synthetic=SyntheticSpec(length=80, seed=20),
+    )
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        report = run_experiment(config)
+    finally:
+        tracer.uninstall()
+    assert all(entry["status"] == "ok" for entry in report["methods"].values())
+    metrics = tracer.layer_metrics()
+    assert metrics["solver.coef_calls"]["value"] == 5
+    assert metrics["solver.l12_outer_iters"]["value"] >= 5
+    assert metrics["solver.l12_unconverged"]["value"] == 0
+    assert not tracer.broken

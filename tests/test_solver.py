@@ -173,11 +173,52 @@ def test_l12_singleton_groups_match_l1_objective():
     lam = 0.3
     l1 = solve_task_l1(feats, stack, y, lam, opts=TIGHT)
     l12 = solve_task_l12(stack, stack.group_index, y, lam, opts=TIGHT)
-    # identical penalties; alternating route may stop at a local minimum
-    assert l12.objective <= 1.01 * l1.objective + 1e-12
+    # identical penalties and both problems convex: the same minimum
+    assert l12.objective == pytest.approx(l1.objective, rel=1e-8)
     assert task_objective(stack, y, l12.a, l12.c, lam, "l1") == pytest.approx(
         l12.objective, rel=1e-10
     )
+
+
+def _l12_instances(seed, count=30):
+    """Random l1/l2 tasks: (stack, y, lam) with 2-4 groups of 1-3 kernels."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(8, 20))
+        parts, per_part = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        yield (_random_stack(rng, n, parts, per_part), rng.standard_normal(n),
+               float(10.0 ** rng.uniform(-1.5, 1.5)))
+
+
+def _l12_gap(stack, a, c, lam):
+    """Group stationarity gap of an l1/l2 task at (a, c), from the Grams alone:
+    |q_d - a_d/||a_g||| on a group with a_g != 0, (||q_g|| - 1)+ on a zero one."""
+    q = np.array([lam * c @ K @ c for K in stack.grams])
+    gap = 0.0
+    for g in {j for j, _ in stack.group_index}:
+        rows = [d for d, (j, _) in enumerate(stack.group_index) if j == g]
+        norm = np.linalg.norm(a[rows])
+        if norm > 0.0:
+            gap = max(gap, float(np.abs(q[rows] - a[rows] / norm).max()))
+        else:
+            gap = max(gap, float(np.linalg.norm(q[rows])) - 1.0)
+    return gap
+
+
+def test_l12_default_options_end_at_the_group_stationarity_gap():
+    for stack, y, lam in _l12_instances(12):
+        task = solve_task_l12(stack, stack.group_index, y, lam)
+        assert task.converged
+        assert _l12_gap(stack, task.a, task.c, lam) <= 1e-4
+
+
+def test_l12_warm_starts_reach_the_same_objective():
+    # the reduced problem is convex: where the solve starts does not matter
+    for stack, y, lam in _l12_instances(13):
+        cold = solve_task_l12(stack, stack.group_index, y, lam)
+        warm = solve_task_l12(stack, stack.group_index, y, lam,
+                              warm=np.linspace(2.0, 0.0, stack.n_kernels))
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-8)
 
 
 def test_l12_large_lambda_kills_single_group_in_one_step():
