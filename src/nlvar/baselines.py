@@ -77,8 +77,7 @@ def fit_baseline(method: str, train: SupervisedSet, lam: float = 0.0,
         return BaselineFit(method=method, lag=p, coef=coef, norm_stats=norm_stats,
                            lam=lam, names=names)
 
-    # lvarl1: the m outputs share one design, stacked row-major; the solve's
-    # rounding, and so a CV curve, depends on the design's memory order
+    # lvarl1: the m outputs share one design
     blocks = [np.ascontiguousarray(X[:, cols]) for cols in train.partition_map]
     design = GroupedProblem(blocks, Y[:, 0], lam)
     coef = np.zeros((m * p, m))

@@ -22,7 +22,7 @@ from .errors import (
     NlvarError,
 )
 # the benchmark tracer times the CV solves through this module's binding of
-# the stacked ISTA loop, so the CV path calls it directly
+# the stacked group-lasso solver, so the CV path calls it directly
 from .grouplasso import GroupedProblem, SolverOptions, _solve_stacked
 from .kernels import (
     DEFAULT_DICTIONARY,
@@ -175,14 +175,15 @@ def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
     partitions = [None] if method == "nvar" else list(range(sub.n_series))
     grams = build_gram_stack(sub.inputs, sub.partition_map, dictionary, partitions)
     if method != "nvarl12":
-        feats = build_feature_stack(grams, feature_tol)
-        B, starts, sizes = GroupedProblem(feats.features, sub.outputs[:, 0], 0.0).stacked()
+        design = GroupedProblem(build_feature_stack(grams, feature_tol).features,
+                                sub.outputs[:, 0], 0.0)
+        B, starts, sizes = design.stacked()
+        majorizer = design.majorizer()
     cross = build_cross_stack(grams, sub.inputs, np.asarray(X_val, dtype=float),
                               sub.partition_map)
     Y = sub.outputs
     m = Y.shape[1]
     warm = [None] * m
-    sigma = None
     for lam in lams:
         if method == "nvarl12":
             tasks = [solver.solve_task_l12(grams, grams.group_index, Y[:, s], lam,
@@ -193,9 +194,8 @@ def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
             kappa = 2.0 * math.sqrt(lam)
             W = np.zeros((B.shape[1], m))
             for s in range(m):
-                W[:, s], _, _, _, sigma = _solve_stacked(
-                    B, starts, sizes, Y[:, s], kappa, options, w0=warm[s], sigma=sigma,
-                )
+                W[:, s] = _solve_stacked(B, starts, sizes, Y[:, s], kappa, options,
+                                         majorizer, warm[s])[0]
             warm = list(W.T)
             A = solver.l1_weights(W, starts, lam)
             C = np.column_stack(

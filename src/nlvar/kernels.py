@@ -185,10 +185,13 @@ def _raw_gram(spec: KernelSpec, rows: np.ndarray, other: np.ndarray | None = Non
 
 def gram_matrix(spec: KernelSpec, rows: np.ndarray) -> tuple[np.ndarray, float]:
     """Training Gram matrix rescaled to trace n; stores the factor on the spec."""
-    G = _raw_gram(spec, rows)
-    G = 0.5 * (G + G.T)
+    # an overflowing entry overflows a diagonal one too (Cauchy-Schwarz), so
+    # the trace check below reports it as a DegenerateKernelError
+    with np.errstate(over="ignore"):
+        G = _raw_gram(spec, rows)
+        G = 0.5 * (G + G.T)
+        tr = float(np.trace(G))
     n = G.shape[0]
-    tr = float(np.trace(G))
     if not (np.isfinite(tr) and tr >= 1e-12):  # inf: the kernel overflowed
         raise DegenerateKernelError(f"{spec.label()}: Gram trace {tr:.3e}")
     rho = n / tr

@@ -25,7 +25,6 @@ from .errors import (
     UnsupportedKindError,
 )
 from .grouplasso import (
-    BACKTRACK_FACTOR,
     GroupedProblem,
     SolverOptions,
     group_penalty,
@@ -169,7 +168,7 @@ def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, 
     with penalty 2*sqrt(lam); the kernel weights follow in closed form as
     a_d = sqrt(lam) * ||z_d||_2 and c from the regularized linear system.
     `features` may also be a GroupedProblem over the feature blocks: tasks
-    solved on one such problem share its stacked design and step-size bound.
+    solved on one such problem share its stacked design and majorizer.
     """
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
@@ -188,6 +187,9 @@ def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, 
 
 #: Cap on the projected proximal gradient steps minimizing one Newton model.
 _MODEL_STEPS_MAX = 1000
+
+#: A rejected proximal Newton step shrinks by this factor.
+BACKTRACK_FACTOR = 0.5
 
 
 def _group_gap(a, q, starts, sizes) -> float:
@@ -294,8 +296,8 @@ def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions | 
 
     if method in ("nvarl1", "nvar"):
         features = build_feature_stack(grams, feature_tol)
-        # the stacked design and its Lipschitz estimate depend only on the
-        # features, so the m tasks share them
+        # the stacked design and its majorizer depend only on the features,
+        # so the m tasks share them
         design = GroupedProblem(features.features, train.outputs[:, 0], 0.0)
         tasks = [solve_task_l1(design, grams, y, lam, opts=options) for y in train.outputs.T]
     else:

@@ -1,8 +1,10 @@
 """Independent reference implementations used only to cross-check the solvers.
 
-The group-lasso oracle is block coordinate descent with exact block
-minimization (eigendecomposition plus scalar bisection), a different
-algorithm family from the proximal-gradient path it validates. Objective
+The group-lasso oracle is block coordinate descent like the solver it
+validates, but shares no code with it and differs in each step: it
+minimizes every block exactly through a full eigendecomposition of
+B_g^T B_g (no diagonal majorizer), finds the block norm by bisection (not
+Newton), and ends with Newton polishing on the active set. Objective
 convention matches the package: ||y - sum B_g w_g||^2 + kappa * sum ||w_g||.
 """
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from oracles import cd_group_lasso, gl_objective, random_grouped_instance
+from oracles import _block_minimize, cd_group_lasso, gl_objective, random_grouped_instance
 
 from nlvar.errors import DimensionMismatchError, NonFiniteObjectiveError
 from nlvar.grouplasso import (
     GroupedProblem,
     SolverOptions,
+    _group_step,
+    block_majorizer,
     group_starts,
     optimality_gap,
     prox_groups,
@@ -184,3 +186,64 @@ def test_options_validation():
         SolverOptions(max_iter=0)
     with pytest.raises(ValueError):
         SolverOptions(rel_tol=0.0)
+
+
+def _orthogonal_block(rng, n, r):
+    Q, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    return Q * rng.uniform(0.1, 3.0, r)
+
+
+def test_majorizer_is_squared_column_norms_on_orthogonal_blocks():
+    rng = np.random.default_rng(12)
+    blocks = [_orthogonal_block(rng, 20, r) for r in (1, 4, 7)]
+    B, starts, sizes = GroupedProblem(blocks, np.zeros(20), 1.0).stacked()
+    np.testing.assert_allclose(block_majorizer(B, starts, sizes), np.sum(B * B, axis=0),
+                               rtol=1e-12)
+
+
+def test_majorizer_bounds_the_group_gram():
+    rng = np.random.default_rng(13)
+    blocks, y = random_grouped_instance(rng, n=10, n_groups=3)
+    B, starts, sizes = GroupedProblem(blocks, y, 1.0).stacked()
+    d = block_majorizer(B, starts, sizes)
+    for lo, size, block in zip(starts, sizes, blocks):
+        slack = np.diag(d[lo:lo + size]) - block.T @ block
+        assert np.linalg.eigvalsh(slack).min() >= -1e-12
+
+
+def test_group_step_matches_bisection_oracle_on_orthogonal_blocks():
+    rng = np.random.default_rng(14)
+    for r in (1, 3, 6):
+        for kappa in (0.0, 0.3, 2.0, 8.0):
+            B = _orthogonal_block(rng, 15, r)
+            u = rng.standard_normal(15)
+            d = block_majorizer(B, np.array([0]), np.array([r]))
+            evals, evecs = np.linalg.eigh(2.0 * (B.T @ B))
+            ref = _block_minimize(B, u, kappa, evals, evecs)
+            # from a cold start, and from norms above and below the answer
+            for nu in (0.0, 0.1 * np.linalg.norm(ref), 10.0 * np.linalg.norm(ref) + 1.0):
+                np.testing.assert_allclose(_group_step(B.T @ u, d, kappa, nu), ref,
+                                           rtol=1e-9, atol=1e-12)
+
+
+def test_group_step_on_an_all_zero_block_is_zero():
+    B = np.zeros((8, 3))
+    d = block_majorizer(B, np.array([0]), np.array([3]))
+    np.testing.assert_array_equal(d, 0.0)
+    for kappa in (0.0, 1.0):
+        np.testing.assert_array_equal(_group_step(B.T @ np.ones(8), d, kappa, 0.0), 0.0)
+        np.testing.assert_array_equal(
+            _block_minimize(B, np.ones(8), kappa, np.zeros(3), np.eye(3)), 0.0)
+
+
+def test_group_step_at_the_exact_threshold_is_zero():
+    rng = np.random.default_rng(15)
+    B = _orthogonal_block(rng, 12, 4)
+    u = rng.standard_normal(12)
+    b = B.T @ u
+    kappa = 2.0 * float(np.linalg.norm(b))
+    d = block_majorizer(B, np.array([0]), np.array([4]))
+    evals, evecs = np.linalg.eigh(2.0 * (B.T @ B))
+    np.testing.assert_array_equal(_group_step(b, d, kappa, 1.0), 0.0)
+    np.testing.assert_array_equal(_block_minimize(B, u, kappa, evals, evecs), 0.0)
+    assert np.linalg.norm(_group_step(b, d, 0.999 * kappa, 1.0)) > 0.0

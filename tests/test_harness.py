@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from nlvar import baselines
+from nlvar import baselines, harness
 from nlvar.errors import BadRangeError, ConfigError, DimensionMismatchError, FoldTooSmallError
 from nlvar.grouplasso import SolverOptions
 from nlvar.harness import (
@@ -19,7 +20,7 @@ from nlvar.harness import (
     scale_count,
     split_experiment_data,
 )
-from nlvar.harness import _kernel_path
+from nlvar.harness import _CV_DEFAULT_OPTIONS, _kernel_path
 from nlvar.kernels import DEFAULT_DICTIONARY, RANK_TOL, build_feature_stack, build_gram_stack
 from nlvar.series import MultivariateSeries, lag_embed
 from nlvar.solver import fit, predict, solve_task_l1
@@ -160,6 +161,32 @@ def test_cv_path_matches_the_final_fit(method):
     model = fit(method, train, 2.0, options)
     assert model.A.any()
     np.testing.assert_allclose(next(path), predict(model, val.inputs), rtol=1e-9, atol=1e-9)
+
+
+def test_cv_fold_solves_converge_within_the_cv_budget(monkeypatch):
+    # the first of 3 folds of the cv-l1 benchmark series (train 300, seed 20,
+    # 8-point grid): a CV curve must rank optima, not budget-stopped iterates
+    series = generate_synthetic(SyntheticSpec(length=1800, seed=20))
+    _, train, _ = split_experiment_data(series, train=300, holdout=1500, lag=5)
+    n = train.n_pairs
+    val_rows = np.array_split(np.arange(n), 3)[0]
+    sub = train.subset(np.setdiff1d(np.arange(n), val_rows))
+    grid = GridSpec(count=8, low_exp=-3.5, high_exp=3.5)
+    lams = grid.values(math.sqrt(n) * scale_count("nvarl1", train.n_series))[::-1]
+    flags = []
+    solve = harness._solve_stacked
+
+    def recording(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        flags.append(result[3])
+        return result
+
+    monkeypatch.setattr(harness, "_solve_stacked", recording)
+    for _ in _kernel_path("nvarl1", sub, train.inputs[val_rows], [float(lam) for lam in lams],
+                          DEFAULT_DICTIONARY, _CV_DEFAULT_OPTIONS, RANK_TOL):
+        pass
+    assert len(flags) == 40
+    assert all(flags), f"{flags.count(False)} of 40 solves unconverged"
 
 
 def test_evaluate_perfect_predictions():

@@ -64,6 +64,12 @@ def test_nvarl1_final_fit_solves_each_output_once_through_solver():
     assert all(entry["status"] == "ok" for entry in report["methods"].values())
     assert len(tracer.l1_flags) == 5
     assert not tracer.broken
+    # the grouplasso counters read iterations and converged from the
+    # _solve_stacked result by position
+    metrics = tracer.layer_metrics()
+    assert metrics["grouplasso.solves"]["value"] > 0
+    assert metrics["grouplasso.iters"]["value"] >= metrics["grouplasso.solves"]["value"]
+    assert metrics["grouplasso.unconverged"]["value"] == 0
 
 
 def test_nvarl12_fit_records_coefficient_solves_and_newton_counts():
