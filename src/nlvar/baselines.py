@@ -78,8 +78,7 @@ def fit_baseline(method: str, train: SupervisedSet, lam: float = 0.0,
                            lam=lam, names=names)
 
     # lvarl1: the m outputs share one design
-    blocks = [np.ascontiguousarray(X[:, cols]) for cols in train.partition_map]
-    design = GroupedProblem(blocks, Y[:, 0], lam)
+    design = GroupedProblem([X[:, cols] for cols in train.partition_map], Y[:, 0], lam)
     coef = np.zeros((m * p, m))
     for s in range(m):
         start = None if warm is None else [warm.coef[cols, s] for cols in train.partition_map]

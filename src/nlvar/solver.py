@@ -295,10 +295,10 @@ def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions | 
     grams = build_gram_stack(train.inputs, train.partition_map, dictionary, partitions)
 
     if method in ("nvarl1", "nvar"):
-        features = build_feature_stack(grams, feature_tol)
         # the stacked design and its majorizer depend only on the features,
-        # so the m tasks share them
-        design = GroupedProblem(features.features, train.outputs[:, 0], 0.0)
+        # so the m tasks share them; the features are held only as that design
+        design = GroupedProblem(build_feature_stack(grams, feature_tol).features,
+                                train.outputs[:, 0], 0.0)
         tasks = [solve_task_l1(design, grams, y, lam, opts=options) for y in train.outputs.T]
     else:
         tasks = [solve_task_l12(grams, grams.group_index, y, lam, opts=options)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import _block_minimize, cd_group_lasso, gl_objective, random_grouped_instance
 
+from nlvar import grouplasso
 from nlvar.errors import DimensionMismatchError, NonFiniteObjectiveError
 from nlvar.grouplasso import (
     GroupedProblem,
@@ -9,6 +10,7 @@ from nlvar.grouplasso import (
     _group_step,
     block_majorizer,
     group_starts,
+    kkt_tolerance,
     optimality_gap,
     prox_groups,
     solve_group_lasso,
@@ -247,3 +249,93 @@ def test_group_step_at_the_exact_threshold_is_zero():
     np.testing.assert_array_equal(_group_step(b, d, kappa, 1.0), 0.0)
     np.testing.assert_array_equal(_block_minimize(B, u, kappa, evals, evecs), 0.0)
     assert np.linalg.norm(_group_step(b, d, 0.999 * kappa, 1.0)) > 0.0
+
+
+def test_blocks_are_views_of_the_stacked_design():
+    rng = np.random.default_rng(16)
+    blocks, y = random_grouped_instance(rng, n=10, n_groups=3)
+    problem = GroupedProblem(blocks, y, 1.0)
+    B, starts, sizes = problem.stacked()
+    for block, lo, size, view in zip(blocks, starts, sizes, problem.design_blocks):
+        assert np.shares_memory(view, B)
+        np.testing.assert_array_equal(view, block)
+        np.testing.assert_array_equal(B[:, lo:lo + size], block)
+    derived = problem.with_target(-y, 2.0)
+    assert derived.stacked()[0] is B
+    assert derived.majorizer() is problem.majorizer()
+    with pytest.raises(DimensionMismatchError):
+        problem.with_target(y[:-1], 1.0)
+
+
+def _correlated_instance(rng, n=40, n_groups=4, r=3, rho=0.99):
+    """Groups whose columns all load on one common factor: plain cyclic
+    sweeps crawl along it for thousands of sweeps."""
+    z = rng.standard_normal(n)
+    blocks = [rho * z[:, None] + np.sqrt(1.0 - rho ** 2) * rng.standard_normal((n, r))
+              for _ in range(n_groups)]
+    y = blocks[0] @ rng.standard_normal(r) + blocks[1] @ rng.standard_normal(r)
+    return blocks, y + 0.1 * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("kappa", [0.05, 0.5])
+def test_correlated_groups_match_the_oracle_with_a_monotone_trace(kappa):
+    blocks, y = _correlated_instance(np.random.default_rng(17))
+    sol = solve_group_lasso(GroupedProblem(blocks, y, kappa), opts=TIGHT)
+    assert sol.converged
+    trace = np.array(sol.objective_trace)
+    assert len(trace) == sol.iterations + 1
+    assert np.all(trace[1:] <= trace[:-1] + 1e-12 * np.abs(trace[:-1]))
+    for w, wr in zip(sol.weights, cd_group_lasso(blocks, y, kappa)):
+        np.testing.assert_allclose(w, wr, atol=1e-7)
+
+
+def test_extrapolation_cuts_the_sweeps_on_correlated_groups(monkeypatch):
+    blocks, y = _correlated_instance(np.random.default_rng(17))
+    problem = GroupedProblem(blocks, y, 0.5)
+    accelerated = solve_group_lasso(problem, opts=TIGHT)
+    monkeypatch.setattr(grouplasso, "_ANDERSON_EVERY", TIGHT.max_iter + 1)
+    plain = solve_group_lasso(problem, opts=TIGHT)
+    assert plain.converged and accelerated.converged
+    assert plain.iterations >= 500
+    assert accelerated.iterations <= plain.iterations // 5
+    f_plain = gl_objective(blocks, y, 0.5, plain.weights)
+    f_acc = gl_objective(blocks, y, 0.5, accelerated.weights)
+    assert f_acc == pytest.approx(f_plain, rel=1e-10)
+
+
+def test_warm_start_from_a_sparser_solution_lets_groups_enter():
+    # the target is orthogonal to group 1, which enters only once group 0
+    # has grown: at the warm start its zero step does not move it
+    rng = np.random.default_rng(2)
+    n = 30
+    x0 = rng.standard_normal((n, 2))
+    x1 = 0.8 * x0 @ rng.standard_normal((2, 2)) + 0.6 * rng.standard_normal((n, 2))
+    blocks = [x0, x1, rng.standard_normal((n, 2))]
+    y = x0 @ np.array([1.0, -1.0]) + 0.3 * rng.standard_normal(n)
+    Q, _ = np.linalg.qr(x1)
+    y -= Q @ (Q.T @ y)
+    big = 0.5 * max(2.0 * np.linalg.norm(B.T @ y) for B in blocks)
+    small = 0.3 * big
+    opts = SolverOptions(max_iter=100000, rel_tol=1e-10)
+    sparse = solve_group_lasso(GroupedProblem(blocks, y, big), opts=opts)
+    problem = GroupedProblem(blocks, y, small)
+    cold = solve_group_lasso(problem, opts=opts)
+    warm = solve_group_lasso(problem, warm_start=sparse.weights, opts=opts)
+    resid = y - sum(B @ w for B, w in zip(blocks, sparse.weights))
+    assert not sparse.weights[1].any() and np.linalg.norm(x1.T @ resid) <= small / 2
+    assert np.linalg.norm(cold.weights[1]) > 0.1
+    assert warm.converged
+    assert optimality_gap(problem, warm.weights) <= kkt_tolerance(opts) * small
+    f_cold = gl_objective(blocks, y, small, cold.weights)
+    f_warm = gl_objective(blocks, y, small, warm.weights)
+    assert f_warm == pytest.approx(f_cold, rel=1e-8)
+
+
+@pytest.mark.parametrize("max_iter", [1, 4, 5, 6, 11, 17])
+def test_sweeps_never_exceed_the_budget(max_iter):
+    blocks, y = _correlated_instance(np.random.default_rng(18))
+    sol = solve_group_lasso(GroupedProblem(blocks, y, 0.05),
+                            opts=SolverOptions(max_iter=max_iter, rel_tol=1e-13))
+    assert not sol.converged
+    assert sol.iterations == max_iter
+    assert len(sol.objective_trace) == max_iter + 1

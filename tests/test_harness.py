@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nlvar import baselines, harness
+from nlvar import baselines, grouplasso, harness
 from nlvar.errors import BadRangeError, ConfigError, DimensionMismatchError, FoldTooSmallError
 from nlvar.grouplasso import SolverOptions
 from nlvar.harness import (
@@ -187,6 +187,29 @@ def test_cv_fold_solves_converge_within_the_cv_budget(monkeypatch):
         pass
     assert len(flags) == 40
     assert all(flags), f"{flags.count(False)} of 40 solves unconverged"
+
+
+def test_small_train_cv_solves_converge_within_the_cv_budget(monkeypatch):
+    # the cv-l1 experiment at train 100, where the smallest-penalty lvarl1
+    # and nvarl1 CV solves are hardest: none may stop on the sweep budget
+    flags = []
+    for module in (harness, grouplasso):
+        def recording(*args, _solve=module._solve_stacked, **kwargs):
+            result = _solve(*args, **kwargs)
+            flags.append(result[3])
+            return result
+
+        monkeypatch.setattr(module, "_solve_stacked", recording)
+    config = ExperimentConfig(
+        train=100, holdout=50, synthetic=SyntheticSpec(length=150, seed=20),
+        methods=("mean", "lvarl2", "lvarl1", "nvarl1"),
+        grid=GridSpec(count=8, low_exp=-3.5, high_exp=3.5), folds=3,
+    )
+    report = run_experiment(config)
+    assert all(entry["status"] == "ok" for entry in report["methods"].values())
+    # lvarl1 and nvarl1: 3 folds x 8 penalties x 5 outputs, and 5 final tasks
+    assert len(flags) == 2 * (3 * 8 * 5 + 5)
+    assert all(flags), f"{flags.count(False)} of {len(flags)} solves unconverged"
 
 
 def test_evaluate_perfect_predictions():
