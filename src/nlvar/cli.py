@@ -119,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--method", required=True, choices=ALL_METHODS)
     f.add_argument("--train", type=int, required=True)
     f.add_argument("--lag", type=int, default=DEFAULT_LAG)
-    f.add_argument("--config", default=None, help="JSON with kernels/grid/folds/solver/feature_tol")
+    f.add_argument("--config", default=None,
+                   help="experiment-config JSON: kernels/grid/folds/solver; an unknown key exits 2")
     f.add_argument("--out", required=True)
     group = f.add_mutually_exclusive_group()
     group.add_argument("--lambda", dest="lam", type=float, default=None)

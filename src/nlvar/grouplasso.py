@@ -46,17 +46,18 @@ _ANDERSON_RIDGE = 1e-10
 
 @dataclass
 class SolverOptions:
-    """Budget and tolerance of one solve.
+    """Budget and tolerance of one solve, CV and final fits alike.
 
     max_iter counts sweeps for the group lasso (one exact step per
     working-set group each; an extrapolation is not a sweep) and outer
     proximal Newton steps for nvarl12. rel_tol is the relative objective
     change per sweep below which a group-lasso solve checks its KKT gap over
-    all groups, and it sets the KKT tolerance (kkt_tolerance).
+    all groups, and it sets the KKT tolerance (kkt_tolerance: KKT_REL_TOL at
+    the default), the gap a converged solve must meet.
     """
 
-    max_iter: int = 2000
-    rel_tol: float = 1e-7
+    max_iter: int = 800
+    rel_tol: float = 1e-6
 
     def __post_init__(self):
         if self.max_iter < 1:

@@ -26,7 +26,6 @@ from .errors import (
 from .grouplasso import GroupedProblem, SolverOptions, _solve_stacked
 from .kernels import (
     DEFAULT_DICTIONARY,
-    RANK_TOL,
     KernelSpec,
     build_cross_stack,
     build_feature_stack,
@@ -45,12 +44,6 @@ CANONICAL_SEED = 20
 
 DEFAULT_LAG = 5
 DEFAULT_HOLDOUT = 500
-
-#: Iteration budget for CV fits when no solver options are given: candidate
-#: penalties only need to be ranked, not solved to final-fit precision. Its
-#: rel_tol keeps the contractual KKT tolerance, so an nvarl12 CV solve, which
-#: stops on that tolerance alone, is as tight as a final fit.
-_CV_DEFAULT_OPTIONS = SolverOptions(max_iter=800, rel_tol=1e-6)
 
 
 def default_psi() -> np.ndarray:
@@ -77,6 +70,8 @@ class SyntheticSpec:
     psi: np.ndarray | None = None
 
     def __post_init__(self):
+        self.length = _as_int(self.length, "synthetic length")
+        self.seed = _as_int(self.seed, "synthetic seed")
         if self.psi is None:
             self.psi = default_psi()
         self.psi = np.asarray(self.psi, dtype=float)
@@ -165,7 +160,7 @@ def _baseline_path(method: str, sub: SupervisedSet, X_val, lams, options):
 
 
 def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
-                 options: SolverOptions | None, feature_tol: float):
+                 options: SolverOptions | None):
     """nvarl1 / nvar (l1 route on empirical features) and nvarl12.
 
     Unlike solver.fit this builds the Gram stack, the features and the
@@ -175,7 +170,7 @@ def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
     partitions = [None] if method == "nvar" else list(range(sub.n_series))
     grams = build_gram_stack(sub.inputs, sub.partition_map, dictionary, partitions)
     if method != "nvarl12":
-        design = GroupedProblem(build_feature_stack(grams, feature_tol).features,
+        design = GroupedProblem(build_feature_stack(grams).features,
                                 sub.outputs[:, 0], 0.0)
         B, starts, sizes = design.stacked()
         majorizer = design.majorizer()
@@ -210,8 +205,7 @@ def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
 
 def cv_select(train: SupervisedSet, method: str, grid: GridSpec | None = None,
               folds: int = 5, dictionary=DEFAULT_DICTIONARY,
-              options: SolverOptions | None = None,
-              feature_tol: float = RANK_TOL) -> tuple[float, np.ndarray]:
+              options: SolverOptions | None = None) -> tuple[float, np.ndarray]:
     """Pick the regularization value by blocked cross-validation.
 
     Folds are contiguous time blocks. The grid is traversed from the largest
@@ -219,7 +213,8 @@ def cv_select(train: SupervisedSet, method: str, grid: GridSpec | None = None,
     The winner is the largest grid value whose mean validation MSE is within
     one standard error (over folds, at the minimizing value) of the minimum:
     differences below fold noise count as ties and break toward the larger
-    penalty. Returns (lam_star, mean validation MSE per ascending value).
+    penalty. The fits run with `options`, SolverOptions() by default as for
+    a final fit. Returns (lam_star, mean validation MSE per ascending value).
     """
     if method not in ALL_METHODS:
         raise ConfigError(f"unknown method {method!r}")
@@ -240,7 +235,7 @@ def cv_select(train: SupervisedSet, method: str, grid: GridSpec | None = None,
         sub = train.subset(np.setdiff1d(np.arange(n), val_rows))
         X_val, Y_val = train.inputs[val_rows], train.outputs[val_rows]
         if method in solver.KERNEL_METHODS:
-            path = _kernel_path(method, sub, X_val, descending, dictionary, options, feature_tol)
+            path = _kernel_path(method, sub, X_val, descending, dictionary, options)
         else:
             path = _baseline_path(method, sub, X_val, descending, options)
         for k, preds in zip(range(grid.count - 1, -1, -1), path):
@@ -290,7 +285,6 @@ class ExperimentConfig:
     folds: int = 5
     lam: float | None = None
     options: SolverOptions | None = None
-    feature_tol: float = RANK_TOL
     out_dir: str | None = None
     save_models: bool = False
 
@@ -301,6 +295,8 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; valid: {list(ALL_METHODS)}")
+        if not self.dictionary:
+            raise ConfigError("kernels must list at least one kernel")
         if (self.synthetic is None) == (self.csv_path is None):
             raise ConfigError("exactly one data source (synthetic or csv) is required")
         if self.train < self.lag + 2:
@@ -312,28 +308,32 @@ class ExperimentConfig:
                 raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
             if self.lam == 0.0 and set(self.methods) & set(solver.KERNEL_METHODS):
                 raise ConfigError("lambda must be > 0 for the kernel methods")
-        if not 0.0 < self.feature_tol < 1.0:
-            raise ConfigError(f"feature_tol must lie in (0, 1), got {self.feature_tol}")
+
+
+def _read_keys(doc, keys, where: str) -> dict:
+    """`doc`, once it is a JSON object with no key outside `keys`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
+    unread = sorted(set(doc) - set(keys))
+    if unread:
+        raise ConfigError(f"unknown {where} keys {unread}; valid: {sorted(keys)}")
+    return doc
 
 
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a run config from the JSON document accepted by the CLI.
 
     Missing or malformed values (a non-integral count or size included),
-    bad kernels and unknown grid or solver keys raise ConfigError.
+    bad or no kernels, and any key it does not read raise ConfigError. The
+    data.synthetic, grid and solver keys are the fields of SyntheticSpec,
+    GridSpec and SolverOptions.
     """
+    doc = _read_keys(doc, ("data", "train", "holdout", "lag", "methods", "kernels", "grid",
+                           "folds", "lambda", "solver", "out_dir", "save_models"), "config")
     try:
         train = _as_int(doc["train"], "train")
         holdout = _as_int(doc.get("holdout", DEFAULT_HOLDOUT), "holdout")
-        data = doc.get("data", {})
-        synthetic = None
-        if "synthetic" in data:
-            s = data["synthetic"]
-            synthetic = SyntheticSpec(
-                length=_as_int(s.get("length", train + holdout), "synthetic length"),
-                seed=_as_int(s.get("seed", CANONICAL_SEED), "synthetic seed"),
-                psi=np.asarray(s["psi"], dtype=float) if s.get("psi") is not None else None,
-            )
+        data = _read_keys(doc.get("data", {}), ("synthetic", "csv"), "data")
         solver_doc = dict(doc.get("solver") or {})
         if "max_iter" in solver_doc:
             solver_doc["max_iter"] = _as_int(solver_doc["max_iter"], "solver max_iter")
@@ -343,7 +343,8 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
         return ExperimentConfig(
             train=train,
             methods=doc.get("methods", ALL_METHODS),
-            synthetic=synthetic,
+            synthetic=(SyntheticSpec(**{"length": train + holdout, **data["synthetic"]})
+                       if "synthetic" in data else None),
             csv_path=data.get("csv"),
             holdout=holdout,
             lag=_as_int(doc.get("lag", DEFAULT_LAG), "lag"),
@@ -352,7 +353,6 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
             folds=_as_int(doc.get("folds", 5), "folds"),
             lam=None if doc.get("lambda") is None else float(doc["lambda"]),
             options=SolverOptions(**solver_doc) if solver_doc else None,
-            feature_tol=float(doc.get("feature_tol", RANK_TOL)),
             out_dir=doc.get("out_dir"),
             save_models=bool(doc.get("save_models", False)),
         )
@@ -387,29 +387,27 @@ def select_lambda(config: ExperimentConfig, method: str, train_set) -> tuple[flo
     """The penalty a run fits `method` at, and its CV curve (None without CV).
 
     A fixed config.lam wins; the mean predictor has nothing to select; a
-    one-point grid is its own choice; otherwise cv_select runs at the CV
-    budget (config.options, else the lighter default).
+    one-point grid is its own choice; otherwise cv_select runs with
+    config.options, the budget of the final fit.
     """
     if config.lam is not None:
         return float(config.lam), None
     if method == "mean":
         return 0.0, None
     lam, curve = cv_select(train_set, method, config.grid, config.folds,
-                           dictionary=config.dictionary,
-                           options=config.options or _CV_DEFAULT_OPTIONS,
-                           feature_tol=config.feature_tol)
+                           dictionary=config.dictionary, options=config.options)
     if config.grid.count == 1:
         return lam, None
     return lam, [float(v) for v in curve]
 
 
 def fit_method(config: ExperimentConfig, method: str, train_set, lam, stats=None, names=None):
-    """Fit one method at a fixed lambda with the run's dictionary, feature
-    tolerance and solver options: solver.fit for the kernel methods,
-    baselines.fit_baseline for the rest."""
+    """Fit one method at a fixed lambda with the run's dictionary and solver
+    options: solver.fit for the kernel methods, baselines.fit_baseline for
+    the rest."""
     if method in solver.KERNEL_METHODS:
         return solver.fit(method, train_set, lam, config.options, stats, names,
-                          dictionary=config.dictionary, feature_tol=config.feature_tol)
+                          dictionary=config.dictionary)
     return baselines.fit_baseline(method, train_set, lam, config.options, stats, names)
 
 

@@ -208,10 +208,10 @@ def cross_gram(spec: KernelSpec, train_rows: np.ndarray, test_rows: np.ndarray) 
     return spec.norm_factor * _raw_gram(spec, train_rows, test_rows)
 
 
-def empirical_features(K: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def empirical_features(K: np.ndarray) -> np.ndarray:
     """Factor a PSD matrix as Phi Phi^T by eigendecomposition.
 
-    Columns correspond to eigenvalues above tol * max eigenvalue; small
+    Columns correspond to eigenvalues above RANK_TOL * max eigenvalue; small
     negative eigenvalues (numerical noise) are dropped, clearly negative
     ones raise NotPSDError.
     """
@@ -220,9 +220,9 @@ def empirical_features(K: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     top = float(vals[-1])
     if top <= 0.0:
         raise NotPSDError("matrix has no positive eigenvalue")
-    if vals[0] < -10.0 * tol * top:
-        raise NotPSDError(f"eigenvalue {vals[0]:.3e} below -10*tol*max ({top:.3e})")
-    keep = vals > tol * top
+    if vals[0] < -10.0 * RANK_TOL * top:
+        raise NotPSDError(f"eigenvalue {vals[0]:.3e} below -10*RANK_TOL*max ({top:.3e})")
+    keep = vals > RANK_TOL * top
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
@@ -244,8 +244,8 @@ def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTI
     return GramStack(grams=grams, specs=specs, group_index=group_index_of(specs))
 
 
-def build_feature_stack(stack: GramStack, tol: float = RANK_TOL) -> FeatureStack:
-    return FeatureStack(features=[empirical_features(K, tol) for K in stack.grams])
+def build_feature_stack(stack: GramStack) -> FeatureStack:
+    return FeatureStack(features=[empirical_features(K) for K in stack.grams])
 
 
 def build_cross_stack(stack: GramStack, train_inputs: np.ndarray, new_inputs: np.ndarray,

@@ -35,7 +35,6 @@ from .grouplasso import (
 )
 from .kernels import (
     DEFAULT_DICTIONARY,
-    RANK_TOL,
     FeatureStack,
     GramStack,
     KernelSpec,
@@ -280,7 +279,7 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
 
 def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions | None = None,
         norm_stats: NormStats | None = None, names: list[str] | None = None, *,
-        dictionary=DEFAULT_DICTIONARY, feature_tol: float = RANK_TOL) -> ModelFit:
+        dictionary=DEFAULT_DICTIONARY) -> ModelFit:
     """Fit all m output tasks of a kernel method at penalty `lam` over a
     shared Gram stack built once.
 
@@ -297,7 +296,7 @@ def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions | 
     if method in ("nvarl1", "nvar"):
         # the stacked design and its majorizer depend only on the features,
         # so the m tasks share them; the features are held only as that design
-        design = GroupedProblem(build_feature_stack(grams, feature_tol).features,
+        design = GroupedProblem(build_feature_stack(grams).features,
                                 train.outputs[:, 0], 0.0)
         tasks = [solve_task_l1(design, grams, y, lam, opts=options) for y in train.outputs.T]
     else:

@@ -142,6 +142,8 @@ MISSING = "missing"
     (None, {"solver": {"max_iter": 2.5}}),
     (None, {"grid": {"count": 3, "scale": 2.0}}),
     (None, [1]),  # a config that is not a JSON object
+    (None, {"kernels": []}),
+    (None, {"lamda": 1.0}),  # a key nothing reads
 ])
 def test_fit_rejects_bad_input_with_exit_code_2(tmp_path, data_csv, capsys, csv_text, config):
     data, cfg = data_csv, tmp_path / "cfg.json"
@@ -196,8 +198,7 @@ def test_predict_rejects_corrupted_model_with_exit_code_2(tmp_path, data_csv):
 def test_fit_cv_matches_the_benchmark_fit(tmp_path, data_csv):
     # same settings, same training window: `fit --cv` must pick the penalty
     # and write the model a benchmark run does
-    settings = {"grid": {"count": 3, "low_exp": -1, "high_exp": 2}, "folds": 3,
-                "feature_tol": 1e-4}
+    settings = {"grid": {"count": 3, "low_exp": -1, "high_exp": 2}, "folds": 3}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(settings))
     model_path = tmp_path / "model.json"

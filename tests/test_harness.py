@@ -20,8 +20,8 @@ from nlvar.harness import (
     scale_count,
     split_experiment_data,
 )
-from nlvar.harness import _CV_DEFAULT_OPTIONS, _kernel_path
-from nlvar.kernels import DEFAULT_DICTIONARY, RANK_TOL, build_feature_stack, build_gram_stack
+from nlvar.harness import _kernel_path, select_lambda
+from nlvar.kernels import DEFAULT_DICTIONARY, build_feature_stack, build_gram_stack
 from nlvar.series import MultivariateSeries, lag_embed
 from nlvar.solver import fit, predict, solve_task_l1
 
@@ -157,7 +157,7 @@ def test_cv_path_matches_the_final_fit(method):
     series = generate_synthetic(SyntheticSpec(length=100, seed=23))
     _, train, val = split_experiment_data(series, train=70, holdout=30, lag=3)
     options = SolverOptions(max_iter=300, rel_tol=1e-6)
-    path = _kernel_path(method, train, val.inputs, [2.0], DEFAULT_DICTIONARY, options, RANK_TOL)
+    path = _kernel_path(method, train, val.inputs, [2.0], DEFAULT_DICTIONARY, options)
     model = fit(method, train, 2.0, options)
     assert model.A.any()
     np.testing.assert_allclose(next(path), predict(model, val.inputs), rtol=1e-9, atol=1e-9)
@@ -183,7 +183,7 @@ def test_cv_fold_solves_converge_within_the_cv_budget(monkeypatch):
 
     monkeypatch.setattr(harness, "_solve_stacked", recording)
     for _ in _kernel_path("nvarl1", sub, train.inputs[val_rows], [float(lam) for lam in lams],
-                          DEFAULT_DICTIONARY, _CV_DEFAULT_OPTIONS, RANK_TOL):
+                          DEFAULT_DICTIONARY, SolverOptions()):
         pass
     assert len(flags) == 40
     assert all(flags), f"{flags.count(False)} of 40 solves unconverged"
@@ -210,6 +210,32 @@ def test_small_train_cv_solves_converge_within_the_cv_budget(monkeypatch):
     # lvarl1 and nvarl1: 3 folds x 8 penalties x 5 outputs, and 5 final tasks
     assert len(flags) == 2 * (3 * 8 * 5 + 5)
     assert all(flags), f"{flags.count(False)} of {len(flags)} solves unconverged"
+
+
+def test_cv_runs_at_one_budget_from_the_library_and_from_a_config(monkeypatch):
+    # cv_select called as the README does and select_lambda on a config
+    # without a solver key must hand the CV solves the same options
+    synthetic = SyntheticSpec(length=100, seed=23)
+    _, train, _ = split_experiment_data(generate_synthetic(synthetic), train=70, holdout=30,
+                                        lag=3)
+    grid = GridSpec(count=2, low_exp=0.0, high_exp=1.0)
+    budgets = []
+    solve = harness._solve_stacked
+
+    def recording(*args):
+        budgets[-1].append(args[5])  # _solve_stacked(B, starts, sizes, y, kappa, opts, ...)
+        return solve(*args)
+
+    monkeypatch.setattr(harness, "_solve_stacked", recording)
+    budgets.append([])
+    cv_select(train, "nvarl1", grid, 2)
+    budgets.append([])
+    config = ExperimentConfig(train=70, holdout=30, lag=3, methods=("nvarl1",),
+                              synthetic=synthetic, grid=grid, folds=2)
+    select_lambda(config, "nvarl1", train)
+    library, from_config = budgets
+    assert library and from_config
+    assert all(opts == from_config[0] for opts in library + from_config)
 
 
 def test_evaluate_perfect_predictions():
@@ -392,7 +418,7 @@ _GOOD_DOC = {"data": {"synthetic": {"length": 160, "seed": 3}}, "train": 100, "h
              "lag": 3, "methods": ["mean", "nvarl1"]}
 
 
-@pytest.mark.parametrize("change", [
+_BAD_VALUES = [(change, None) for change in [
     {"train": 100.9},
     {"lag": 3.7},
     {"folds": 2.9},
@@ -413,9 +439,22 @@ _GOOD_DOC = {"data": {"synthetic": {"length": 160, "seed": 3}}, "train": 100, "h
     {"feature_tol": 0.0},
     {"feature_tol": 1.0},
     {"methods": "mean"},  # a string, not a list of names
-])
-def test_config_rejects_bad_values(change):
-    with pytest.raises(ConfigError):
+]] + [
+    # a key nothing reads is an error that names it, not a silent default
+    ({"lamda": 1.0}, "'lamda'"),
+    ({"fold": 3}, "'fold'"),
+    ({"kernel": [["linear", None]]}, "'kernel'"),
+    ({"data": {"synthetic": {"length": 160, "sed": 3}}}, "'sed'"),
+    ({"data": {"csv": "x.csv", "header": True}}, "'header'"),
+    ({"feature_tol": 1e-4}, "'feature_tol'"),  # retired: the cut-off is RANK_TOL
+    ({"kernels": []}, "kernels"),
+]
+
+
+@pytest.mark.parametrize("change, names", _BAD_VALUES,
+                         ids=[f"change{i}" for i in range(len(_BAD_VALUES))])
+def test_config_rejects_bad_values(change, names):
+    with pytest.raises(ConfigError, match=names):
         experiment_config_from_dict({**_GOOD_DOC, **change})
 
 

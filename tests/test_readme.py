@@ -1,10 +1,15 @@
-"""The README's library examples must match the package's public API."""
+"""The README's library examples and experiment config must match the
+package's public API and config parser."""
 
 import ast
 import importlib
 import inspect
+import json
 import re
 from pathlib import Path
+
+from nlvar.grouplasso import SolverOptions
+from nlvar.harness import experiment_config_from_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,3 +43,11 @@ def test_readme_library_examples_bind_to_the_api():
                 raise AssertionError(
                     f"README line {call.lineno}: {ast.unparse(call)} does not fit "
                     f"{call.func.id}{signature}: {exc}") from None
+
+
+def test_readme_experiment_config_parses_at_the_default_budget():
+    blocks = re.findall(r"^```json\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1, "README should hold one experiment-config JSON block"
+    # a tiny data spec: parsing reads it, and nothing is generated
+    doc = {**json.loads(blocks[0]), "data": {"synthetic": {"length": 20}}}
+    assert experiment_config_from_dict(doc).options == SolverOptions()
