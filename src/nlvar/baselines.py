@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import solver
 from .errors import DimensionMismatchError, SingularSystemError, UnsupportedKindError
 from .grouplasso import GroupedProblem, SolverOptions, solve_group_lasso
 from .series import NormStats, SupervisedSet
@@ -104,7 +103,7 @@ def predict_baseline(fit: BaselineFit, new_inputs) -> np.ndarray:
     return X @ fit.coef
 
 
-def baseline_adjacency(fit: BaselineFit, threshold: float = solver.ADJ_ZERO_TOL) -> AdjacencyMatrix:
+def baseline_adjacency(fit: BaselineFit) -> AdjacencyMatrix:
     """Granger graph of the group-lasso linear model: entry (j, s) is the l2
     norm of series j's lag coefficients in output s's predictor."""
     if fit.method != "lvarl1":
@@ -115,4 +114,4 @@ def baseline_adjacency(fit: BaselineFit, threshold: float = solver.ADJ_ZERO_TOL)
     for j in range(mp // p):
         block = fit.coef[j * p : (j + 1) * p, :]
         raw[j] = np.linalg.norm(block, axis=0)
-    return AdjacencyMatrix(values=normalize_adjacency(raw, threshold), names=fit.names)
+    return AdjacencyMatrix(values=normalize_adjacency(raw), names=fit.names)

@@ -32,8 +32,9 @@ def _cmd_generate(args):
 
 
 def _cmd_fit(args):
-    # the config file supplies the same settings as a benchmark run's
-    settings = {} if args.config is None else modelio.read_json(args.config)
+    # the config file supplies the settings the command line does not
+    settings = {} if args.config is None else harness._read_keys(
+        modelio.read_json(args.config), ("kernels", "grid", "folds", "solver"), "fit --config")
     doc = {**settings, "data": {"csv": args.data}, "train": args.train,
            "lag": args.lag, "methods": [args.method], "lambda": args.lam}
     config = harness.experiment_config_from_dict(doc)
@@ -79,7 +80,7 @@ def _cmd_evaluate(args):
 
 def _cmd_adjacency(args):
     model = modelio.load_model(args.model)
-    adj = modelio.model_adjacency(model, threshold=args.threshold)
+    adj = modelio.model_adjacency(model)
     names = adj.names or [f"y{j + 1}" for j in range(adj.values.shape[0])]
     write_csv(MultivariateSeries(values=adj.values, names=list(names)), args.out)
     print(f"wrote {adj.values.shape[0]}x{adj.values.shape[1]} adjacency to {args.out}")
@@ -143,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("adjacency", help="export the Granger adjacency matrix as CSV")
     a.add_argument("--model", required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--threshold", type=float, default=1e-8)
     a.set_defaults(func=_cmd_adjacency)
 
     b = sub.add_parser("benchmark", help="full experiment run from a JSON config")

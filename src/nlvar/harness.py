@@ -193,9 +193,7 @@ def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
                                          majorizer, warm[s])[0]
             warm = list(W.T)
             A = solver.l1_weights(W, starts, lam)
-            C = np.column_stack(
-                [solver.solve_coefficients(grams, A[:, s], Y[:, s], lam) for s in range(m)]
-            )
+            C = (Y - B @ W) / lam  # the residuals over lam, as in solver.solve_task_l1
         preds = np.zeros((len(X_val), m))
         for d, block in enumerate(cross):
             if A[d].any():

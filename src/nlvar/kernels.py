@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateKernelError,
     DimensionMismatchError,
     NormFactorMissingError,
@@ -108,6 +109,8 @@ class FeatureStack:
 
 def make_specs(partitions, dictionary=DEFAULT_DICTIONARY) -> list[KernelSpec]:
     """Instantiate the dictionary on each partition, partition-major order."""
+    if not dictionary:
+        raise ConfigError("the kernel dictionary must list at least one kernel")
     return [KernelSpec(kind=kind, param=param, partition=part)
             for part in partitions for kind, param in dictionary]
 

@@ -188,8 +188,8 @@ def predict_model(model, new_inputs) -> np.ndarray:
     return baselines.predict_baseline(model, X)
 
 
-def model_adjacency(model, threshold: float = solver.ADJ_ZERO_TOL) -> solver.AdjacencyMatrix:
+def model_adjacency(model) -> solver.AdjacencyMatrix:
     """Granger adjacency from either model family (sparse kinds only)."""
     if isinstance(model, solver.ModelFit):
-        return solver.adjacency(model, threshold)
-    return baselines.baseline_adjacency(model, threshold)
+        return solver.adjacency(model)
+    return baselines.baseline_adjacency(model)

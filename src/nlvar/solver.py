@@ -1,12 +1,12 @@
 """Learning the per-output kernel weights and expansion coefficients.
 
 Two regularization routes: the entrywise-l1 route reduces each per-output
-task to a group lasso on empirical features and recovers the kernel weights
-in closed form; the l1/l2 route groups kernels by input partition,
-eliminates the coefficients and solves the convex reduced problem in the
-nonnegative weights by proximal Newton, to the group stationarity gap. Each
-output series is an independent task; the fitted weights stack into the
-matrix read out as a Granger graph.
+task to a group lasso on empirical features, recovers the kernel weights in
+closed form and reads the coefficients off the solver's residual; the l1/l2
+route groups kernels by input partition, eliminates the coefficients and
+solves the convex reduced problem in the nonnegative weights by proximal
+Newton, to the group stationarity gap. Each output series is an independent
+task; the fitted weights stack into the matrix read out as a Granger graph.
 """
 
 from __future__ import annotations
@@ -165,7 +165,8 @@ def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, 
 
     The task is solved globally as a group lasso over the empirical features
     with penalty 2*sqrt(lam); the kernel weights follow in closed form as
-    a_d = sqrt(lam) * ||z_d||_2 and c from the regularized linear system.
+    a_d = sqrt(lam) * ||z_d||_2, and c = (y - sum_d Phi_d z_d) / lam, the
+    residual over lam, solves (sum_d a_d K^d + lam I) c = y at the optimum.
     `features` may also be a GroupedProblem over the feature blocks: tasks
     solved on one such problem share its stacked design and majorizer.
     """
@@ -176,9 +177,10 @@ def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, 
         features = GroupedProblem(features.features, y, 0.0)
     problem = features.with_target(y, 2.0 * math.sqrt(lam))
     sol = solve_group_lasso(problem, warm_start=warm, opts=opts)
-    _, starts, _ = problem.stacked()
-    a = l1_weights(np.concatenate(sol.weights), starts, lam)
-    c = solve_coefficients(grams, a, y, lam)
+    B, starts, _ = problem.stacked()
+    w = np.concatenate(sol.weights)
+    a = l1_weights(w, starts, lam)
+    c = (y - B @ w) / lam
     return TaskSolution(a=a, c=c, z_blocks=sol.weights,
                         objective=task_objective(grams, y, a, c, lam, "l1"),
                         converged=sol.converged, objective_trace=sol.objective_trace)
@@ -342,17 +344,17 @@ def predict(fit_result: ModelFit, new_inputs) -> np.ndarray:
     return preds
 
 
-def normalize_adjacency(raw: np.ndarray, threshold: float = ADJ_ZERO_TOL) -> np.ndarray:
-    """Zero entries below threshold*max and rescale so the largest entry is 1."""
+def normalize_adjacency(raw: np.ndarray) -> np.ndarray:
+    """Zero entries below ADJ_ZERO_TOL*max and rescale so the largest entry is 1."""
     raw = np.asarray(raw, dtype=float)
     top = float(raw.max(initial=0.0))
     if top <= 0.0:
         return np.zeros_like(raw)
-    vals = np.where(raw < threshold * top, 0.0, raw)
+    vals = np.where(raw < ADJ_ZERO_TOL * top, 0.0, raw)
     return vals / top
 
 
-def adjacency(fit_result: ModelFit, threshold: float = ADJ_ZERO_TOL) -> AdjacencyMatrix:
+def adjacency(fit_result: ModelFit) -> AdjacencyMatrix:
     """Granger graph from the weight matrix: sum each output's weights over
     the kernels of one input partition; (j, s) = 0 reads as 'series j is
     non-causal for series s'."""
@@ -364,6 +366,4 @@ def adjacency(fit_result: ModelFit, threshold: float = ADJ_ZERO_TOL) -> Adjacenc
     raw = np.zeros((m_in, fit_result.n_outputs))
     for d, spec in enumerate(fit_result.specs):
         raw[spec.partition] += fit_result.A[d]
-    return AdjacencyMatrix(
-        values=normalize_adjacency(raw, threshold), names=fit_result.names
-    )
+    return AdjacencyMatrix(values=normalize_adjacency(raw), names=fit_result.names)

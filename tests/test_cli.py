@@ -161,6 +161,32 @@ def test_fit_rejects_bad_input_with_exit_code_2(tmp_path, data_csv, capsys, csv_
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("key, value", [("lambda", 5.0), ("holdout", 10), ("methods", ["nvarl1"]),
+                                        ("out_dir", "runs"), ("save_models", True)])
+def test_fit_config_rejects_keys_the_command_line_owns(tmp_path, data_csv, capsys, key, value):
+    # only kernels, grid, folds and solver come from a fit config; the run's
+    # data, window, method and penalty come from the command line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    capsys.readouterr()
+    assert main(["fit", "--data", str(data_csv), "--method", "lvarl2", "--train", "150",
+                 "--lag", "3", "--config", str(cfg), "--out", str(tmp_path / "model.json")]) == 2
+    assert not (tmp_path / "model.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+
+
+def test_adjacency_has_no_threshold_option(tmp_path, data_csv):
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_csv), "--method", "lvarl1", "--train", "150",
+                 "--lag", "3", "--lambda", "5.0", "--out", str(model_path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["adjacency", "--model", str(model_path), "--out", str(tmp_path / "adj.csv"),
+              "--threshold", "0.1"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "adj.csv").exists()
+
+
 def test_fit_with_an_overflowing_kernel_exits_2_and_writes_no_model(tmp_path, data_csv, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kernels": [["polynomial", 1000000000], ["linear", None]]}))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nlvar import baselines, grouplasso, harness
+from nlvar import baselines, grouplasso, harness, solver
 from nlvar.errors import BadRangeError, ConfigError, DimensionMismatchError, FoldTooSmallError
 from nlvar.grouplasso import SolverOptions
 from nlvar.harness import (
@@ -161,6 +161,37 @@ def test_cv_path_matches_the_final_fit(method):
     model = fit(method, train, 2.0, options)
     assert model.A.any()
     np.testing.assert_allclose(next(path), predict(model, val.inputs), rtol=1e-9, atol=1e-9)
+
+
+def test_l1_route_makes_no_coefficient_solve(monkeypatch):
+    # nvarl1 and nvar read c off the group-lasso residual, in CV and in the
+    # final fit; only nvarl12 solves the linear system, once per task
+    calls = []
+
+    def counting(*args, _solve=solver.solve_coefficients, **kwargs):
+        calls.append(1)
+        return _solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_coefficients", counting)
+    series = generate_synthetic(SyntheticSpec(length=100, seed=23))
+    _, train, val = split_experiment_data(series, train=70, holdout=30, lag=3)
+    for method in ("nvarl1", "nvar"):
+        assert fit(method, train, 2.0).A.any()
+        for _ in _kernel_path(method, train, val.inputs, [20.0, 2.0], DEFAULT_DICTIONARY, None):
+            pass
+    assert calls == []
+    fit("nvarl12", train, 2.0)
+    assert len(calls) == train.n_series
+
+
+@pytest.mark.parametrize("method", ["nvarl1", "nvar", "nvarl12"])
+def test_empty_dictionary_is_rejected_where_kernels_are_built(method):
+    series = generate_synthetic(SyntheticSpec(length=100, seed=23))
+    _, train, _ = split_experiment_data(series, train=70, holdout=30, lag=3)
+    with pytest.raises(ConfigError, match="at least one kernel"):
+        fit(method, train, 1.0, dictionary=())
+    with pytest.raises(ConfigError, match="at least one kernel"):
+        cv_select(train, method, dictionary=())
 
 
 def test_cv_fold_solves_converge_within_the_cv_budget(monkeypatch):

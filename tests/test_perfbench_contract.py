@@ -70,6 +70,8 @@ def test_nvarl1_final_fit_solves_each_output_once_through_solver():
     assert metrics["grouplasso.solves"]["value"] > 0
     assert metrics["grouplasso.iters"]["value"] >= metrics["grouplasso.solves"]["value"]
     assert metrics["grouplasso.unconverged"]["value"] == 0
+    # the l1 route reads the coefficients off the group-lasso residual
+    assert metrics["solver.coef_calls"]["value"] == 0
 
 
 def test_nvarl12_fit_records_coefficient_solves_and_newton_counts():

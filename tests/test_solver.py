@@ -2,10 +2,19 @@ import numpy as np
 import pytest
 from oracles import alternating_l1_oracle, cg_solve
 
+from nlvar import solver
 from nlvar.errors import ConfigError, UnsupportedKindError
-from nlvar.grouplasso import SolverOptions
-from nlvar.kernels import GramStack, KernelSpec, build_feature_stack, build_gram_stack
-from nlvar.series import MultivariateSeries, lag_embed
+from nlvar.grouplasso import SolverOptions, kkt_tolerance
+from nlvar.kernels import (
+    GramStack,
+    KernelSpec,
+    build_feature_stack,
+    build_gram_stack,
+    cross_gram,
+    partition_columns,
+)
+from nlvar.modelio import load_model, save_model
+from nlvar.series import MultivariateSeries, lag_columns, lag_embed
 from nlvar.solver import (
     _PREDICT_BLOCK_ROWS,
     adjacency,
@@ -143,6 +152,52 @@ def test_l1_closed_form_weights_and_representer():
         feat_pred = sum(phi @ z for phi, z in zip(feats.features, task.z_blocks))
         kern_pred = sum(task.a[d] * stack.grams[d] @ task.c for d in range(3))
         assert np.linalg.norm(feat_pred - kern_pred) <= 1e-6 * np.linalg.norm(y)
+
+
+def _l1_saved_model_gaps(model, path):
+    """Per output: |sqrt(q_d) - 1| on active kernels, (sqrt(q_d) - 1)+ on
+    inactive ones, q_d = lam c^T K^d c, from the saved model document and
+    cross_gram on its training inputs alone."""
+    save_model(model, path)
+    model = load_model(path)
+    part_map = lag_columns(model.training_inputs.shape[1] // model.lag, model.lag)
+    q = np.empty(model.A.shape)
+    for d, spec in enumerate(model.specs):
+        X = model.training_inputs[:, partition_columns(spec, part_map)]
+        q[d] = model.lam * np.einsum("is,is->s", model.C, cross_gram(spec, X, X) @ model.C)
+    root = np.sqrt(np.maximum(q, 0.0))
+    return np.where(model.A > 0.0, np.abs(root - 1.0), np.maximum(root - 1.0, 0.0)).max(axis=0)
+
+
+@pytest.mark.parametrize("method, lam", [("nvarl1", 0.5), ("nvarl1", 3.0), ("nvar", 1.0)])
+def test_l1_saved_model_gap_is_the_solver_gap(tmp_path, monkeypatch, method, lam):
+    # c is the group-lasso residual over lam, so the stationarity gap read
+    # from the saved model is the solver's own KKT gap over kappa
+    flags = []
+
+    def recording(*args, _solve=solver.solve_group_lasso, **kwargs):
+        result = _solve(*args, **kwargs)
+        flags.append(result.converged)
+        return result
+
+    monkeypatch.setattr(solver, "solve_group_lasso", recording)
+    model = fit(method, _toy_train(np.random.default_rng(24)), lam)
+    assert flags == [True] * 3
+    gaps = _l1_saved_model_gaps(model, tmp_path / "model.json")
+    assert model.A.any()
+    assert gaps.max() <= kkt_tolerance(SolverOptions()) + 1e-9
+
+
+def test_l1_coefficients_solve_the_linear_system_at_tight_options():
+    train = _toy_train(np.random.default_rng(25))
+    grams = build_gram_stack(train.inputs, train.partition_map)
+    feats = build_feature_stack(grams)
+    for lam in (0.3, 2.0):
+        for y in train.outputs.T:
+            task = solve_task_l1(feats, grams, y, lam, opts=TIGHT)
+            assert task.converged and task.a.any()
+            exact = solve_coefficients(grams, task.a, y, lam)
+            assert np.linalg.norm(task.c - exact) <= 1e-6 * np.linalg.norm(exact)
 
 
 def test_l1_objective_matches_restart_oracle():
