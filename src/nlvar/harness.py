@@ -30,6 +30,7 @@ from .kernels import (
     build_cross_stack,
     build_feature_stack,
     build_gram_stack,
+    make_specs,
 )
 from .series import (MultivariateSeries, SupervisedSet, lag_embed, read_csv, standardize_apply,
                      standardize_fit, write_csv)
@@ -218,6 +219,8 @@ def cv_select(train: SupervisedSet, method: str, grid: GridSpec | None = None,
         raise ConfigError(f"unknown method {method!r}")
     if folds < 2:
         raise FoldTooSmallError("need at least 2 folds")
+    if method in solver.KERNEL_METHODS:  # an empty dictionary fails even on a one-point grid
+        make_specs([None], dictionary)
     grid = grid or GridSpec()
     n = train.n_pairs
     lams = grid.values(math.sqrt(n) * scale_count(method, train.n_series, dictionary))

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from .errors import (
     ConfigError,
@@ -108,6 +108,8 @@ def task_objective(grams: GramStack, y, a, c, lam: float, method: str) -> float:
         raise DimensionMismatchError(f"{a.shape[0]} weights for {grams.n_kernels} kernels")
     if a.min(initial=0.0) < 0.0:
         raise ValueError("kernel weights must be nonnegative")
+    # numpy, not _stack_times: the l1 route, numpy throughout, calls this once
+    # per task, and a scipy call there costs a switch of BLAS pools
     pred = a @ np.tensordot(grams.grams, c, axes=1)
     quad = float(c @ pred)
     fit_term = float(np.sum((y - pred) ** 2))
@@ -120,15 +122,32 @@ def task_objective(grams: GramStack, y, a, c, lam: float, method: str) -> float:
     return fit_term + lam * quad + penalty
 
 
+# The dense algebra below stays on scipy's BLAS/LAPACK: numpy and scipy each load
+# their own OpenBLAS thread pool, and every switch between the two waits on the
+# other pool. Fortran-ordered views of the stack reach f2py without a copy.
+def _stack_times(grams: GramStack, c) -> np.ndarray:
+    """U = [K^d c], row d, by one dgemv over the stack."""
+    l, n, _ = grams.grams.shape
+    return blas.dgemv(1.0, grams.grams.reshape(l * n, n).T, c, trans=1).reshape(l, n)
+
+
 def _factor_system(grams: GramStack, a, lam: float):
-    """M = sum_d a_d K^d + lam I, by one pass over the stack, and its lower
-    Cholesky factor."""
-    M = np.tensordot(a, grams.grams, axes=1)
-    M.flat[::M.shape[0] + 1] += lam
-    try:
-        return M, scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"coefficient system not positive definite: {exc}") from exc
+    """M = sum_d a_d K^d + lam I (Fortran-ordered) by one dgemv, and its lower Cholesky factor."""
+    l, n, _ = grams.grams.shape
+    if a.shape != (l,):
+        raise DimensionMismatchError(f"{a.shape[0]} weights for {l} kernels")
+    M = blas.dgemv(1.0, grams.grams.reshape(l, n * n).T, a)
+    M[::n + 1] += lam
+    M = M.reshape(n, n, order="F")  # this reads the sum as M^T, which is M
+    factor, info = lapack.dpotrf(M, lower=1, clean=0)
+    if info != 0:
+        raise SingularSystemError(f"coefficient system not positive definite (dpotrf info {info})")
+    return M, factor
+
+
+def _cho_solve(factor, b) -> np.ndarray:
+    """M^-1 b from the lower Cholesky factor of M."""
+    return lapack.dpotrs(factor, b, lower=1)[0]
 
 
 def solve_coefficients(grams: GramStack, a, y, lam: float) -> np.ndarray:
@@ -139,8 +158,8 @@ def solve_coefficients(grams: GramStack, a, y, lam: float) -> np.ndarray:
     a = np.asarray(a, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     M, factor = _factor_system(grams, a, lam)
-    c = scipy.linalg.cho_solve(factor, y, check_finite=False)
-    c += scipy.linalg.cho_solve(factor, y - M @ c, check_finite=False)
+    c = _cho_solve(factor, y)
+    c += _cho_solve(factor, blas.dsymv(-1.0, M, c, beta=1.0, y=y))
     return c
 
 
@@ -232,14 +251,14 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
 
     def at(point):  # (q, H, penalty, objective); the n x n factor dies on return
         factor = _factor_system(grams, point, lam)[1]
-        c = scipy.linalg.cho_solve(factor, y, check_finite=False)
+        c = _cho_solve(factor, y)
         penalty = group_penalty(point, starts)
         obj = lam * float(y @ c) + penalty
         if not np.isfinite(obj):
             raise NonFiniteObjectiveError(f"objective became {obj}")
-        U = np.tensordot(grams.grams, c, axes=1)  # row d is K^d c
-        H = 2.0 * lam * (U @ scipy.linalg.cho_solve(factor, U.T, check_finite=False))
-        return lam * (U @ c), H, penalty, obj
+        Ut = _stack_times(grams, c).T  # column d is K^d c
+        H = blas.dgemm(2.0 * lam, Ut, _cho_solve(factor, Ut), trans_a=1)
+        return blas.dgemv(lam, Ut, c, trans=1), H, penalty, obj
 
     q, H, penalty, obj = at(a)
     trace: list[float] = []

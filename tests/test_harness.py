@@ -192,6 +192,9 @@ def test_empty_dictionary_is_rejected_where_kernels_are_built(method):
         fit(method, train, 1.0, dictionary=())
     with pytest.raises(ConfigError, match="at least one kernel"):
         cv_select(train, method, dictionary=())
+    # a one-point grid returns before any kernel is built
+    with pytest.raises(ConfigError, match="at least one kernel"):
+        cv_select(train, method, GridSpec(count=1), dictionary=())
 
 
 def test_cv_fold_solves_converge_within_the_cv_budget(monkeypatch):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import alternating_l1_oracle, cg_solve
 
 from nlvar import solver
-from nlvar.errors import ConfigError, UnsupportedKindError
+from nlvar.errors import (ConfigError, DimensionMismatchError, SingularSystemError,
+                          UnsupportedKindError)
 from nlvar.grouplasso import SolverOptions, kkt_tolerance
 from nlvar.kernels import (
     GramStack,
@@ -100,6 +103,8 @@ def test_coefficients_identity_kernel():
     stack = _identity_stack(3)
     y = np.array([3.0, -1.0, 2.0])
     np.testing.assert_allclose(solve_coefficients(stack, np.ones(1), y, 1.0), y / 2.0)
+    with pytest.raises(DimensionMismatchError):  # BLAS would read only the first weight
+        solve_coefficients(stack, np.ones(2), y, 1.0)
 
 
 def test_coefficients_residual_and_cg_oracle():
@@ -114,6 +119,47 @@ def test_coefficients_residual_and_cg_oracle():
         M = lam * np.eye(n) + sum(a[d] * stack.grams[d] for d in range(3))
         assert np.linalg.norm(M @ c - y) <= 1e-8 * np.linalg.norm(y)
         np.testing.assert_allclose(c, cg_solve(M, y), atol=1e-9, rtol=1e-9)
+
+
+def test_non_positive_definite_system_is_rejected():
+    spec = KernelSpec("linear", partition=0, norm_factor=1.0)
+    stack = GramStack(grams=[-2.0 * np.eye(3)], specs=[spec], group_index=[(0, 0)])
+    y = np.array([1.0, 2.0, 3.0])  # M = -2 I + I = -I
+    with pytest.raises(SingularSystemError):
+        solve_coefficients(stack, np.ones(1), y, 1.0)
+    with pytest.raises(SingularSystemError):
+        solve_task_l12(stack, stack.group_index, y, 1.0, warm=[1.0])
+
+
+def test_stack_products_match_tensordot():
+    rng = np.random.default_rng(26)
+    for l, n in [(1, 1), (1, 7), (4, 1), (6, 9), (30, 12)]:
+        stack = _random_stack(rng, n, parts=l)
+        a, c, lam = rng.uniform(0.0, 2.0, l), rng.standard_normal(n), 0.3
+        for got, ref in [(solver._factor_system(stack, a, lam)[0],
+                          np.tensordot(a, stack.grams, axes=1) + lam * np.eye(n)),
+                         (solver._stack_times(stack, c), np.tensordot(stack.grams, c, axes=1))]:
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_solves_make_no_copy_of_the_gram_stack():
+    # f2py copies any argument that is not Fortran-ordered; a copy of the
+    # stack would cost l n^2 doubles per call
+    train = _toy_train(np.random.default_rng(27), n_total=300, m=5)
+    grams = build_gram_stack(train.inputs, train.partition_map)
+    l, n, _ = grams.grams.shape
+    assert l == 30
+    a, y = np.full(l, 1.0 / l), train.outputs[:, 0]
+    for call in (lambda: solve_coefficients(grams, a, y, 1.0),
+                 lambda: solve_task_l12(grams, grams.group_index, y, 1.0,
+                                        opts=SolverOptions(max_iter=2))):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n * 8
 
 
 def test_l1_zero_target():
