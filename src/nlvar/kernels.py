@@ -8,7 +8,7 @@ spec so test-time cross-Gram blocks use the same scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,11 +100,10 @@ class FeatureStack:
     """Per-kernel factors Phi with Phi Phi^T reproducing the Gram matrix."""
 
     features: list[np.ndarray]
-    ranks: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.ranks:
-            self.ranks = [phi.shape[1] for phi in self.features]
+    @property
+    def ranks(self) -> list[int]:
+        return [phi.shape[1] for phi in self.features]
 
 
 def make_specs(partitions, dictionary=DEFAULT_DICTIONARY) -> list[KernelSpec]:
@@ -134,20 +133,6 @@ def partition_columns(spec: KernelSpec, partition_map) -> list[int] | slice:
     if spec.partition is None:
         return slice(None)
     return partition_map[spec.partition]
-
-
-def kernel_eval(spec: KernelSpec, u, v) -> float:
-    """Raw (unnormalized) kernel value for a single pair of vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DimensionMismatchError(f"vectors of shapes {u.shape} and {v.shape}")
-    if spec.kind == "linear":
-        return float(u @ v)
-    if spec.kind == "polynomial":
-        return float((1.0 + u @ v) ** spec.param)
-    diff = u - v
-    return float(np.exp(-(diff @ diff) / (2.0 * spec.param**2)))
 
 
 def _raw_gram(spec: KernelSpec, rows: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:

@@ -58,7 +58,17 @@ _PREDICT_BLOCK_ROWS = 64
 
 @dataclass
 class TaskSolution:
-    """Solution of one per-output task: kernel weights a >= 0, coefficients c."""
+    """Solution of one per-output task: kernel weights a >= 0, coefficients c.
+
+    objective is objective_trace[-1], the task objective
+    ||y - sum_d a_d K^d c||^2 + lam sum_d a_d c^T K^d c + penalty(a) as the
+    route's solver holds it where the solve stopped. The l1 route reports
+    its group lasso's objective ||y - B w||^2 + 2 sqrt(lam) sum_d ||w_d||,
+    equal to the task objective at (a, c) at the optimum and apart from it
+    by the square of the KKT residual; the l1/l2 route reports
+    lam y^T c + sum_g ||a_g|| at the refined c, equal to it wherever
+    (sum_d a_d K^d + lam I) c = y.
+    """
 
     a: np.ndarray
     c: np.ndarray
@@ -97,29 +107,6 @@ class AdjacencyMatrix:
 
     values: np.ndarray
     names: list[str] | None = None
-
-
-def task_objective(grams: GramStack, y, a, c, lam: float, method: str) -> float:
-    """Penalized objective of one output task at the point (a, c)."""
-    y = np.asarray(y, dtype=float).ravel()
-    a = np.asarray(a, dtype=float).ravel()
-    c = np.asarray(c, dtype=float).ravel()
-    if a.shape[0] != grams.n_kernels:
-        raise DimensionMismatchError(f"{a.shape[0]} weights for {grams.n_kernels} kernels")
-    if a.min(initial=0.0) < 0.0:
-        raise ValueError("kernel weights must be nonnegative")
-    # numpy, not _stack_times: the l1 route, numpy throughout, calls this once
-    # per task, and a scipy call there costs a switch of BLAS pools
-    pred = a @ np.tensordot(grams.grams, c, axes=1)
-    quad = float(c @ pred)
-    fit_term = float(np.sum((y - pred) ** 2))
-    if method == "l1":
-        penalty = float(a.sum())
-    elif method == "l12":
-        penalty = group_penalty(a, group_starts(_group_sizes(grams.group_index)))
-    else:
-        raise ValueError(f"method must be 'l1' or 'l12', got {method!r}")
-    return fit_term + lam * quad + penalty
 
 
 # The dense algebra below stays on scipy's BLAS/LAPACK: numpy and scipy each load
@@ -195,13 +182,16 @@ def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, 
     if isinstance(features, FeatureStack):
         features = GroupedProblem(features.features, y, 0.0)
     problem = features.with_target(y, 2.0 * math.sqrt(lam))
+    if len(problem.design_blocks) != grams.n_kernels:
+        raise DimensionMismatchError(
+            f"{len(problem.design_blocks)} feature blocks for {grams.n_kernels} kernels"
+        )
     sol = solve_group_lasso(problem, warm_start=warm, opts=opts)
     B, starts, _ = problem.stacked()
     w = np.concatenate(sol.weights)
     a = l1_weights(w, starts, lam)
     c = (y - B @ w) / lam
-    return TaskSolution(a=a, c=c, z_blocks=sol.weights,
-                        objective=task_objective(grams, y, a, c, lam, "l1"),
+    return TaskSolution(a=a, c=c, z_blocks=sol.weights, objective=sol.objective_trace[-1],
                         converged=sol.converged, objective_trace=sol.objective_trace)
 
 
@@ -290,11 +280,12 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
         else:
             break
 
+    # y - sum_d a_d K^d c = lam c at the refined c: the fit and quadratic
+    # terms of the task objective sum to lam y^T c
     c = solve_coefficients(grams, a, y, lam)
-    obj = task_objective(grams, y, a, c, lam, "l12")
-    trace.append(obj)
+    trace.append(lam * float(y @ c) + penalty)
     return TaskSolution(
-        a=a, c=c, z_blocks=None, objective=obj, converged=converged, objective_trace=trace
+        a=a, c=c, z_blocks=None, objective=trace[-1], converged=converged, objective_trace=trace
     )
 
 

@@ -1,5 +1,10 @@
 """Independent reference implementations used only to cross-check the solvers.
 
+task_objective is the definition of a per-output task's penalized objective,
+evaluated term by term from the Gram matrices; the solvers report the same
+value from quantities their solves already hold. kernel_eval evaluates one
+kernel on one pair of vectors, against which the vectorized Grams are checked.
+
 The group-lasso oracle is block coordinate descent like the solver it
 validates, but shares no code with it and differs in each step: it
 minimizes every block exactly through a full eigendecomposition of
@@ -11,6 +16,44 @@ convention matches the package: ||y - sum B_g w_g||^2 + kappa * sum ||w_g||.
 import numpy as np
 import scipy.optimize
 import scipy.sparse.linalg
+
+from nlvar.errors import DimensionMismatchError
+
+
+def kernel_eval(spec, u, v) -> float:
+    """Raw (unnormalized) kernel value for a single pair of vectors."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != v.shape or u.ndim != 1:
+        raise DimensionMismatchError(f"vectors of shapes {u.shape} and {v.shape}")
+    if spec.kind == "linear":
+        return float(u @ v)
+    if spec.kind == "polynomial":
+        return float((1.0 + u @ v) ** spec.param)
+    diff = u - v
+    return float(np.exp(-(diff @ diff) / (2.0 * spec.param**2)))
+
+
+def task_objective(stack, y, a, c, lam, method):
+    """Penalized objective of one output task at the point (a, c):
+    ||y - sum_d a_d K^d c||^2 + lam sum_d a_d c^T K^d c + penalty(a), where the
+    penalty is sum_d a_d for "l1" and sum_g ||a_g||_2 over the partition
+    groups of stack.group_index for "l12"."""
+    y, a, c = (np.asarray(v, dtype=float).ravel() for v in (y, a, c))
+    if a.shape[0] != len(stack.grams):
+        raise DimensionMismatchError(f"{a.shape[0]} weights for {len(stack.grams)} kernels")
+    pred = sum(a_d * (K @ c) for a_d, K in zip(a, stack.grams))
+    quad = sum(a_d * float(c @ K @ c) for a_d, K in zip(a, stack.grams))
+    if method == "l1":
+        penalty = float(a.sum())
+    elif method == "l12":
+        groups = {}
+        for a_d, (g, _) in zip(a, stack.group_index):
+            groups.setdefault(g, []).append(a_d)
+        penalty = sum(float(np.linalg.norm(v)) for v in groups.values())
+    else:
+        raise ValueError(f"method must be 'l1' or 'l12', got {method!r}")
+    return float(np.sum((y - pred) ** 2)) + lam * quad + penalty
 
 
 def alternating_l1_oracle(grams, y, lam, restarts=20, outer=400, seed=0):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import kernel_eval
 
 from nlvar.errors import (
     DegenerateKernelError,
@@ -16,7 +17,6 @@ from nlvar.kernels import (
     empirical_features,
     gram_matrix,
     group_index_of,
-    kernel_eval,
     make_specs,
 )
 

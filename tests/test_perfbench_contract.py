@@ -1,14 +1,18 @@
 """The benchmark's tracer (perfbench/tracing.py) times the package by wrapping
-named module bindings. These tests catch, in about a second, a change that
-removes one of those bindings or moves work off the path it times."""
+named module bindings, and its workloads build inputs through the package's
+constructors. These tests catch, in about a second, a change that removes
+one of those bindings or constructor arguments, or moves work off the path
+the tracer times."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
 from nlvar.harness import ExperimentConfig, GridSpec, SyntheticSpec, run_experiment
+from nlvar.modelio import load_model
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -94,3 +98,16 @@ def test_nvarl12_fit_records_coefficient_solves_and_newton_counts():
     assert metrics["solver.l12_outer_iters"]["value"] >= 5
     assert metrics["solver.l12_unconverged"]["value"] == 0
     assert not tracer.broken
+
+
+def test_predict_workload_builds_its_fixed_model(tmp_path, monkeypatch):
+    # the predict workload's setup constructs ModelFit itself, group_index
+    # included: a change to that constructor must fail here, not in a
+    # benchmark setup
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports checks
+    workloads = importlib.import_module("workloads")
+    workload = dataclasses.replace(workloads.WORKLOADS["predict"], n_train=60, rows=30)
+    model_path, data_csv, tail, _ = workload.build(20, tmp_path)
+    model = load_model(model_path)
+    assert model.A.shape == (len(model.specs), tail.values.shape[1])
+    assert model.A.all() and data_csv.exists()

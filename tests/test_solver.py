@@ -2,13 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import alternating_l1_oracle, cg_solve
+from oracles import alternating_l1_oracle, cg_solve, task_objective
 
 from nlvar import solver
 from nlvar.errors import (ConfigError, DimensionMismatchError, SingularSystemError,
                           UnsupportedKindError)
-from nlvar.grouplasso import SolverOptions, kkt_tolerance
+from nlvar.grouplasso import GroupedProblem, SolverOptions, kkt_tolerance
 from nlvar.kernels import (
+    FeatureStack,
     GramStack,
     KernelSpec,
     build_feature_stack,
@@ -26,7 +27,6 @@ from nlvar.solver import (
     solve_coefficients,
     solve_task_l1,
     solve_task_l12,
-    task_objective,
 )
 
 TIGHT = SolverOptions(max_iter=200000, rel_tol=1e-13)
@@ -53,8 +53,6 @@ def _random_stack(rng, n, parts=3, per_part=1):
 
 def _features_for(stack):
     phis = [np.linalg.cholesky(K + 1e-12 * np.eye(K.shape[0])) for K in stack.grams]
-    from nlvar.kernels import FeatureStack
-
     return FeatureStack(features=phis)
 
 
@@ -304,6 +302,39 @@ def _l12_gap(stack, a, c, lam):
         else:
             gap = max(gap, float(np.linalg.norm(q[rows])) - 1.0)
     return gap
+
+
+@pytest.mark.parametrize("route, opts, rel", [
+    # the l1 route reports its group lasso's objective, which meets the task
+    # objective at (a, c) to second order in the KKT residual: about 1e-8
+    # relative at the default tolerance 1e-4, up to 1e-7 on these instances
+    pytest.param("l1", SolverOptions(), 1e-6, id="l1-default"),
+    pytest.param("l1", TIGHT, 1e-12, id="l1-tight"),
+    # the l1/l2 route's lam y^T c equals it wherever c solves the system
+    pytest.param("l12", SolverOptions(), 1e-12, id="l12-default"),
+    pytest.param("l12", TIGHT, 1e-12, id="l12-tight"),
+])
+def test_reported_objective_is_the_task_objective(route, opts, rel):
+    for stack, y, lam in _l12_instances(14):
+        if route == "l1":
+            task = solve_task_l1(build_feature_stack(stack), stack, y, lam, opts=opts)
+        else:
+            task = solve_task_l12(stack, stack.group_index, y, lam, opts=opts)
+        assert task.objective == task.objective_trace[-1]
+        assert task.objective == pytest.approx(
+            task_objective(stack, y, task.a, task.c, lam, route), rel=rel
+        )
+
+
+def test_l1_rejects_a_design_that_does_not_match_the_gram_stack():
+    rng = np.random.default_rng(15)
+    stack = _random_stack(rng, 6)
+    blocks = build_feature_stack(stack).features
+    y = rng.standard_normal(6)
+    with pytest.raises(DimensionMismatchError):
+        solve_task_l1(FeatureStack(features=blocks[:2]), stack, y, 0.5)
+    with pytest.raises(DimensionMismatchError):
+        solve_task_l1(GroupedProblem(blocks + blocks[:1], y, 0.0), stack, y, 0.5)
 
 
 def test_l12_default_options_end_at_the_group_stationarity_gap():
