@@ -1,7 +1,9 @@
 """Scalar kernel dictionary, trace-normalized Gram matrices, empirical features.
 
 Each kernel operates on one input partition (the lagged past of a single
-series) or, for the unpartitioned variant, on the full input vector.
+series) or, for the unpartitioned variant, on the full input vector. The
+kernels of one partition are evaluated together, from one inner-product
+matrix and, when a Gaussian is among them, one squared-distance matrix.
 Training Gram matrices are rescaled to trace n and the factor is kept on the
 spec so test-time cross-Gram blocks use the same scaling.
 """
@@ -41,7 +43,9 @@ class KernelSpec:
     kind is 'linear', 'polynomial' (param = degree >= 2, inhomogeneous
     (1 + <u,v>)^degree) or 'gaussian' (param = width w, exp(-||u-v||^2/(2 w^2))).
     partition is the source-series index, or None for the full input vector.
-    norm_factor is filled by gram_matrix.
+    norm_factor, the training Gram's scale to trace n, is stored when that
+    Gram is built (build_gram_stack or gram_matrix) and rescales every
+    cross-Gram block.
     """
 
     kind: str
@@ -75,8 +79,10 @@ class GramStack:
     """The l normalized training Gram matrices, one (l, n, n) array, with
     their specs (a list of n x n matrices is stacked on construction).
 
-    group_index[d] is the (partition j, within-partition i) pair of kernel d;
-    kernels sharing a partition are contiguous.
+    build_gram_stack writes each partition's Grams into their slots from
+    that partition's shared products and rescales them there, storing each
+    spec's norm_factor. group_index[d] is the (partition j, within-partition
+    i) pair of kernel d; kernels sharing a partition are contiguous.
     """
 
     grams: np.ndarray
@@ -135,65 +141,126 @@ def partition_columns(spec: KernelSpec, partition_map) -> list[int] | slice:
     return partition_map[spec.partition]
 
 
-def _raw_gram(spec: KernelSpec, rows: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized kernel evaluation; rows of `other` (default `rows`) index the result rows."""
+def _row_sets(rows, other) -> tuple[np.ndarray, np.ndarray]:
+    """Two row sets that share their columns, as float arrays; `other`
+    defaults to `rows`."""
     X = np.asarray(rows, dtype=float)
     Z = X if other is None else np.asarray(other, dtype=float)
     if X.ndim != 2 or Z.ndim != 2 or X.shape[1] != Z.shape[1]:
-        raise DimensionMismatchError(
-            f"incompatible row sets {Z.shape} and {X.shape}"
-        )
-    if spec.kind == "linear":
-        return Z @ X.T
-    if spec.kind == "polynomial":
-        # square-and-multiply, not libm pow: degree 2 is bitwise x**2, each
-        # product moves the result by at most about one ulp, and a degree
-        # read from a config or model file costs log2(degree) products
-        base = 1.0 + Z @ X.T
-        out = None
-        degree = spec.param
-        while True:
-            if degree & 1:
-                if out is None:
-                    out = base
-                else:
-                    out *= base
-            degree >>= 1
-            if not degree:
-                return out
-            base = base * base  # a new array: `out` may still be the old one
-    sq = (
-        np.sum(Z * Z, axis=1)[:, None]
-        - 2.0 * (Z @ X.T)
-        + np.sum(X * X, axis=1)[None, :]
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * spec.param**2))
+        raise DimensionMismatchError(f"incompatible row sets {Z.shape} and {X.shape}")
+    return X, Z
+
+
+def _inhomogeneous_power(G: np.ndarray, degree: int, out: np.ndarray, scratch) -> None:
+    """out <- (1 + G) ** degree by square-and-multiply, not libm pow: degree 2
+    is bitwise (1 + G) * (1 + G), each product moves the result by at most
+    about one ulp, and a degree read from a config or model file costs
+    log2(degree) products. A power of two is squared in `out` itself; any
+    other degree keeps the squares in `scratch`."""
+    squares = out if degree & (degree - 1) == 0 else scratch
+    np.add(G, 1.0, out=squares)
+    first = True
+    while True:
+        if degree & 1:
+            if first:
+                if squares is not out:
+                    np.copyto(out, squares)
+                first = False
+            else:
+                out *= squares
+        degree >>= 1
+        if not degree:
+            return
+        squares *= squares
+
+
+def _partition_kernels(specs, slots, X: np.ndarray, Z: np.ndarray) -> None:
+    """Raw kernel values slots[i][r, c] = k_i(Z[r], X[c]) for kernels that
+    share one input partition, written in place.
+
+    All of them come from one product <u,v>, held in the first linear
+    kernel's slot, and the Gaussians from one -||u-v||^2 / 2, held in the last
+    Gaussian's slot until that slot is exponentiated; the first Gaussian's
+    slot is the polynomials' scratch until then. With Z is X every slot is
+    exactly symmetric: <u,v> comes from one syrk and the rest elementwise.
+    """
+    by_kind = {"linear": [], "polynomial": [], "gaussian": []}
+    for spec, K in zip(specs, slots):
+        by_kind[spec.kind].append((spec.param, K))
+    linear, polynomials, gaussians = by_kind.values()
+    G = linear[0][1] if linear else np.empty(slots[0].shape)
+    np.matmul(Z, X.T, out=G)
+    for _, K in linear[1:]:
+        np.copyto(K, G)
+    scratch = gaussians[0][1] if gaussians else None
+    for degree, K in polynomials:
+        if scratch is None and degree & (degree - 1):
+            scratch = np.empty_like(G)
+        _inhomogeneous_power(G, degree, K, scratch)
+    if gaussians:
+        # -||u-v||^2 / 2 = <u,v> - ||u||^2 / 2 - ||v||^2 / 2, clipped at 0
+        half_sq = gaussians[-1][1]
+        x_half = -0.5 * np.sum(X * X, axis=1)
+        z_half = x_half if Z is X else -0.5 * np.sum(Z * Z, axis=1)
+        np.add.outer(z_half, x_half, out=half_sq)
+        half_sq += G
+        np.minimum(half_sq, 0.0, out=half_sq)
+        for width, K in gaussians:  # half_sq's own slot comes last
+            np.divide(half_sq, width**2, out=K)
+            np.exp(K, out=K)
+
+
+def _training_grams(specs, slots, X: np.ndarray) -> None:
+    """Training Grams of kernels sharing one partition (rows X, from
+    _row_sets), each rescaled to trace n in its n x n slot; stores the
+    factors on the specs."""
+    # an overflowing entry overflows a diagonal one too (Cauchy-Schwarz), so
+    # the trace check below reports it as a DegenerateKernelError
+    with np.errstate(over="ignore"):
+        _partition_kernels(specs, slots, X, X)
+    n = X.shape[0]
+    for spec, K in zip(specs, slots):
+        tr = float(np.trace(K))
+        if not (np.isfinite(tr) and tr >= 1e-12):  # inf: the kernel overflowed
+            raise DegenerateKernelError(f"{spec.label()}: Gram trace {tr:.3e}")
+        spec.norm_factor = n / tr
+        K *= spec.norm_factor
+
+
+def _cross_blocks(specs, slots, X: np.ndarray, Z: np.ndarray) -> None:
+    """Kernel blocks between test rows Z and training rows X (from
+    _row_sets) of kernels sharing one partition, each scaled by its training
+    factor in its slot."""
+    _partition_kernels(specs, slots, X, Z)
+    for spec, K in zip(specs, slots):
+        if spec.norm_factor is None:
+            raise NormFactorMissingError(
+                f"{spec.label()}: gram_matrix must run on training data first"
+            )
+        K *= spec.norm_factor
+
+
+def _partition_runs(specs):
+    """(start, stop) of every run of consecutive specs on one partition."""
+    starts = [d for d, spec in enumerate(specs)
+              if d == 0 or spec.partition != specs[d - 1].partition]
+    return zip(starts, starts[1:] + [len(specs)])
 
 
 def gram_matrix(spec: KernelSpec, rows: np.ndarray) -> tuple[np.ndarray, float]:
     """Training Gram matrix rescaled to trace n; stores the factor on the spec."""
-    # an overflowing entry overflows a diagonal one too (Cauchy-Schwarz), so
-    # the trace check below reports it as a DegenerateKernelError
-    with np.errstate(over="ignore"):
-        G = _raw_gram(spec, rows)
-        G = 0.5 * (G + G.T)
-        tr = float(np.trace(G))
-    n = G.shape[0]
-    if not (np.isfinite(tr) and tr >= 1e-12):  # inf: the kernel overflowed
-        raise DegenerateKernelError(f"{spec.label()}: Gram trace {tr:.3e}")
-    rho = n / tr
-    spec.norm_factor = rho
-    return rho * G, rho
+    X, _ = _row_sets(rows, None)
+    G = np.empty((X.shape[0], X.shape[0]))
+    _training_grams([spec], [G], X)
+    return G, spec.norm_factor
 
 
 def cross_gram(spec: KernelSpec, train_rows: np.ndarray, test_rows: np.ndarray) -> np.ndarray:
     """Kernel block between test and training rows, using the training scale factor."""
-    if spec.norm_factor is None:
-        raise NormFactorMissingError(
-            f"{spec.label()}: gram_matrix must run on training data first"
-        )
-    return spec.norm_factor * _raw_gram(spec, train_rows, test_rows)
+    X, Z = _row_sets(train_rows, test_rows)
+    block = np.empty((Z.shape[0], X.shape[0]))
+    _cross_blocks([spec], [block], X, Z)
+    return block
 
 
 def empirical_features(K: np.ndarray) -> np.ndarray:
@@ -216,7 +283,8 @@ def empirical_features(K: np.ndarray) -> np.ndarray:
 
 def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTIONARY,
                      partitions=None) -> GramStack:
-    """Normalized Gram matrices for every dictionary kernel on every partition.
+    """Normalized Gram matrices for every dictionary kernel on every partition,
+    each partition's written in place from its shared products.
 
     `partitions` defaults to one partition per series; pass [None] for the
     unpartitioned full-input variant.
@@ -225,10 +293,10 @@ def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTI
         partitions = list(range(len(partition_map)))
     specs = make_specs(partitions, dictionary)
     n = inputs.shape[0]
-    grams = np.empty((len(specs), n, n))  # filled in place: no second copy
-    for d, spec in enumerate(specs):
-        cols = partition_columns(spec, partition_map)
-        grams[d], _ = gram_matrix(spec, inputs[:, cols])
+    grams = np.empty((len(specs), n, n))
+    for lo, hi in _partition_runs(specs):
+        X, _ = _row_sets(inputs[:, partition_columns(specs[lo], partition_map)], None)
+        _training_grams(specs[lo:hi], list(grams[lo:hi]), X)
     return GramStack(grams=grams, specs=specs, group_index=group_index_of(specs))
 
 
@@ -237,10 +305,12 @@ def build_feature_stack(stack: GramStack) -> FeatureStack:
 
 
 def build_cross_stack(stack: GramStack, train_inputs: np.ndarray, new_inputs: np.ndarray,
-                      partition_map) -> list[np.ndarray]:
-    """Cross-Gram blocks (n_new x n_train) for every kernel in the stack."""
-    out = []
-    for spec in stack.specs:
-        cols = partition_columns(spec, partition_map)
-        out.append(cross_gram(spec, train_inputs[:, cols], new_inputs[:, cols]))
+                      partition_map) -> np.ndarray:
+    """Cross-Gram blocks (l, n_new, n_train) for every kernel in the stack."""
+    specs = stack.specs
+    out = np.empty((len(specs), new_inputs.shape[0], train_inputs.shape[0]))
+    for lo, hi in _partition_runs(specs):
+        cols = partition_columns(specs[lo], partition_map)
+        X, Z = _row_sets(train_inputs[:, cols], new_inputs[:, cols])
+        _cross_blocks(specs[lo:hi], list(out[lo:hi]), X, Z)
     return out

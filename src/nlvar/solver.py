@@ -198,6 +198,13 @@ def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, 
 #: Cap on the projected proximal gradient steps minimizing one Newton model.
 _MODEL_STEPS_MAX = 1000
 
+#: A Newton model is minimized until sigma max|db| <= max(_MODEL_TOL_FLOOR * tol,
+#: min(_FORCING_CAP, gap) * gap), gap the outer stationarity gap: far from the
+#: optimum a rough model step does, and the forcing term tightens it as the gap
+#: closes (inexact proximal Newton; Lee, Sun & Saunders, SIAM J. Optim. 2014).
+_MODEL_TOL_FLOOR = 0.1
+_FORCING_CAP = 0.1
+
 #: A rejected proximal Newton step shrinks by this factor.
 BACKTRACK_FACTOR = 0.5
 
@@ -254,17 +261,19 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
     trace: list[float] = []
     for it in range(opts.max_iter + 1):
         trace.append(obj)
-        converged = _group_gap(a, q, starts, sizes) <= tol
+        gap = _group_gap(a, q, starts, sizes)
+        converged = gap <= tol
         if converged or it == opts.max_iter:
             break
         # minimize the model -q.(b - a) + (b - a).H(b - a)/2 + sum_g ||b_g||
         # over b >= 0 by projected proximal gradient from b = a
         sigma = max(float(np.linalg.eigvalsh(H)[-1]), 1e-30)
+        model_tol = max(_MODEL_TOL_FLOOR * tol, min(_FORCING_CAP, gap) * gap)
         b = a
         for _ in range(_MODEL_STEPS_MAX):
             b_prev, b = b, prox_groups(b - (H @ (b - a) - q) / sigma, 1.0 / sigma, starts,
                                        sizes, nonneg=True)
-            if sigma * float(np.abs(b - b_prev).max()) <= 0.1 * tol:
+            if sigma * float(np.abs(b - b_prev).max()) <= model_tol:
                 break
         decrease = group_penalty(b, starts) - penalty - float(q @ (b - a))
         t = 1.0
@@ -339,17 +348,18 @@ def predict(fit_result: ModelFit, new_inputs) -> np.ndarray:
             f"inputs have {X.shape[1]} columns, model expects {fit_result.training_inputs.shape[1]}"
         )
     part_map = lag_columns(X.shape[1] // fit_result.lag, fit_result.lag)
-    active = []
-    for spec, weights in zip(fit_result.specs, fit_result.A):
-        if weights.any():
-            cols = partition_columns(spec, part_map)
-            active.append((spec, cols, fit_result.training_inputs[:, cols], weights[None, :]))
+    active = [(spec, weights[None, :]) for spec, weights in zip(fit_result.specs, fit_result.A)
+              if weights.any()]
+    # each partition's columns are taken once, not once per kernel
+    columns = {spec.partition: partition_columns(spec, part_map) for spec, _ in active}
+    train = {part: fit_result.training_inputs[:, cols] for part, cols in columns.items()}
     preds = np.zeros((X.shape[0], fit_result.n_outputs))
     for start in range(0, X.shape[0], _PREDICT_BLOCK_ROWS):
         rows = X[start:start + _PREDICT_BLOCK_ROWS]
         out = preds[start:start + _PREDICT_BLOCK_ROWS]
-        for spec, cols, train_cols, weights in active:
-            block = cross_gram(spec, train_cols, rows[:, cols])
+        new = {part: rows[:, cols] for part, cols in columns.items()}
+        for spec, weights in active:
+            block = cross_gram(spec, train[spec.partition], new[spec.partition])
             out += (block @ fit_result.C) * weights
     return preds
 

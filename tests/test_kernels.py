@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from oracles import kernel_eval
@@ -11,6 +13,7 @@ from nlvar.errors import (
 from nlvar.kernels import (
     DEFAULT_DICTIONARY,
     KernelSpec,
+    build_cross_stack,
     build_feature_stack,
     build_gram_stack,
     cross_gram,
@@ -202,3 +205,66 @@ def test_full_partition_specs():
     assert len(specs) == len(DEFAULT_DICTIONARY)
     assert all(spec.partition is None for spec in specs)
     assert group_index_of(specs) == [(0, i) for i in range(len(DEFAULT_DICTIONARY))]
+
+
+#: (dictionary, partitions) pairs whose stacks must equal per-spec Grams
+STACK_CASES = {
+    "default": (DEFAULT_DICTIONARY, None),
+    "full input": (DEFAULT_DICTIONARY, [None]),
+    "no linear": ((("polynomial", 3), ("gaussian", 1.0), ("polynomial", 2)), None),
+    "degrees 4 and 5": ((("linear", None), ("polynomial", 4), ("polynomial", 5)), None),
+    "gaussians only": ((("gaussian", 0.5), ("gaussian", 2.0)), None),
+    "repeated entry": (DEFAULT_DICTIONARY + (("linear", None), ("gaussian", 1.0)), None),
+}
+
+
+@pytest.mark.parametrize("dictionary, partitions", STACK_CASES.values(), ids=STACK_CASES)
+def test_stack_equals_per_spec_grams(dictionary, partitions):
+    # the stack shares <u,v> and ||u-v||^2 within a partition; each kernel
+    # alone must give the same Gram and factor, and the elementwise oracle too
+    rng = np.random.default_rng(10)
+    inputs, partition_map = _embedded(rng)
+    stack = build_gram_stack(inputs, partition_map, dictionary, partitions)
+    for spec, K in zip(stack.specs, stack.grams):
+        rows = inputs[:, slice(None) if spec.partition is None else partition_map[spec.partition]]
+        alone = KernelSpec(spec.kind, spec.param, spec.partition)
+        G, rho = gram_matrix(alone, rows)
+        assert np.abs(K - G).max() <= 1e-13 * np.abs(G).max(), spec.label()
+        assert spec.norm_factor == rho, spec.label()
+        expected = [[rho * kernel_eval(spec, u, v) for v in rows] for u in rows]
+        np.testing.assert_allclose(K, expected, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("dictionary, partitions", STACK_CASES.values(), ids=STACK_CASES)
+def test_stacked_grams_are_exactly_symmetric(dictionary, partitions):
+    rng = np.random.default_rng(11)
+    inputs, partition_map = _embedded(rng, n=40)
+    stack = build_gram_stack(inputs, partition_map, dictionary, partitions)
+    for spec, K in zip(stack.specs, stack.grams):
+        assert np.array_equal(K, K.T), spec.label()
+
+
+@pytest.mark.parametrize("dictionary, partitions", STACK_CASES.values(), ids=STACK_CASES)
+def test_cross_stack_equals_per_spec_cross_grams(dictionary, partitions):
+    rng = np.random.default_rng(12)
+    inputs, partition_map = _embedded(rng)
+    new_inputs = rng.standard_normal((5, inputs.shape[1]))
+    stack = build_gram_stack(inputs, partition_map, dictionary, partitions)
+    blocks = build_cross_stack(stack, inputs, new_inputs, partition_map)
+    assert len(blocks) == stack.n_kernels
+    for spec, block in zip(stack.specs, blocks):
+        cols = slice(None) if spec.partition is None else partition_map[spec.partition]
+        alone = cross_gram(spec, inputs[:, cols], new_inputs[:, cols])
+        assert np.abs(block - alone).max() <= 1e-13 * np.abs(alone).max(), spec.label()
+
+
+def test_overflowing_kernel_in_a_stack_raises_without_a_warning():
+    rng = np.random.default_rng(13)
+    inputs, partition_map = _embedded(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateKernelError, match="polynomial"):
+            build_gram_stack(10.0 * inputs, partition_map,
+                             DEFAULT_DICTIONARY + (("polynomial", 10**9),))
+        with pytest.raises(DegenerateKernelError):
+            gram_matrix(KernelSpec("polynomial", 3 * 2**20), 10.0 * inputs)

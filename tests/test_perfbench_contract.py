@@ -78,9 +78,17 @@ def test_nvarl1_final_fit_solves_each_output_once_through_solver():
     assert metrics["solver.coef_calls"]["value"] == 0
 
 
-def test_nvarl12_fit_records_coefficient_solves_and_newton_counts():
-    # the traced fit-l12-large run requires solver.coef calls and reads the
-    # solver.l12_* counters from each solve_task_l12 result
+def test_nvarl12_fit_records_coefficient_solves_and_newton_counts(monkeypatch):
+    # the traced fit-l12-large run requires solver.coef calls, reads the
+    # solver.l12_* counters from each solve_task_l12 result, and times the
+    # Gram stack through solver.build_gram_stack; at a fixed lambda the
+    # harness builds none
+    import nlvar.harness
+
+    def no_cv_stack(*args, **kwargs):
+        raise AssertionError("harness.build_gram_stack called at a fixed lambda")
+
+    monkeypatch.setattr(nlvar.harness, "build_gram_stack", no_cv_stack)
     config = ExperimentConfig(
         train=60, holdout=20, lag=3, methods=("mean", "nvarl12"), lam=1.0,
         synthetic=SyntheticSpec(length=80, seed=20),
@@ -97,6 +105,10 @@ def test_nvarl12_fit_records_coefficient_solves_and_newton_counts():
     assert metrics["solver.coef_calls"]["value"] == 5
     assert metrics["solver.l12_outer_iters"]["value"] >= 5
     assert metrics["solver.l12_unconverged"]["value"] == 0
+    assert [span.name for span in tracer.spans].count("kernels.gram") == 1
+    l, n = 5 * 6, 60 - 3  # 5 series x 6 default kernels; train rows less the lag
+    assert metrics["kernels.gram_bytes"]["value"] == l * n * n * 8
+    assert metrics["kernels.gram_s"]["value"] > 0.0
     assert not tracer.broken
 
 
