@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatchError, SingularSystemError, UnsupportedKindError
 from .grouplasso import GroupedProblem, SolverOptions, solve_group_lasso
-from .series import NormStats, SupervisedSet
+from .series import NormStats, SupervisedSet, input_rows
 from .solver import AdjacencyMatrix, normalize_adjacency
 
 BASELINE_METHODS = ("mean", "lar", "lvarl2", "lvarl1")
@@ -45,7 +45,7 @@ def _ridge_solve(G: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
 
 
 def fit_baseline(method: str, train: SupervisedSet, lam: float = 0.0,
-                 options: SolverOptions | None = None, norm_stats: NormStats | None = None,
+                 options: SolverOptions = SolverOptions(), norm_stats: NormStats | None = None,
                  names: list[str] | None = None, warm: BaselineFit | None = None) -> BaselineFit:
     """Fit one baseline method at a fixed regularization value.
 
@@ -89,10 +89,9 @@ def fit_baseline(method: str, train: SupervisedSet, lam: float = 0.0,
 
 
 def predict_baseline(fit: BaselineFit, new_inputs) -> np.ndarray:
-    """Standardized-space forecasts for lag-embedded input rows."""
-    X = np.asarray(new_inputs, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
+    """Standardized-space forecasts for lag-embedded input rows; a
+    non-finite input raises BadDataError."""
+    X = input_rows(new_inputs)
     if fit.method == "mean":
         m = X.shape[1] // fit.lag
         return np.zeros((X.shape[0], m))

@@ -33,7 +33,7 @@ def _cmd_generate(args):
 
 def _cmd_fit(args):
     # the config file supplies the settings the command line does not
-    settings = {} if args.config is None else harness._read_keys(
+    settings = {} if args.config is None else harness.read_keys(
         modelio.read_json(args.config), ("kernels", "grid", "folds", "solver"), "fit --config")
     doc = {**settings, "data": {"csv": args.data}, "train": args.train,
            "lag": args.lag, "methods": [args.method], "lambda": args.lam}

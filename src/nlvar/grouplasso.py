@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ _ANDERSON_EVERY = 5
 _ANDERSON_RIDGE = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
     """Budget and tolerance of one solve, CV and final fits alike.
 
@@ -53,7 +53,8 @@ class SolverOptions:
     proximal Newton steps for nvarl12. rel_tol is the relative objective
     change per sweep below which a group-lasso solve checks its KKT gap over
     all groups, and it sets the KKT tolerance (kkt_tolerance: KKT_REL_TOL at
-    the default), the gap a converged solve must meet.
+    the default), the gap a converged solve must meet. Frozen, so the one
+    default SolverOptions() can be every entry point's default.
     """
 
     max_iter: int = 800
@@ -70,17 +71,15 @@ class SolverOptions:
 class GroupedProblem:
     """Design blocks B_g (n x r_g each), a length-n target, penalty kappa >= 0.
 
-    The blocks are copied once into the stacked design B, and design_blocks
-    then holds views of B, so the design is held once.
+    The design is built once, on construction: the blocks are copied into
+    the stacked design B (design_blocks then holds views of B), with the
+    group offsets `starts`, the group `sizes` and the block_majorizer of B.
+    Problems derived by with_target share all four by reference.
     """
 
     design_blocks: list[np.ndarray]
     target: np.ndarray
     penalty: float
-
-    # the stacked design and its lazily computed majorizer, shared with every
-    # problem with_target derives from this one
-    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.target = np.asarray(self.target, dtype=float).ravel()
@@ -93,25 +92,14 @@ class GroupedProblem:
                 )
         if self.penalty < 0.0:
             raise ValueError("penalty must be nonnegative")
-        sizes = np.array([b.shape[1] for b in blocks])
-        starts = group_starts(sizes)
-        B = np.hstack(blocks)
-        self.design_blocks = [B[:, lo:lo + size] for lo, size in zip(starts, sizes)]
-        self._shared["stacked"] = (B, starts, sizes)
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(B, group starts, group sizes)."""
-        return self._shared["stacked"]
-
-    def majorizer(self) -> np.ndarray:
-        """block_majorizer of the stacked design."""
-        if "majorizer" not in self._shared:
-            self._shared["majorizer"] = block_majorizer(*self.stacked())
-        return self._shared["majorizer"]
+        self.sizes = np.array([b.shape[1] for b in blocks])
+        self.starts = group_starts(self.sizes)
+        self.B = np.hstack(blocks)
+        self.design_blocks = [self.B[:, lo:lo + size] for lo, size in zip(self.starts, self.sizes)]
+        self.majorizer = block_majorizer(self.B, self.starts, self.sizes)
 
     def with_target(self, target, penalty: float) -> "GroupedProblem":
-        """The same design with a new target and penalty. Problems derived
-        this way share the stacked design and its majorizer."""
+        """The same design with a new target and penalty."""
         other = copy.copy(self)
         other.target = np.asarray(target, dtype=float).ravel()
         other.penalty = penalty
@@ -128,8 +116,12 @@ class GroupedProblem:
 class GroupedSolution:
     weights: list[np.ndarray]
     objective_trace: list[float]
-    iterations: int
     converged: bool
+
+    @property
+    def iterations(self) -> int:
+        """Sweeps made: the trace holds the start and one entry per sweep."""
+        return len(self.objective_trace) - 1
 
 
 def kkt_tolerance(opts: SolverOptions) -> float:
@@ -315,7 +307,8 @@ def _solve_stacked(B, starts, sizes, y, kappa, opts, majorizer, w0=None):
     return w, trace, sweeps, converged
 
 
-def solve_group_lasso(problem: GroupedProblem, warm_start=None, opts: SolverOptions | None = None) -> GroupedSolution:
+def solve_group_lasso(problem: GroupedProblem, warm_start=None,
+                      opts: SolverOptions = SolverOptions()) -> GroupedSolution:
     """Solve the grouped problem to the KKT tolerance (global optimum; convex).
 
     Stops when a sweep changes the objective by less than opts.rel_tol
@@ -323,31 +316,28 @@ def solve_group_lasso(problem: GroupedProblem, warm_start=None, opts: SolverOpti
     kkt_tolerance(opts)*kappa (for kappa > 0), or when max_iter sweeps are
     done (converged=False, last iterate kept; the objective never rises).
     """
-    if opts is None:
-        opts = SolverOptions()
-    B, starts, sizes = problem.stacked()
     w0 = None
     if warm_start is not None:
         parts = [np.asarray(p, dtype=float).ravel() for p in warm_start]
-        if [p.shape[0] for p in parts] != list(sizes):
+        if [p.shape[0] for p in parts] != list(problem.sizes):
             raise DimensionMismatchError("warm start block sizes do not match the design")
         w0 = np.concatenate(parts)
-    w, trace, iters, converged = _solve_stacked(
-        B, starts, sizes, problem.target, problem.penalty, opts, problem.majorizer(), w0
+    w, trace, _, converged = _solve_stacked(
+        problem.B, problem.starts, problem.sizes, problem.target, problem.penalty, opts,
+        problem.majorizer, w0
     )
     return GroupedSolution(
-        weights=[part.copy() for part in np.split(w, starts[1:])],
+        weights=[part.copy() for part in np.split(w, problem.starts[1:])],
         objective_trace=trace,
-        iterations=iters,
         converged=converged,
     )
 
 
 def optimality_gap(problem: GroupedProblem, weights) -> float:
     """Largest per-group KKT violation of the given weights (0 at an optimum)."""
-    B, starts, sizes = problem.stacked()
+    B = problem.B
     w = np.concatenate([np.asarray(p, dtype=float).ravel() for p in weights])
     if w.shape[0] != B.shape[1]:
         raise DimensionMismatchError("weights do not match the design blocks")
     grad = 2.0 * (B.T @ (B @ w - problem.target))
-    return _gap_from_gradient(w, grad, problem.penalty, starts, sizes)
+    return _gap_from_gradient(w, grad, problem.penalty, problem.starts, problem.sizes)

@@ -161,20 +161,18 @@ def _baseline_path(method: str, sub: SupervisedSet, X_val, lams, options):
 
 
 def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
-                 options: SolverOptions | None):
+                 options: SolverOptions):
     """nvarl1 / nvar (l1 route on empirical features) and nvarl12.
 
     Unlike solver.fit this builds the Gram stack, the features and the
     cross-Gram blocks once for the whole grid.
     """
-    options = options or SolverOptions()
     partitions = [None] if method == "nvar" else list(range(sub.n_series))
     grams = build_gram_stack(sub.inputs, sub.partition_map, dictionary, partitions)
     if method != "nvarl12":
         design = GroupedProblem(build_feature_stack(grams).features,
                                 sub.outputs[:, 0], 0.0)
-        B, starts, sizes = design.stacked()
-        majorizer = design.majorizer()
+        B = design.B
     cross = build_cross_stack(grams, sub.inputs, np.asarray(X_val, dtype=float),
                               sub.partition_map)
     Y = sub.outputs
@@ -190,10 +188,10 @@ def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
             kappa = 2.0 * math.sqrt(lam)
             W = np.zeros((B.shape[1], m))
             for s in range(m):
-                W[:, s] = _solve_stacked(B, starts, sizes, Y[:, s], kappa, options,
-                                         majorizer, warm[s])[0]
+                W[:, s] = _solve_stacked(B, design.starts, design.sizes, Y[:, s], kappa,
+                                         options, design.majorizer, warm[s])[0]
             warm = list(W.T)
-            A = solver.l1_weights(W, starts, lam)
+            A = solver.l1_weights(W, design.starts, lam)
             C = (Y - B @ W) / lam  # the residuals over lam, as in solver.solve_task_l1
         preds = np.zeros((len(X_val), m))
         for d, block in enumerate(cross):
@@ -204,7 +202,7 @@ def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
 
 def cv_select(train: SupervisedSet, method: str, grid: GridSpec | None = None,
               folds: int = 5, dictionary=DEFAULT_DICTIONARY,
-              options: SolverOptions | None = None) -> tuple[float, np.ndarray]:
+              options: SolverOptions = SolverOptions()) -> tuple[float, np.ndarray]:
     """Pick the regularization value by blocked cross-validation.
 
     Folds are contiguous time blocks. The grid is traversed from the largest
@@ -212,8 +210,8 @@ def cv_select(train: SupervisedSet, method: str, grid: GridSpec | None = None,
     The winner is the largest grid value whose mean validation MSE is within
     one standard error (over folds, at the minimizing value) of the minimum:
     differences below fold noise count as ties and break toward the larger
-    penalty. The fits run with `options`, SolverOptions() by default as for
-    a final fit. Returns (lam_star, mean validation MSE per ascending value).
+    penalty. The fits run with `options`, the budget of a final fit.
+    Returns (lam_star, mean validation MSE per ascending value).
     """
     if method not in ALL_METHODS:
         raise ConfigError(f"unknown method {method!r}")
@@ -285,7 +283,7 @@ class ExperimentConfig:
     grid: GridSpec = field(default_factory=GridSpec)
     folds: int = 5
     lam: float | None = None
-    options: SolverOptions | None = None
+    options: SolverOptions = SolverOptions()
     out_dir: str | None = None
     save_models: bool = False
 
@@ -311,7 +309,7 @@ class ExperimentConfig:
                 raise ConfigError("lambda must be > 0 for the kernel methods")
 
 
-def _read_keys(doc, keys, where: str) -> dict:
+def read_keys(doc, keys, where: str) -> dict:
     """`doc`, once it is a JSON object with no key outside `keys`."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
@@ -329,12 +327,12 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     data.synthetic, grid and solver keys are the fields of SyntheticSpec,
     GridSpec and SolverOptions.
     """
-    doc = _read_keys(doc, ("data", "train", "holdout", "lag", "methods", "kernels", "grid",
-                           "folds", "lambda", "solver", "out_dir", "save_models"), "config")
+    doc = read_keys(doc, ("data", "train", "holdout", "lag", "methods", "kernels", "grid",
+                          "folds", "lambda", "solver", "out_dir", "save_models"), "config")
     try:
         train = _as_int(doc["train"], "train")
         holdout = _as_int(doc.get("holdout", DEFAULT_HOLDOUT), "holdout")
-        data = _read_keys(doc.get("data", {}), ("synthetic", "csv"), "data")
+        data = read_keys(doc.get("data", {}), ("synthetic", "csv"), "data")
         solver_doc = dict(doc.get("solver") or {})
         if "max_iter" in solver_doc:
             solver_doc["max_iter"] = _as_int(solver_doc["max_iter"], "solver max_iter")
@@ -353,7 +351,7 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
             grid=GridSpec(**doc.get("grid", {})),
             folds=_as_int(doc.get("folds", 5), "folds"),
             lam=None if doc.get("lambda") is None else float(doc["lambda"]),
-            options=SolverOptions(**solver_doc) if solver_doc else None,
+            options=SolverOptions(**solver_doc),
             out_dir=doc.get("out_dir"),
             save_models=bool(doc.get("save_models", False)),
         )

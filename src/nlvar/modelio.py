@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from . import baselines, solver
-from .errors import BadDataError, ConfigError, UnsupportedKindError
+from .errors import ConfigError, UnsupportedKindError
 from .kernels import KernelSpec, group_index_of
 from .series import NormStats
 
@@ -85,6 +85,12 @@ def _check(ok: bool, what: str) -> None:
         raise ConfigError(f"malformed model document: {what}")
 
 
+def _whole(value, what: str) -> int:
+    """An integral JSON number as int; a bool or a fraction is malformed."""
+    _check(not isinstance(value, bool) and value == int(value), f"{what} must be a whole number")
+    return int(value)
+
+
 def model_from_dict(doc: dict):
     """Rebuild a fitted model, checking every shape the forecasts rely on.
 
@@ -97,7 +103,7 @@ def model_from_dict(doc: dict):
         raise ConfigError(f"unsupported model version {doc.get('version')}")
     try:
         return _model_from_dict(doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed model document: {type(exc).__name__}: {exc}") from None
 
 
@@ -105,7 +111,7 @@ def _model_from_dict(doc: dict):
     kind = doc["kind"]
     if kind == "nvar_full":
         return model_from_dict(doc["model"])
-    lag = int(doc["lag"])
+    lag = _whole(doc["lag"], "lag")
     _check(lag >= 1, "lag must be positive")
     names = doc["names"]
     stats = _stats_from(doc["norm_stats"])
@@ -114,7 +120,7 @@ def _model_from_dict(doc: dict):
             KernelSpec(
                 kind=k["kind"],
                 param=k["param"],
-                partition=k["partition"],
+                partition=None if k["partition"] is None else _whole(k["partition"], "partition"),
                 norm_factor=k["norm_factor"],
             )
             for k in doc["kernels"]
@@ -179,13 +185,11 @@ def load_model(path):
 
 
 def predict_model(model, new_inputs) -> np.ndarray:
-    """Standardized-space forecasts from either model family."""
-    X = np.asarray(new_inputs, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise BadDataError("predict inputs contain NaN or infinite values")
+    """Standardized-space forecasts from either model family; each family's
+    predict rejects non-finite inputs."""
     if isinstance(model, solver.ModelFit):
-        return solver.predict(model, X)
-    return baselines.predict_baseline(model, X)
+        return solver.predict(model, new_inputs)
+    return baselines.predict_baseline(model, new_inputs)
 
 
 def model_adjacency(model) -> solver.AdjacencyMatrix:

@@ -152,6 +152,17 @@ def standardize_apply(
     return MultivariateSeries(values=values, names=list(series.names))
 
 
+def input_rows(new_inputs) -> np.ndarray:
+    """Lag-embedded input rows as a 2-d float array (one row may come as a
+    vector); a NaN or infinite entry raises BadDataError."""
+    X = np.asarray(new_inputs, dtype=float)
+    if X.ndim == 1:
+        X = X[None, :]
+    if not np.all(np.isfinite(X)):
+        raise BadDataError("predict inputs contain NaN or infinite values")
+    return X
+
+
 def lag_columns(m: int, p: int) -> list[list[int]]:
     """The input columns of each of m series in a lag-p embedding:
     series j owns columns j*p .. j*p+p-1."""

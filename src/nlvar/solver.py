@@ -43,7 +43,7 @@ from .kernels import (
     cross_gram,
     partition_columns,
 )
-from .series import NormStats, SupervisedSet, lag_columns
+from .series import NormStats, SupervisedSet, input_rows, lag_columns
 
 KERNEL_METHODS = ("nvarl1", "nvarl12", "nvar")
 
@@ -60,7 +60,7 @@ _PREDICT_BLOCK_ROWS = 64
 class TaskSolution:
     """Solution of one per-output task: kernel weights a >= 0, coefficients c.
 
-    objective is objective_trace[-1], the task objective
+    objective (objective_trace[-1]) is the task objective
     ||y - sum_d a_d K^d c||^2 + lam sum_d a_d c^T K^d c + penalty(a) as the
     route's solver holds it where the solve stopped. The l1 route reports
     its group lasso's objective ||y - B w||^2 + 2 sqrt(lam) sum_d ||w_d||,
@@ -73,9 +73,12 @@ class TaskSolution:
     a: np.ndarray
     c: np.ndarray
     z_blocks: list[np.ndarray] | None
-    objective: float
     converged: bool
     objective_trace: list[float]
+
+    @property
+    def objective(self) -> float:
+        return self.objective_trace[-1]
 
 
 @dataclass
@@ -166,7 +169,7 @@ def l1_weights(Z, starts, lam: float) -> np.ndarray:
 
 
 def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, lam: float,
-                  warm=None, opts: SolverOptions | None = None) -> TaskSolution:
+                  warm=None, opts: SolverOptions = SolverOptions()) -> TaskSolution:
     """One output task under the entrywise-l1 weight penalty.
 
     The task is solved globally as a group lasso over the empirical features
@@ -187,12 +190,11 @@ def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, 
             f"{len(problem.design_blocks)} feature blocks for {grams.n_kernels} kernels"
         )
     sol = solve_group_lasso(problem, warm_start=warm, opts=opts)
-    B, starts, _ = problem.stacked()
     w = np.concatenate(sol.weights)
-    a = l1_weights(w, starts, lam)
-    c = (y - B @ w) / lam
-    return TaskSolution(a=a, c=c, z_blocks=sol.weights, objective=sol.objective_trace[-1],
-                        converged=sol.converged, objective_trace=sol.objective_trace)
+    a = l1_weights(w, problem.starts, lam)
+    c = (y - problem.B @ w) / lam
+    return TaskSolution(a=a, c=c, z_blocks=sol.weights, converged=sol.converged,
+                        objective_trace=sol.objective_trace)
 
 
 #: Cap on the projected proximal gradient steps minimizing one Newton model.
@@ -220,7 +222,7 @@ def _group_gap(a, q, starts, sizes) -> float:
 
 
 def solve_task_l12(grams: GramStack, group_index, y, lam: float,
-                   warm=None, opts: SolverOptions | None = None) -> TaskSolution:
+                   warm=None, opts: SolverOptions = SolverOptions()) -> TaskSolution:
     """One output task under the l1/l2 penalty grouping kernels by partition.
 
     With c eliminated the task is min h(a) + sum_g ||a_g|| over a >= 0, where
@@ -231,8 +233,6 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
     """
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    if opts is None:
-        opts = SolverOptions()
     y = np.asarray(y, dtype=float).ravel()
     l = grams.n_kernels
     if len(group_index) != l:
@@ -293,12 +293,10 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
     # terms of the task objective sum to lam y^T c
     c = solve_coefficients(grams, a, y, lam)
     trace.append(lam * float(y @ c) + penalty)
-    return TaskSolution(
-        a=a, c=c, z_blocks=None, objective=trace[-1], converged=converged, objective_trace=trace
-    )
+    return TaskSolution(a=a, c=c, z_blocks=None, converged=converged, objective_trace=trace)
 
 
-def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions | None = None,
+def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions = SolverOptions(),
         norm_stats: NormStats | None = None, names: list[str] | None = None, *,
         dictionary=DEFAULT_DICTIONARY) -> ModelFit:
     """Fit all m output tasks of a kernel method at penalty `lam` over a
@@ -339,10 +337,9 @@ def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions | 
 
 
 def predict(fit_result: ModelFit, new_inputs) -> np.ndarray:
-    """One-step forecasts (standardized space) for lag-embedded input rows."""
-    X = np.asarray(new_inputs, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
+    """One-step forecasts (standardized space) for lag-embedded input rows;
+    a non-finite input raises BadDataError."""
+    X = input_rows(new_inputs)
     if X.shape[1] != fit_result.training_inputs.shape[1]:
         raise DimensionMismatchError(
             f"inputs have {X.shape[1]} columns, model expects {fit_result.training_inputs.shape[1]}"

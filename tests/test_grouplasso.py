@@ -198,17 +198,17 @@ def _orthogonal_block(rng, n, r):
 def test_majorizer_is_squared_column_norms_on_orthogonal_blocks():
     rng = np.random.default_rng(12)
     blocks = [_orthogonal_block(rng, 20, r) for r in (1, 4, 7)]
-    B, starts, sizes = GroupedProblem(blocks, np.zeros(20), 1.0).stacked()
-    np.testing.assert_allclose(block_majorizer(B, starts, sizes), np.sum(B * B, axis=0),
+    problem = GroupedProblem(blocks, np.zeros(20), 1.0)
+    np.testing.assert_allclose(problem.majorizer, np.sum(problem.B * problem.B, axis=0),
                                rtol=1e-12)
 
 
 def test_majorizer_bounds_the_group_gram():
     rng = np.random.default_rng(13)
     blocks, y = random_grouped_instance(rng, n=10, n_groups=3)
-    B, starts, sizes = GroupedProblem(blocks, y, 1.0).stacked()
-    d = block_majorizer(B, starts, sizes)
-    for lo, size, block in zip(starts, sizes, blocks):
+    problem = GroupedProblem(blocks, y, 1.0)
+    d = problem.majorizer
+    for lo, size, block in zip(problem.starts, problem.sizes, blocks):
         slack = np.diag(d[lo:lo + size]) - block.T @ block
         assert np.linalg.eigvalsh(slack).min() >= -1e-12
 
@@ -255,14 +255,17 @@ def test_blocks_are_views_of_the_stacked_design():
     rng = np.random.default_rng(16)
     blocks, y = random_grouped_instance(rng, n=10, n_groups=3)
     problem = GroupedProblem(blocks, y, 1.0)
-    B, starts, sizes = problem.stacked()
-    for block, lo, size, view in zip(blocks, starts, sizes, problem.design_blocks):
+    B = problem.B
+    for block, lo, size, view in zip(blocks, problem.starts, problem.sizes,
+                                     problem.design_blocks):
         assert np.shares_memory(view, B)
         np.testing.assert_array_equal(view, block)
         np.testing.assert_array_equal(B[:, lo:lo + size], block)
+    np.testing.assert_array_equal(problem.majorizer,
+                                  block_majorizer(B, problem.starts, problem.sizes))
     derived = problem.with_target(-y, 2.0)
-    assert derived.stacked()[0] is B
-    assert derived.majorizer() is problem.majorizer()
+    assert derived.B is B
+    assert derived.majorizer is problem.majorizer
     with pytest.raises(DimensionMismatchError):
         problem.with_target(y[:-1], 1.0)
 

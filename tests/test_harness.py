@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 
@@ -177,7 +179,8 @@ def test_l1_route_makes_no_coefficient_solve(monkeypatch):
     _, train, val = split_experiment_data(series, train=70, holdout=30, lag=3)
     for method in ("nvarl1", "nvar"):
         assert fit(method, train, 2.0).A.any()
-        for _ in _kernel_path(method, train, val.inputs, [20.0, 2.0], DEFAULT_DICTIONARY, None):
+        for _ in _kernel_path(method, train, val.inputs, [20.0, 2.0], DEFAULT_DICTIONARY,
+                              SolverOptions()):
             pass
     assert calls == []
     fit("nvarl12", train, 2.0)
@@ -270,6 +273,46 @@ def test_cv_runs_at_one_budget_from_the_library_and_from_a_config(monkeypatch):
     library, from_config = budgets
     assert library and from_config
     assert all(opts == from_config[0] for opts in library + from_config)
+
+
+def test_one_frozen_default_budget():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SolverOptions().max_iter = 1
+    defaults = {
+        grouplasso.solve_group_lasso: "opts",
+        solver.solve_task_l1: "opts",
+        solver.solve_task_l12: "opts",
+        solver.fit: "options",
+        baselines.fit_baseline: "options",
+        cv_select: "options",
+        ExperimentConfig: "options",
+    }
+    for entry, name in defaults.items():
+        assert inspect.signature(entry).parameters[name].default == SolverOptions(), entry
+    assert inspect.signature(_kernel_path).parameters["options"].default is inspect.Parameter.empty
+    doc = {"train": 50, "data": {"synthetic": {"seed": 1}}}
+    assert experiment_config_from_dict(doc).options == SolverOptions()
+
+
+def test_each_fit_majorizes_its_design_once(monkeypatch):
+    # the m output tasks of one fit share the stacked design and its
+    # majorizer, built when the design is
+    calls = []
+    majorize = grouplasso.block_majorizer
+
+    def counting(*args):
+        calls.append(1)
+        return majorize(*args)
+
+    monkeypatch.setattr(grouplasso, "block_majorizer", counting)
+    series = generate_synthetic(SyntheticSpec(length=100, seed=23))
+    _, train, _ = split_experiment_data(series, train=70, holdout=30, lag=3)
+    fits = {"nvarl1": lambda: fit("nvarl1", train, 2.0), "nvar": lambda: fit("nvar", train, 2.0),
+            "lvarl1": lambda: baselines.fit_baseline("lvarl1", train, 2.0)}
+    for method, fit_once in fits.items():
+        calls.clear()
+        fit_once()
+        assert len(calls) == 1, method
 
 
 def test_evaluate_perfect_predictions():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import nlvar
 from nlvar.baselines import fit_baseline, predict_baseline
 from nlvar.errors import BadDataError, ConfigError
 from nlvar.modelio import (
@@ -141,6 +142,11 @@ def _nan_stats(doc):
     doc["norm_stats"]["std"][0] = float("nan")
 
 
+def _fractional_lag(doc):
+    # truncated, the lag would still match the document's shapes
+    doc["lag"] += 0.7
+
+
 KERNEL_CORRUPTIONS = {
     "coefficients cut short": _cut("coefficients", -3),
     "weights_a missing a kernel row": _cut("weights_a", -1),
@@ -153,12 +159,16 @@ KERNEL_CORRUPTIONS = {
     "missing norm_factor": _set_kernel("norm_factor", None),
     "infinite norm_factor": _set_kernel("norm_factor", float("inf")),
     "partition out of range": _set_kernel("partition", 7),
+    "fractional partition": _set_kernel("partition", 1.5),
+    "boolean partition": _set_kernel("partition", True),
+    "fractional lag": _fractional_lag,
     "unknown kernel kind": _set_kernel("kind", "cubic"),
     "NaN coefficient": lambda doc: doc["coefficients"][0].__setitem__(0, float("nan")),
     "NaN norm_stats": _nan_stats,
     "ragged weights_a": lambda doc: doc["weights_a"][0].append(1.0),
     "missing key": lambda doc: doc.pop("training_inputs"),
     "zero lag": _set("lag", 0),
+    "infinite lag": _set("lag", float("inf")),
 }
 
 BASELINE_CORRUPTIONS = {
@@ -167,6 +177,7 @@ BASELINE_CORRUPTIONS = {
     "names too short": _set("names", ["s0"]),
     "NaN coef": lambda doc: doc["coef"][0].__setitem__(0, float("nan")),
     "non-numeric lambda": _set("lambda", "big"),
+    "fractional lag": _fractional_lag,
 }
 
 
@@ -210,3 +221,18 @@ def test_predict_rejects_non_finite_inputs(bad):
                   fit_baseline("lvarl2", train, 1.0, norm_stats=stats)):
         with pytest.raises(BadDataError):
             predict_model(model, X)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_each_family_predict_rejects_non_finite_inputs(bad):
+    # the library predict functions check their rows themselves, not only
+    # through predict_model
+    rng = np.random.default_rng(8)
+    _, train = _fixture(rng)
+    X = rng.standard_normal((2, train.inputs.shape[1]))
+    X[1, 2] = bad
+    with pytest.raises(BadDataError):
+        nlvar.predict(fit("nvarl1", train, 1.0), X)
+    for method in ("mean", "lvarl2", "lvarl1"):
+        with pytest.raises(BadDataError):
+            predict_baseline(fit_baseline(method, train, 1.0), X)

@@ -1,0 +1,59 @@
+"""No module of the package imports or calls a sibling module's private
+(underscore) name: each module's private state stays its own."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nlvar"
+
+#: (module, sibling, name) reaches that stay. The benchmark tracer times the
+#: CV solves by wrapping the binding nlvar.harness._solve_stacked, so harness
+#: imports the stacked solver by that name.
+ALLOWED = {("harness", "grouplasso", "_solve_stacked")}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _reaches(module: str, source: str, siblings) -> set:
+    """(module, sibling, name) for every sibling private name that `source`
+    imports, or reads as an attribute of an imported sibling module."""
+    tree = ast.parse(source)
+    bound = {}  # local name -> sibling module bound to it
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        parts = (node.module or "").split(".")
+        if node.level == 0 and parts[0] == "nlvar":
+            parts = parts[1:]
+        elif node.level != 1:
+            continue
+        for alias in node.names:
+            if not parts or not parts[0]:  # from . import sibling
+                if alias.name in siblings:
+                    bound[alias.asname or alias.name] = alias.name
+            elif parts[0] in siblings and _private(alias.name):
+                found.add((module, parts[0], alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound and _private(node.attr)):
+            found.add((module, bound[node.value.id], node.attr))
+    return found
+
+
+def test_the_checker_sees_imports_and_calls():
+    source = ("from . import harness as h\nfrom .solver import _x, y\n"
+              "from nlvar.kernels import _z\nh._read_keys({}, (), '')\nh.public()\n")
+    assert _reaches("cli", source, {"harness", "solver", "kernels"}) == {
+        ("cli", "harness", "_read_keys"), ("cli", "solver", "_x"), ("cli", "kernels", "_z")}
+
+
+def test_no_module_reaches_a_siblings_private_names():
+    paths = sorted(PACKAGE.glob("*.py"))
+    siblings = {path.stem for path in paths}
+    found = set()
+    for path in paths:
+        found |= _reaches(path.stem, path.read_text(), siblings)
+    assert found - ALLOWED == set()
