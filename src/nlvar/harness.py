@@ -32,6 +32,7 @@ from .kernels import (
     build_gram_stack,
     make_specs,
 )
+from .modelio import whole_number
 from .series import (MultivariateSeries, SupervisedSet, lag_embed, read_csv, standardize_apply,
                      standardize_fit, write_csv)
 
@@ -71,8 +72,8 @@ class SyntheticSpec:
     psi: np.ndarray | None = None
 
     def __post_init__(self):
-        self.length = _as_int(self.length, "synthetic length")
-        self.seed = _as_int(self.seed, "synthetic seed")
+        self.length = whole_number(self.length, "synthetic length")
+        self.seed = whole_number(self.seed, "synthetic seed")
         if self.psi is None:
             self.psi = default_psi()
         self.psi = np.asarray(self.psi, dtype=float)
@@ -98,17 +99,6 @@ def generate_synthetic(spec: SyntheticSpec) -> MultivariateSeries:
     return MultivariateSeries(values=values, names=names)
 
 
-def _as_int(value, what: str) -> int:
-    """An integer-valued config entry as int; a non-integral value raises
-    ConfigError instead of being truncated."""
-    try:
-        if value == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{what} must be an integer, got {value!r}")
-
-
 @dataclass
 class GridSpec:
     """Logarithmic regularization grid 10^k * scale, k linearly spaced; the
@@ -120,7 +110,7 @@ class GridSpec:
     high_exp: float = 4.0
 
     def __post_init__(self):
-        self.count = _as_int(self.count, "grid count")
+        self.count = whole_number(self.count, "grid count")
         if self.count < 1:
             raise ConfigError(f"grid count must be >= 1, got {self.count}")
         if not (math.isfinite(self.low_exp) and math.isfinite(self.high_exp)):
@@ -330,12 +320,12 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     doc = read_keys(doc, ("data", "train", "holdout", "lag", "methods", "kernels", "grid",
                           "folds", "lambda", "solver", "out_dir", "save_models"), "config")
     try:
-        train = _as_int(doc["train"], "train")
-        holdout = _as_int(doc.get("holdout", DEFAULT_HOLDOUT), "holdout")
+        train = whole_number(doc["train"], "train")
+        holdout = whole_number(doc.get("holdout", DEFAULT_HOLDOUT), "holdout")
         data = read_keys(doc.get("data", {}), ("synthetic", "csv"), "data")
         solver_doc = dict(doc.get("solver") or {})
         if "max_iter" in solver_doc:
-            solver_doc["max_iter"] = _as_int(solver_doc["max_iter"], "solver max_iter")
+            solver_doc["max_iter"] = whole_number(solver_doc["max_iter"], "solver max_iter")
         dictionary = tuple((kind, param) for kind, param in doc.get("kernels", DEFAULT_DICTIONARY))
         for kind, param in dictionary:
             KernelSpec(kind=kind, param=param)
@@ -346,10 +336,10 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
                        if "synthetic" in data else None),
             csv_path=data.get("csv"),
             holdout=holdout,
-            lag=_as_int(doc.get("lag", DEFAULT_LAG), "lag"),
+            lag=whole_number(doc.get("lag", DEFAULT_LAG), "lag"),
             dictionary=dictionary,
             grid=GridSpec(**doc.get("grid", {})),
-            folds=_as_int(doc.get("folds", 5), "folds"),
+            folds=whole_number(doc.get("folds", 5), "folds"),
             lam=None if doc.get("lambda") is None else float(doc["lambda"]),
             options=SolverOptions(**solver_doc),
             out_dir=doc.get("out_dir"),

@@ -85,10 +85,16 @@ def _check(ok: bool, what: str) -> None:
         raise ConfigError(f"malformed model document: {what}")
 
 
-def _whole(value, what: str) -> int:
-    """An integral JSON number as int; a bool or a fraction is malformed."""
-    _check(not isinstance(value, bool) and value == int(value), f"{what} must be a whole number")
-    return int(value)
+def whole_number(value, what: str) -> int:
+    """An integral number from a JSON document (a model or a config) as int;
+    a bool, a fraction, a non-finite or a non-number value raises ConfigError
+    instead of being truncated."""
+    try:
+        if not isinstance(value, bool) and value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{what} must be a whole number, got {value!r}")
 
 
 def model_from_dict(doc: dict):
@@ -111,7 +117,7 @@ def _model_from_dict(doc: dict):
     kind = doc["kind"]
     if kind == "nvar_full":
         return model_from_dict(doc["model"])
-    lag = _whole(doc["lag"], "lag")
+    lag = whole_number(doc["lag"], "model lag")
     _check(lag >= 1, "lag must be positive")
     names = doc["names"]
     stats = _stats_from(doc["norm_stats"])
@@ -120,7 +126,8 @@ def _model_from_dict(doc: dict):
             KernelSpec(
                 kind=k["kind"],
                 param=k["param"],
-                partition=None if k["partition"] is None else _whole(k["partition"], "partition"),
+                partition=(None if k["partition"] is None
+                           else whole_number(k["partition"], "kernel partition")),
                 norm_factor=k["norm_factor"],
             )
             for k in doc["kernels"]

@@ -123,6 +123,24 @@ def test_benchmark_command(tmp_path):
     assert not (tmp_path / "neg").exists()
 
 
+@pytest.mark.parametrize("change, key", [
+    ({"lag": True}, "lag"),
+    ({"data": {"synthetic": {"length": 160, "seed": True}}}, "synthetic seed"),
+    ({"grid": {"count": True}}, "grid count"),
+    ({"solver": {"max_iter": True}}, "solver max_iter"),
+])
+def test_benchmark_rejects_a_boolean_for_an_integer_with_exit_code_2(tmp_path, capsys, change,
+                                                                       key):
+    # JSON true is not the whole number 1
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps({"data": {"synthetic": {"length": 160, "seed": 13}}, "train": 120,
+                               "holdout": 40, "methods": ["mean"], **change}))
+    capsys.readouterr()
+    assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be a whole number, got True" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 #: a table entry naming a file that is never written
 MISSING = "missing"
 
