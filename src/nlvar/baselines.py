@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatchError, SingularSystemError, UnsupportedKindError
 from .grouplasso import GroupedProblem, SolverOptions, solve_group_lasso
-from .series import NormStats, SupervisedSet, input_rows
+from .series import NormStats, SupervisedSet, input_rows, lag_columns
 from .solver import AdjacencyMatrix, normalize_adjacency
 
 BASELINE_METHODS = ("mean", "lar", "lvarl2", "lvarl1")
@@ -107,10 +107,6 @@ def baseline_adjacency(fit: BaselineFit) -> AdjacencyMatrix:
     norm of series j's lag coefficients in output s's predictor."""
     if fit.method != "lvarl1":
         raise UnsupportedKindError(f"adjacency is only defined for lvarl1, not {fit.method!r}")
-    mp, m = fit.coef.shape
-    p = fit.lag
-    raw = np.zeros((mp // p, m))
-    for j in range(mp // p):
-        block = fit.coef[j * p : (j + 1) * p, :]
-        raw[j] = np.linalg.norm(block, axis=0)
+    raw = np.array([np.linalg.norm(fit.coef[cols], axis=0)
+                    for cols in lag_columns(fit.coef.shape[0] // fit.lag, fit.lag)])
     return AdjacencyMatrix(values=normalize_adjacency(raw), names=fit.names)

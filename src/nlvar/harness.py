@@ -32,7 +32,7 @@ from .kernels import (
     build_gram_stack,
     make_specs,
 )
-from .modelio import whole_number
+from .modelio import real_number, whole_number
 from .series import (MultivariateSeries, SupervisedSet, lag_embed, read_csv, standardize_apply,
                      standardize_fit, write_csv)
 
@@ -113,8 +113,8 @@ class GridSpec:
         self.count = whole_number(self.count, "grid count")
         if self.count < 1:
             raise ConfigError(f"grid count must be >= 1, got {self.count}")
-        if not (math.isfinite(self.low_exp) and math.isfinite(self.high_exp)):
-            raise ConfigError("grid low_exp and high_exp must be finite")
+        self.low_exp = real_number(self.low_exp, "grid low_exp")
+        self.high_exp = real_number(self.high_exp, "grid high_exp")
         if self.count > 1 and self.low_exp >= self.high_exp:
             raise ConfigError("grid low_exp must be below high_exp")
 
@@ -211,7 +211,11 @@ def cv_select(train: SupervisedSet, method: str, grid: GridSpec | None = None,
         make_specs([None], dictionary)
     grid = grid or GridSpec()
     n = train.n_pairs
-    lams = grid.values(math.sqrt(n) * scale_count(method, train.n_series, dictionary))
+    with np.errstate(over="ignore", under="ignore"):
+        lams = grid.values(math.sqrt(n) * scale_count(method, train.n_series, dictionary))
+    if not np.all(np.isfinite(lams) & (lams > 0.0)):
+        raise ConfigError(f"{method} grid runs from {lams[0]:g} to {lams[-1]:g}; "
+                          "every value must be finite and positive")
     if grid.count == 1:
         return float(lams[0]), np.full(1, np.nan)
     if n < 2 * folds:
@@ -324,8 +328,9 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
         holdout = whole_number(doc.get("holdout", DEFAULT_HOLDOUT), "holdout")
         data = read_keys(doc.get("data", {}), ("synthetic", "csv"), "data")
         solver_doc = dict(doc.get("solver") or {})
-        if "max_iter" in solver_doc:
-            solver_doc["max_iter"] = whole_number(solver_doc["max_iter"], "solver max_iter")
+        for key, read in (("max_iter", whole_number), ("rel_tol", real_number)):
+            if key in solver_doc:
+                solver_doc[key] = read(solver_doc[key], f"solver {key}")
         dictionary = tuple((kind, param) for kind, param in doc.get("kernels", DEFAULT_DICTIONARY))
         for kind, param in dictionary:
             KernelSpec(kind=kind, param=param)
@@ -340,7 +345,7 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
             dictionary=dictionary,
             grid=GridSpec(**doc.get("grid", {})),
             folds=whole_number(doc.get("folds", 5), "folds"),
-            lam=None if doc.get("lambda") is None else float(doc["lambda"]),
+            lam=None if doc.get("lambda") is None else real_number(doc["lambda"], "lambda"),
             options=SolverOptions(**solver_doc),
             out_dir=doc.get("out_dir"),
             save_models=bool(doc.get("save_models", False)),
@@ -403,7 +408,8 @@ def fit_method(config: ExperimentConfig, method: str, train_set, lam, stats=None
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the full protocol: standardize, embed, CV per method, final fit,
     hold-out evaluation, adjacency export. Per-method failures are recorded
-    and do not abort the run. Returns the report dict (also written to
+    and do not abort the run; a ConfigError (a grid with a zero or infinite
+    value) does. Returns the report dict (also written to
     out_dir with CSV artifacts when configured)."""
     if config.synthetic is not None:
         series = generate_synthetic(config.synthetic)
@@ -436,6 +442,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 adj = adjacencies[method] = modelio.model_adjacency(model)
                 entry["adjacency"] = [[float(v) for v in row] for row in adj.values]
             models[method] = model
+        except ConfigError:
+            raise
         except (NlvarError, np.linalg.LinAlgError) as exc:  # record; go on with the others
             entry = {"status": "failed", "error": f"{type(exc).__name__}: {exc}",
                      "seconds": time.perf_counter() - started}

@@ -10,6 +10,7 @@ spec so test-time cross-Gram blocks use the same scaling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,8 @@ class KernelSpec:
     norm_factor: float | None = None
 
     def __post_init__(self):
+        if isinstance(self.param, bool):
+            raise ValueError(f"kernel parameter must be a number, got {self.param}")
         if self.kind == "linear":
             self.param = None
         elif self.kind == "polynomial":
@@ -61,11 +64,13 @@ class KernelSpec:
                 raise ValueError(f"polynomial degree must be an integer >= 2, got {self.param}")
             self.param = int(self.param)
         elif self.kind == "gaussian":
-            if self.param is None or self.param <= 0:
-                raise ValueError(f"gaussian width must be positive, got {self.param}")
+            if self.param is None or not 0 < self.param < math.inf:
+                raise ValueError(f"gaussian width must be positive and finite, got {self.param}")
             self.param = float(self.param)
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if self.norm_factor is not None and not self.norm_factor > 0:
+            raise ValueError(f"{self.label()}: norm_factor must be positive, got {self.norm_factor}")
 
     def label(self) -> str:
         part = "full" if self.partition is None else str(self.partition)
@@ -79,10 +84,10 @@ class GramStack:
     """The l normalized training Gram matrices, one (l, n, n) array, with
     their specs (a list of n x n matrices is stacked on construction).
 
-    build_gram_stack writes each partition's Grams into their slots from
-    that partition's shared products and rescales them there, storing each
-    spec's norm_factor. group_index[d] is the (partition j, within-partition
-    i) pair of kernel d; kernels sharing a partition are contiguous.
+    group_index[d] is kernel d's (group, position) pair, a partition's
+    kernels forming one contiguous group (sizes: group_sizes). build_gram_stack
+    writes each group's Grams in place from its partition's shared products
+    and rescales them there, storing each spec's norm_factor.
     """
 
     grams: np.ndarray
@@ -132,6 +137,15 @@ def group_index_of(specs) -> list[tuple[int, int]]:
         counts[g] = i + 1
         group_index.append((g, i))
     return group_index
+
+
+def group_sizes(group_index) -> np.ndarray:
+    """Sizes of the contiguous groups of a group index, in order; a group
+    whose kernels are not contiguous raises DimensionMismatchError."""
+    gids = [g for g, _ in group_index]
+    if any(later < earlier for earlier, later in zip(gids, gids[1:])):
+        raise DimensionMismatchError("the kernels of one group must be contiguous")
+    return np.unique(gids, return_counts=True)[1]
 
 
 def partition_columns(spec: KernelSpec, partition_map) -> list[int] | slice:
@@ -240,13 +254,6 @@ def _cross_blocks(specs, slots, X: np.ndarray, Z: np.ndarray) -> None:
         K *= spec.norm_factor
 
 
-def _partition_runs(specs):
-    """(start, stop) of every run of consecutive specs on one partition."""
-    starts = [d for d, spec in enumerate(specs)
-              if d == 0 or spec.partition != specs[d - 1].partition]
-    return zip(starts, starts[1:] + [len(specs)])
-
-
 def gram_matrix(spec: KernelSpec, rows: np.ndarray) -> tuple[np.ndarray, float]:
     """Training Gram matrix rescaled to trace n; stores the factor on the spec."""
     X, _ = _row_sets(rows, None)
@@ -293,11 +300,13 @@ def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTI
         partitions = list(range(len(partition_map)))
     specs = make_specs(partitions, dictionary)
     n = inputs.shape[0]
-    grams = np.empty((len(specs), n, n))
-    for lo, hi in _partition_runs(specs):
+    stack = GramStack(grams=np.empty((len(specs), n, n)), specs=specs,
+                      group_index=group_index_of(specs))
+    bounds = np.cumsum([0, *group_sizes(stack.group_index)])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         X, _ = _row_sets(inputs[:, partition_columns(specs[lo], partition_map)], None)
-        _training_grams(specs[lo:hi], list(grams[lo:hi]), X)
-    return GramStack(grams=grams, specs=specs, group_index=group_index_of(specs))
+        _training_grams(specs[lo:hi], list(stack.grams[lo:hi]), X)
+    return stack
 
 
 def build_feature_stack(stack: GramStack) -> FeatureStack:
@@ -309,7 +318,8 @@ def build_cross_stack(stack: GramStack, train_inputs: np.ndarray, new_inputs: np
     """Cross-Gram blocks (l, n_new, n_train) for every kernel in the stack."""
     specs = stack.specs
     out = np.empty((len(specs), new_inputs.shape[0], train_inputs.shape[0]))
-    for lo, hi in _partition_runs(specs):
+    bounds = np.cumsum([0, *group_sizes(stack.group_index)])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         cols = partition_columns(specs[lo], partition_map)
         X, Z = _row_sets(train_inputs[:, cols], new_inputs[:, cols])
         _cross_blocks(specs[lo:hi], list(out[lo:hi]), X, Z)

@@ -10,6 +10,8 @@ written with full round-trip precision.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 
 import numpy as np
 
@@ -97,6 +99,18 @@ def whole_number(value, what: str) -> int:
     raise ConfigError(f"{what} must be a whole number, got {value!r}")
 
 
+def real_number(value, what: str) -> float:
+    """A finite number from a JSON document (a model or a config) as float;
+    a bool, a string or other non-number, or a non-finite value raises
+    ConfigError instead of being converted."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
 def model_from_dict(doc: dict):
     """Rebuild a fitted model, checking every shape the forecasts rely on.
 
@@ -128,30 +142,27 @@ def _model_from_dict(doc: dict):
                 param=k["param"],
                 partition=(None if k["partition"] is None
                            else whole_number(k["partition"], "kernel partition")),
-                norm_factor=k["norm_factor"],
+                norm_factor=real_number(k["norm_factor"], "kernel norm_factor"),
             )
             for k in doc["kernels"]
         ]
         A = _finite(doc["weights_a"], 2, "weights_a")
         C = _finite(doc["coefficients"], 2, "coefficients")
         X = _finite(doc["training_inputs"], 2, "training_inputs")
-        lam = _finite(doc["lambda"], 1, "lambda")
+        lam = np.array([real_number(v, "lambda") for v in doc["lambda"]])
         m = A.shape[1]
         _check(A.shape[0] == len(specs), f"weights_a has {A.shape[0]} rows for {len(specs)} kernels")
         _check(C.shape == (X.shape[0], m), f"coefficients are {C.shape}, expected {(X.shape[0], m)}")
         _check(X.shape[1] == m * lag, f"training_inputs have {X.shape[1]} columns, expected {m * lag}")
         _check(lam.shape == (m,), f"lambda has {lam.size} entries for {m} outputs")
         for spec in specs:
-            _check(spec.norm_factor is not None and np.isfinite(spec.norm_factor),
-                   f"{spec.label()} has no finite norm_factor")
             _check(spec.partition is None or 0 <= spec.partition < m,
                    f"{spec.label()} names a partition outside 0..{m - 1}")
         model = solver.ModelFit(method=kind, A=A, C=C, specs=specs, group_index=group_index_of(specs),
                                 training_inputs=X, norm_stats=stats, lag=lag, lam=lam, names=names)
     elif kind in baselines.BASELINE_METHODS:
         coef = None if doc.get("coef") is None else _finite(doc["coef"], 2, "coef")
-        lam = doc["lambda"]
-        _check(lam is None or np.isfinite(float(lam)), "lambda must be finite")
+        lam = None if doc["lambda"] is None else real_number(doc["lambda"], "lambda")
         m = None
         if coef is not None:
             m = coef.shape[1]

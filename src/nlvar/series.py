@@ -70,17 +70,16 @@ class NormStats:
 
 @dataclass
 class SupervisedSet:
-    """Lag-embedded input/output pairs.
+    """Lag-embedded input/output pairs of n_series (the output width) series.
 
     Input columns are grouped by source series, most recent observation
-    first within each group; ``partition_map[j]`` lists the ``lag`` input
-    columns holding the past of series ``j``.
+    first within each group; ``partition_map[j]`` (from lag_columns) lists
+    the ``lag`` input columns holding the past of series ``j``.
     """
 
     inputs: np.ndarray
     outputs: np.ndarray
     lag: int
-    partition_map: list[list[int]]
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=float)
@@ -89,10 +88,9 @@ class SupervisedSet:
             raise DimensionMismatchError("inputs and outputs must be 2-d arrays")
         if self.inputs.shape[0] != self.outputs.shape[0]:
             raise DimensionMismatchError("inputs and outputs row counts differ")
-        m = len(self.partition_map)
-        if self.inputs.shape[1] != m * self.lag:
+        if self.inputs.shape[1] != self.n_series * self.lag:
             raise DimensionMismatchError(
-                f"expected {m * self.lag} input columns, got {self.inputs.shape[1]}"
+                f"expected {self.n_series * self.lag} input columns, got {self.inputs.shape[1]}"
             )
 
     @property
@@ -101,17 +99,17 @@ class SupervisedSet:
 
     @property
     def n_series(self) -> int:
-        return len(self.partition_map)
+        return self.outputs.shape[1]
+
+    @property
+    def partition_map(self) -> list[list[int]]:
+        return lag_columns(self.n_series, self.lag)
 
     def subset(self, rows) -> "SupervisedSet":
-        """Row-sliced copy sharing lag and partition structure."""
+        """Row-sliced copy with the same lag."""
         rows = np.asarray(rows)
-        return SupervisedSet(
-            inputs=self.inputs[rows].copy(),
-            outputs=self.outputs[rows].copy(),
-            lag=self.lag,
-            partition_map=[list(cols) for cols in self.partition_map],
-        )
+        return SupervisedSet(inputs=self.inputs[rows].copy(), outputs=self.outputs[rows].copy(),
+                             lag=self.lag)
 
 
 def standardize_fit(series: MultivariateSeries, train_len: int) -> NormStats:
@@ -190,7 +188,7 @@ def lag_embed(series: MultivariateSeries, p: int) -> SupervisedSet:
         for k in range(p):
             inputs[:, j * p + k] = col[p - 1 - k : p - 1 - k + n]
     outputs = series.values[p:].copy()
-    return SupervisedSet(inputs=inputs, outputs=outputs, lag=p, partition_map=lag_columns(m, p))
+    return SupervisedSet(inputs=inputs, outputs=outputs, lag=p)
 
 
 def read_csv(path) -> MultivariateSeries:

@@ -41,6 +41,7 @@ from .kernels import (
     build_feature_stack,
     build_gram_stack,
     cross_gram,
+    group_sizes,
     partition_columns,
 )
 from .series import NormStats, SupervisedSet, input_rows, lag_columns
@@ -163,14 +164,6 @@ def solve_coefficients(grams: GramStack, a, y, lam: float) -> np.ndarray:
     return c
 
 
-def _group_sizes(group_index) -> np.ndarray:
-    """Sizes of the partition groups of a kernel stack, in stack order."""
-    gids = [g for g, _ in group_index]
-    if any(later < earlier for earlier, later in zip(gids, gids[1:])):
-        raise ValueError("kernels of one partition must be contiguous")
-    return np.unique(gids, return_counts=True)[1]
-
-
 def l1_weights(Z, starts, lam: float) -> np.ndarray:
     """Kernel weights a_d = sqrt(lam) * ||z_d||_2 from stacked feature-space
     weights Z (one task's vector, or one column per task); `starts` are the
@@ -274,7 +267,9 @@ def _ray_start(grams: GramStack, y, lam: float, starts) -> np.ndarray:
 
 def solve_task_l12(grams: GramStack, group_index, y, lam: float,
                    warm=None, opts: SolverOptions = SolverOptions()) -> TaskSolution:
-    """One output task under the l1/l2 penalty grouping kernels by partition.
+    """One output task under the l1/l2 penalty over the contiguous kernel
+    groups of `group_index` (kernels.group_sizes; the stack's own index
+    groups by partition, singletons make it an l1 penalty).
 
     With c eliminated the task is min h(a) + sum_g ||a_g|| over a >= 0, where
     h(a) = lam y^T M^-1 y, M = sum_d a_d K^d + lam I, is convex, with gradient
@@ -293,7 +288,7 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
     l = grams.n_kernels
     if len(group_index) != l:
         raise DimensionMismatchError("group index does not match the gram stack")
-    sizes = _group_sizes(group_index)
+    sizes = group_sizes(group_index)
     starts = group_starts(sizes)
 
     a = _ray_start(grams, y, lam, starts) if warm is None else np.array(warm, dtype=float).ravel()

@@ -254,3 +254,146 @@ def test_fit_cv_matches_the_benchmark_fit(tmp_path, data_csv):
                                  "save_models": True}))
     assert main(["benchmark", "--config", str(bench), "--out", str(tmp_path / "run")]) == 0
     assert model_path.read_text() == (tmp_path / "run" / "model_nvarl1.json").read_text()
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+_SMALL_RUN = {"data": {"synthetic": {"length": 160, "seed": 13}}, "train": 120, "holdout": 40,
+              "lag": 3, "folds": 3}
+
+
+@pytest.mark.parametrize("method, grid", [
+    ("nvarl12", {"count": 3, "low_exp": -400, "high_exp": 0}),  # 10^-400 underflows to 0
+    ("lvarl2", {"count": 3, "low_exp": 0, "high_exp": 400}),  # 10^400 overflows to inf
+    ("lvarl2", {"count": 1, "low_exp": -400}),
+])
+def test_benchmark_rejects_a_grid_value_that_is_zero_or_infinite(tmp_path, capsys, method, grid):
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps({**_SMALL_RUN, "methods": ["mean", method], "grid": grid}))
+    capsys.readouterr()
+    assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "must be finite and positive" in _one_line_error(capsys)
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_fit_cv_rejects_a_grid_value_that_is_zero(tmp_path, data_csv, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"count": 3, "low_exp": -400, "high_exp": 0}}))
+    capsys.readouterr()
+    assert main(["fit", "--data", str(data_csv), "--method", "nvarl12", "--train", "100",
+                 "--config", str(cfg), "--cv", "--out", str(tmp_path / "model.json")]) == 2
+    assert "must be finite and positive" in _one_line_error(capsys)
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"lambda": True}, "lambda"),
+    ({"lambda": "1e-3"}, "lambda"),
+    ({"grid": {"low_exp": True}}, "grid low_exp"),
+    ({"grid": {"high_exp": True}}, "grid high_exp"),
+    ({"solver": {"rel_tol": True}}, "solver rel_tol"),
+    ({"kernels": [["gaussian", True]]}, "kernel parameter"),
+])
+def test_benchmark_rejects_a_non_number_for_a_real_key(tmp_path, capsys, change, key):
+    # JSON true is not 1.0, and the string "1e-3" is not a number
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps({**_SMALL_RUN, "methods": ["mean"], **change}))
+    capsys.readouterr()
+    assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert key in _one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def _first_gaussian(doc):
+    return next(k for k in doc["kernels"] if k["kind"] == "gaussian")
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc["kernels"][0].__setitem__("norm_factor", True),
+    lambda doc: doc["kernels"][0].__setitem__("norm_factor", 0),
+    lambda doc: doc["kernels"][0].__setitem__("norm_factor", -1),
+    lambda doc: _first_gaussian(doc).__setitem__("param", True),
+    lambda doc: doc.__setitem__("lambda", [True] * len(doc["lambda"])),
+], ids=["norm_factor true", "norm_factor 0", "norm_factor -1", "gaussian param true",
+        "lambda entries true"])
+def test_predict_rejects_a_model_with_a_bad_real_field(tmp_path, data_csv, capsys, corrupt):
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_csv), "--method", "nvarl1", "--train", "60",
+                 "--lag", "3", "--lambda", "2.0", "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    corrupt(doc)
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(data_csv),
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    _one_line_error(capsys)
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [("", "empty file"), ("a,b\n", "no data rows")])
+def test_fit_rejects_an_empty_or_header_only_csv(tmp_path, capsys, text, message):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    capsys.readouterr()
+    assert main(["fit", "--data", str(data), "--method", "mean", "--train", "50",
+                 "--lambda", "0", "--out", str(tmp_path / "model.json")]) == 2
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_benchmark_rejects_a_config_that_is_not_json(tmp_path, capsys):
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text('{"train": 120,')
+    capsys.readouterr()
+    assert main(["benchmark", "--config", str(cfg)]) == 2
+    assert "not JSON" in _one_line_error(capsys)
+
+
+def test_predict_rejects_a_model_that_is_not_json(tmp_path, data_csv, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text("nlvar-model v1")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(data_csv),
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    assert "not JSON" in _one_line_error(capsys)
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_predict_rejects_a_model_without_norm_stats(tmp_path, data_csv, capsys):
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_csv), "--method", "lvarl2", "--train", "150",
+                 "--lag", "3", "--lambda", "1.0", "--out", str(model_path)]) == 0
+    model_path.write_text(json.dumps({**json.loads(model_path.read_text()), "norm_stats": None}))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(data_csv),
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    assert "no normalization stats" in _one_line_error(capsys)
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_evaluate_rejects_a_holdout_beyond_the_embedded_pairs(tmp_path, data_csv, capsys):
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_csv), "--method", "lvarl2", "--train", "150",
+                 "--lag", "3", "--lambda", "1.0", "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    # 200 rows embed into 197 pairs at lag 3
+    assert main(["evaluate", "--model", str(model_path), "--data", str(data_csv),
+                 "--holdout", "198", "--out", str(tmp_path / "eval.json")]) == 2
+    assert "only 197 pairs available" in _one_line_error(capsys)
+    assert not (tmp_path / "eval.json").exists()
+
+
+def test_benchmark_prints_a_failed_row_and_exits_0(tmp_path, capsys):
+    # 100 folds cannot split the 117 training pairs: the CV methods fail,
+    # the mean predictor needs no CV and the run goes on
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps({**_SMALL_RUN, "methods": ["mean", "lvarl2"], "folds": 100}))
+    capsys.readouterr()
+    assert main(["benchmark", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("mean ")
+    assert out[1].startswith("lvarl2   FAILED: FoldTooSmallError: ")

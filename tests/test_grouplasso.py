@@ -306,6 +306,39 @@ def test_extrapolation_cuts_the_sweeps_on_correlated_groups(monkeypatch):
     assert f_acc == pytest.approx(f_plain, rel=1e-10)
 
 
+def test_extrapolation_is_skipped_on_a_singular_or_non_finite_system():
+    # identical iterates: the difference system is all zero, its ridge too
+    assert grouplasso._extrapolate([np.ones(3)] * 6) is None
+    # iterates whose products overflow: the combination weights are not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert grouplasso._extrapolate([np.zeros(3), np.full(3, 1e200)] * 3) is None
+
+
+def test_solve_goes_on_past_a_skipped_extrapolation(monkeypatch):
+    # no KKT gap meets a zero tolerance, so the sweeps run on to a
+    # floating-point fixed point, where the iterates stop changing
+    skipped = []
+
+    def recording(history, _extrapolate=grouplasso._extrapolate):
+        point = _extrapolate(history)
+        skipped.append(point is None)
+        return point
+
+    monkeypatch.setattr(grouplasso, "_extrapolate", recording)
+    monkeypatch.setattr(grouplasso, "kkt_tolerance", lambda opts: 0.0)
+    opts = SolverOptions(max_iter=300)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        blocks = [rng.standard_normal((30, 3)) for _ in range(4)]
+        y = rng.standard_normal(30)
+        for kappa in (0.1, 1.0, 10.0):
+            sol = solve_group_lasso(GroupedProblem(blocks, y, kappa), opts=opts)
+            assert not sol.converged and sol.iterations == opts.max_iter
+            trace = np.array(sol.objective_trace)
+            assert np.all(trace[1:] <= trace[:-1] + 1e-12 * np.abs(trace[:-1]))
+    assert any(skipped)
+
+
 def test_warm_start_from_a_sparser_solution_lets_groups_enter():
     # the target is orthogonal to group 1, which enters only once group 0
     # has grown: at the warm start its zero step does not move it

@@ -20,6 +20,7 @@ from nlvar.kernels import (
     empirical_features,
     gram_matrix,
     group_index_of,
+    group_sizes,
     make_specs,
 )
 
@@ -205,6 +206,23 @@ def test_full_partition_specs():
     assert len(specs) == len(DEFAULT_DICTIONARY)
     assert all(spec.partition is None for spec in specs)
     assert group_index_of(specs) == [(0, i) for i in range(len(DEFAULT_DICTIONARY))]
+
+
+def test_group_sizes_of_contiguous_and_non_contiguous_layouts():
+    assert list(group_sizes(group_index_of(make_specs([0, 1, 2])))) == [6, 6, 6]
+    assert list(group_sizes(group_index_of(make_specs([None])))) == [6]
+    assert list(group_sizes([(0, 0), (1, 0), (2, 0)])) == [1, 1, 1]
+    with pytest.raises(DimensionMismatchError, match="contiguous"):
+        group_sizes([(0, 0), (1, 0), (0, 1)])
+
+
+def test_cross_stack_walks_the_stack_group_index():
+    rng = np.random.default_rng(14)
+    inputs, partition_map = _embedded(rng)
+    stack = build_gram_stack(inputs, partition_map, (("linear", None), ("gaussian", 1.0)))
+    stack.group_index = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1)]
+    with pytest.raises(DimensionMismatchError, match="contiguous"):
+        build_cross_stack(stack, inputs, inputs[:3], partition_map)
 
 
 #: (dictionary, partitions) pairs whose stacks must equal per-spec Grams

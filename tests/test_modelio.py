@@ -169,6 +169,8 @@ KERNEL_CORRUPTIONS = {
     "missing key": lambda doc: doc.pop("training_inputs"),
     "zero lag": _set("lag", 0),
     "infinite lag": _set("lag", float("inf")),
+    "NaN gaussian width": lambda doc: next(
+        k for k in doc["kernels"] if k["kind"] == "gaussian").__setitem__("param", float("nan")),
 }
 
 BASELINE_CORRUPTIONS = {

@@ -10,6 +10,8 @@ from nlvar.errors import (
 from nlvar.series import (
     MultivariateSeries,
     NormStats,
+    SupervisedSet,
+    lag_columns,
     lag_embed,
     read_csv,
     standardize_apply,
@@ -129,6 +131,17 @@ def test_subset_keeps_structure():
     assert sub.n_pairs == 5
     assert sub.partition_map == sup.partition_map
     np.testing.assert_array_equal(sub.outputs, sup.outputs[4:9])
+
+
+def test_partition_map_is_derived_from_the_output_width_and_lag():
+    rng = np.random.default_rng(6)
+    sup = SupervisedSet(inputs=rng.standard_normal((4, 6)), outputs=rng.standard_normal((4, 3)),
+                        lag=2)
+    assert sup.n_series == 3
+    assert sup.partition_map == lag_columns(3, 2)
+    with pytest.raises(DimensionMismatchError):
+        SupervisedSet(inputs=rng.standard_normal((4, 5)), outputs=rng.standard_normal((4, 3)),
+                      lag=2)
 
 
 def test_csv_round_trip(tmp_path):

@@ -389,6 +389,58 @@ def test_l12_cold_start_is_the_best_point_on_the_uniform_ray(monkeypatch):
     assert zero_starts > 0
 
 
+def _assert_unconverged_stop(stack, y, lam, task, opts):
+    """An l1/l2 solve that ended before its budget without converging: a
+    non-increasing trace, a >= 0, and c solving (sum_d a_d K^d + lam I) c = y."""
+    assert not task.converged
+    assert len(task.objective_trace) - 2 < opts.max_iter  # the Newton steps taken
+    trace = np.array(task.objective_trace)
+    assert np.all(trace[1:] <= trace[:-1] + 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
+    assert task.a.min() >= 0.0
+    M = np.tensordot(task.a, stack.grams, axes=1) + lam * np.eye(len(y))
+    np.testing.assert_allclose(M @ task.c, y, rtol=0.0, atol=1e-10 * np.linalg.norm(y))
+
+
+def test_l12_stops_unconverged_once_its_steps_sink_below_rounding(monkeypatch):
+    # no gap meets a zero tolerance: the solve ends where a step too small
+    # for the objective to judge does not narrow the gap either
+    monkeypatch.setattr(solver, "kkt_tolerance", lambda opts: 0.0)
+    opts = SolverOptions(max_iter=200)
+    stopped = 0
+    for stack, y, lam in _l12_instances(18, count=8):
+        task = solve_task_l12(stack, stack.group_index, y, lam, opts=opts)
+        if task.converged:  # an exactly zero gap, as at a = 0
+            continue
+        stopped += 1
+        _assert_unconverged_stop(stack, y, lam, task, opts)
+        assert _l12_gap(stack, task.a, task.c, lam) <= 1e-12
+    assert stopped >= 3
+
+
+def test_l12_stops_unconverged_when_its_line_search_is_exhausted(monkeypatch):
+    # without backtracking, a rejected full step from a far start leaves
+    # no step to try
+    monkeypatch.setattr(solver, "BACKTRACK_FACTOR", 0.0)
+    opts = SolverOptions()
+    stopped = 0
+    for stack, y, lam in _l12_instances(19, count=10):
+        task = solve_task_l12(stack, stack.group_index, y, lam,
+                              warm=np.ones(stack.n_kernels), opts=opts)
+        if task.converged:
+            continue
+        stopped += 1
+        _assert_unconverged_stop(stack, y, lam, task, opts)
+        assert _l12_gap(stack, task.a, task.c, lam) > kkt_tolerance(opts)
+    assert stopped >= 2
+
+
+def test_l12_rejects_a_non_contiguous_group_index():
+    rng = np.random.default_rng(11)
+    stack = _random_stack(rng, 6, parts=2, per_part=2)
+    with pytest.raises(DimensionMismatchError, match="contiguous"):
+        solve_task_l12(stack, [(0, 0), (1, 0), (0, 1), (1, 1)], rng.standard_normal(6), 1.0)
+
+
 def test_l12_large_lambda_kills_single_group_in_one_step():
     rng = np.random.default_rng(9)
     stack = _random_stack(rng, 6, parts=1, per_part=3)  # one group of all kernels
