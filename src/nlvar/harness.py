@@ -296,6 +296,13 @@ class ExperimentConfig:
             raise ConfigError(f"train={self.train} too small for lag={self.lag}")
         if self.holdout < 1:
             raise ConfigError("holdout must be >= 1")
+        # cv_select's rule, checked here only where a run cross-validates
+        if self.folds < 2:
+            raise ConfigError(f"folds must be at least 2, got {self.folds}")
+        pairs = self.train - self.lag
+        if (self.lam is None and self.grid.count > 1 and set(self.methods) - {"mean"}
+                and pairs < 2 * self.folds):
+            raise ConfigError(f"{pairs} training pairs cannot make {self.folds} usable folds")
         if self.lam is not None:
             if not (math.isfinite(self.lam) and self.lam >= 0.0):
                 raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")

@@ -3,9 +3,12 @@
 Each kernel operates on one input partition (the lagged past of a single
 series) or, for the unpartitioned variant, on the full input vector. The
 kernels of one partition are evaluated together, from one inner-product
-matrix and, when a Gaussian is among them, one squared-distance matrix.
-Training Gram matrices are rescaled to trace n and the factor is kept on the
-spec so test-time cross-Gram blocks use the same scaling.
+matrix and, when a Gaussian is among them, one squared-distance matrix:
+for training Grams (build_gram_stack), for cross-Gram stacks
+(build_cross_stack) and for serving, where cross_gram takes one
+partition's list of specs. Training Gram matrices are rescaled to trace n
+and the factor is kept on the spec so test-time cross-Gram blocks use the
+same scaling.
 """
 
 from __future__ import annotations
@@ -262,12 +265,22 @@ def gram_matrix(spec: KernelSpec, rows: np.ndarray) -> tuple[np.ndarray, float]:
     return G, spec.norm_factor
 
 
-def cross_gram(spec: KernelSpec, train_rows: np.ndarray, test_rows: np.ndarray) -> np.ndarray:
-    """Kernel block between test and training rows, using the training scale factor."""
+def cross_gram(specs: KernelSpec | list[KernelSpec], train_rows: np.ndarray,
+               test_rows: np.ndarray) -> np.ndarray:
+    """Kernel blocks between test and training rows, each scaled by its
+    training factor.
+
+    One KernelSpec gives its (n_test, n_train) block. A list of k specs on
+    one input partition (the rows hold that partition's columns) gives
+    their (k, n_test, n_train) blocks, all from one <u,v> and one
+    -||u-v||^2 / 2; block i equals cross_gram(specs[i], ...) bit for bit.
+    """
     X, Z = _row_sets(train_rows, test_rows)
-    block = np.empty((Z.shape[0], X.shape[0]))
-    _cross_blocks([spec], [block], X, Z)
-    return block
+    one = isinstance(specs, KernelSpec)
+    group = [specs] if one else list(specs)
+    blocks = np.empty((len(group), Z.shape[0], X.shape[0]))
+    _cross_blocks(group, list(blocks), X, Z)
+    return blocks[0] if one else blocks
 
 
 def empirical_features(K: np.ndarray) -> np.ndarray:

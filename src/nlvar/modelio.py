@@ -9,6 +9,7 @@ written with full round-trip precision.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -79,6 +80,9 @@ def model_to_dict(model) -> dict:
 def _finite(doc, ndim: int, what: str) -> np.ndarray:
     arr = np.asarray(doc, dtype=float)
     _check(arr.ndim == ndim and bool(np.all(np.isfinite(arr))), f"{what} must be a finite {ndim}-d array")
+    # the float conversion reads a JSON true as 1.0: one pass over the types
+    entries = doc if ndim == 1 else itertools.chain.from_iterable(doc)
+    _check(bool not in map(type, entries), f"{what} must hold numbers, not booleans")
     return arr
 
 

@@ -52,9 +52,10 @@ KERNEL_METHODS = ("nvarl1", "nvarl12", "nvar")
 #: exact zeros (proximal solvers produce true zeros; this only removes dust).
 ADJ_ZERO_TOL = 1e-8
 
-#: Rows of new inputs per cross-Gram block in `predict`: a block and its
-#: temporaries stay in cache, and memory does not grow with the row count.
-_PREDICT_BLOCK_ROWS = 64
+#: Rows of new inputs per cross-Gram block in `predict`: a partition's blocks
+#: and their temporaries stay in cache, and memory does not grow with the row
+#: count.
+_PREDICT_BLOCK_ROWS = 32
 
 
 @dataclass
@@ -397,26 +398,39 @@ def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions = 
 
 def predict(fit_result: ModelFit, new_inputs) -> np.ndarray:
     """One-step forecasts (standardized space) for lag-embedded input rows;
-    a non-finite input raises BadDataError."""
+    a non-finite input raises BadDataError.
+
+    Forecasts are served per input partition: for each block of rows, one
+    cross_gram call evaluates all of a partition's kernels with a nonzero
+    weight, one product contracts their blocks with C, and the kernel
+    weights sum the results.
+    """
     X = input_rows(new_inputs)
     if X.shape[1] != fit_result.training_inputs.shape[1]:
         raise DimensionMismatchError(
             f"inputs have {X.shape[1]} columns, model expects {fit_result.training_inputs.shape[1]}"
         )
     part_map = lag_columns(X.shape[1] // fit_result.lag, fit_result.lag)
-    active = [(spec, weights[None, :]) for spec, weights in zip(fit_result.specs, fit_result.A)
-              if weights.any()]
-    # each partition's columns are taken once, not once per kernel
-    columns = {spec.partition: partition_columns(spec, part_map) for spec, _ in active}
-    train = {part: fit_result.training_inputs[:, cols] for part, cols in columns.items()}
-    preds = np.zeros((X.shape[0], fit_result.n_outputs))
+    A, C = fit_result.A, fit_result.C
+    # grouped by partition, not by group_sizes: a model document may list a
+    # partition's kernels apart
+    kernels_of: dict = {}
+    for d in np.flatnonzero(A.any(axis=1)).tolist():
+        kernels_of.setdefault(fit_result.specs[d].partition, []).append(d)
+    groups = []
+    for kernels in kernels_of.values():
+        specs = [fit_result.specs[d] for d in kernels]
+        cols = partition_columns(specs[0], part_map)
+        groups.append((specs, A[kernels], cols, fit_result.training_inputs[:, cols]))
+    n, m = C.shape
+    preds = np.zeros((X.shape[0], m))
     for start in range(0, X.shape[0], _PREDICT_BLOCK_ROWS):
         rows = X[start:start + _PREDICT_BLOCK_ROWS]
         out = preds[start:start + _PREDICT_BLOCK_ROWS]
-        new = {part: rows[:, cols] for part, cols in columns.items()}
-        for spec, weights in active:
-            block = cross_gram(spec, train[spec.partition], new[spec.partition])
-            out += (block @ fit_result.C) * weights
+        for specs, weights, cols, train in groups:
+            blocks = cross_gram(specs, train, rows[:, cols])
+            terms = (blocks.reshape(-1, n) @ C).reshape(len(specs), -1, m)
+            out += np.einsum("krm,km->rm", terms, weights)
     return preds
 
 

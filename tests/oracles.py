@@ -4,6 +4,8 @@ task_objective is the definition of a per-output task's penalized objective,
 evaluated term by term from the Gram matrices; the solvers report the same
 value from quantities their solves already hold. kernel_eval evaluates one
 kernel on one pair of vectors, against which the vectorized Grams are checked.
+predict_per_kernel sums a kernel model's forecast one kernel at a time, the
+reference for the partition-wise serving path.
 
 The group-lasso oracle is block coordinate descent like the solver it
 validates, but shares no code with it and differs in each step: it
@@ -18,6 +20,7 @@ import scipy.optimize
 import scipy.sparse.linalg
 
 from nlvar.errors import DimensionMismatchError
+from nlvar.kernels import cross_gram
 
 
 def kernel_eval(spec, u, v) -> float:
@@ -32,6 +35,21 @@ def kernel_eval(spec, u, v) -> float:
         return float((1.0 + u @ v) ** spec.param)
     diff = u - v
     return float(np.exp(-(diff @ diff) / (2.0 * spec.param**2)))
+
+
+def predict_per_kernel(model, new_inputs) -> np.ndarray:
+    """Forecasts sum_d (K_d(z, X) C) * A[d] of a kernel model, one cross_gram
+    call and one product with C per kernel with a nonzero weight."""
+    Z = np.atleast_2d(np.asarray(new_inputs, dtype=float))
+    p = model.lag
+    preds = np.zeros((Z.shape[0], model.C.shape[1]))
+    for spec, weights in zip(model.specs, model.A):
+        if weights.any():
+            cols = (slice(None) if spec.partition is None
+                    else [spec.partition * p + k for k in range(p)])
+            block = cross_gram(spec, model.training_inputs[:, cols], Z[:, cols])
+            preds += (block @ model.C) * weights
+    return preds
 
 
 def task_objective(stack, y, a, c, lam, method):

@@ -239,6 +239,22 @@ def test_predict_rejects_corrupted_model_with_exit_code_2(tmp_path, data_csv):
     assert not (tmp_path / "f.csv").exists()
 
 
+def test_predict_rejects_boolean_model_entries_with_exit_code_2(tmp_path, data_csv, capsys):
+    # float() reads a JSON true as 1.0, so such a model would load and forecast
+    model_path = tmp_path / "model.json"
+    main(["fit", "--data", str(data_csv), "--method", "nvarl1", "--train", "60",
+          "--lag", "3", "--lambda", "2.0", "--out", str(model_path)])
+    doc = json.loads(model_path.read_text())
+    doc["coefficients"] = [[True] * len(row) for row in doc["coefficients"]]
+    doc["norm_stats"]["std"] = [True] * len(doc["norm_stats"]["std"])
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(data_csv),
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    assert "not booleans" in _one_line_error(capsys)
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_fit_cv_matches_the_benchmark_fit(tmp_path, data_csv):
     # same settings, same training window: `fit --cv` must pick the penalty
     # and write the model a benchmark run does
@@ -388,12 +404,22 @@ def test_evaluate_rejects_a_holdout_beyond_the_embedded_pairs(tmp_path, data_csv
 
 
 def test_benchmark_prints_a_failed_row_and_exits_0(tmp_path, capsys):
-    # 100 folds cannot split the 117 training pairs: the CV methods fail,
-    # the mean predictor needs no CV and the run goes on
+    # the overflowing kernel fails nvarl1's CV, the mean predictor needs no
+    # kernels and the run goes on
     cfg = tmp_path / "experiment.json"
-    cfg.write_text(json.dumps({**_SMALL_RUN, "methods": ["mean", "lvarl2"], "folds": 100}))
+    cfg.write_text(json.dumps({**_SMALL_RUN, "methods": ["mean", "nvarl1"],
+                               "kernels": [["polynomial", 1000000000], ["linear", None]]}))
     capsys.readouterr()
     assert main(["benchmark", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("mean ")
-    assert out[1].startswith("lvarl2   FAILED: FoldTooSmallError: ")
+    assert out[1].startswith("nvarl1   FAILED: DegenerateKernelError: ")
+
+
+def test_benchmark_rejects_more_folds_than_the_pairs_allow_with_exit_code_2(tmp_path, capsys):
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps({**_SMALL_RUN, "methods": ["mean", "lvarl2"], "folds": 100}))
+    capsys.readouterr()
+    assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "117 training pairs cannot make 100 usable folds" in _one_line_error(capsys)
+    assert not (tmp_path / "out").exists()

@@ -525,6 +525,9 @@ _BAD_VALUES = [(change, None) for change in [
     ({"data": {"csv": "x.csv", "header": True}}, "'header'"),
     ({"feature_tol": 1e-4}, "'feature_tol'"),  # retired: the cut-off is RANK_TOL
     ({"kernels": []}, "kernels"),
+    # cv_select's rule: at least 2 folds, and 2 rows per fold of the 97 pairs
+    ({"folds": 1}, "folds"),
+    ({"folds": 49}, "97 training pairs cannot make 49 usable folds"),
 ]
 
 
@@ -540,6 +543,12 @@ def test_config_accepts_integral_floats_and_zero_lambda_for_baselines():
                                        "lambda": 0.0})
     assert cfg.train == 100 and isinstance(cfg.train, int)
     assert cfg.lam == 0.0
+
+
+def test_config_checks_the_fold_count_only_where_a_run_cross_validates():
+    assert experiment_config_from_dict({**_GOOD_DOC, "folds": 48}).folds == 48
+    for change in ({"methods": ["mean"]}, {"lambda": 1.0}, {"grid": {"count": 1}}):
+        assert experiment_config_from_dict({**_GOOD_DOC, "folds": 100, **change}).folds == 100
 
 
 def test_run_experiment_records_failures_and_continues(tmp_path):

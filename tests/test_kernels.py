@@ -276,6 +276,28 @@ def test_cross_stack_equals_per_spec_cross_grams(dictionary, partitions):
         assert np.abs(block - alone).max() <= 1e-13 * np.abs(alone).max(), spec.label()
 
 
+@pytest.mark.parametrize("dictionary", [
+    DEFAULT_DICTIONARY,
+    (("gaussian", 0.5), ("gaussian", 1.0), ("gaussian", 2.0)),
+    (("polynomial", 3),),
+], ids=["default", "gaussians only", "one kernel"])
+def test_cross_gram_of_a_partition_equals_per_spec_blocks(dictionary):
+    # one <u,v> and one -||u-v||^2 / 2 serve the whole partition, and each
+    # block must equal the kernel's own cross_gram bit for bit
+    rng = np.random.default_rng(15)
+    inputs, partition_map = _embedded(rng)
+    new_inputs = rng.standard_normal((7, inputs.shape[1]))
+    stack = build_gram_stack(inputs, partition_map, dictionary)
+    cols = partition_map[1]
+    specs = [spec for spec in stack.specs if spec.partition == 1]
+    blocks = cross_gram(specs, inputs[:, cols], new_inputs[:, cols])
+    assert blocks.shape == (len(dictionary), 7, inputs.shape[0])
+    for spec, block in zip(specs, blocks):
+        alone = cross_gram(spec, inputs[:, cols], new_inputs[:, cols])
+        assert alone.shape == (7, inputs.shape[0])
+        assert np.array_equal(block, alone), spec.label()
+
+
 def test_overflowing_kernel_in_a_stack_raises_without_a_warning():
     rng = np.random.default_rng(13)
     inputs, partition_map = _embedded(rng)

@@ -165,6 +165,10 @@ KERNEL_CORRUPTIONS = {
     "unknown kernel kind": _set_kernel("kind", "cubic"),
     "NaN coefficient": lambda doc: doc["coefficients"][0].__setitem__(0, float("nan")),
     "NaN norm_stats": _nan_stats,
+    # float() would read a JSON true as 1.0
+    "boolean coefficient": lambda doc: doc["coefficients"][2].__setitem__(0, True),
+    "boolean norm_stats std": lambda doc: doc["norm_stats"].__setitem__(
+        "std", [True] * len(doc["norm_stats"]["std"])),
     "ragged weights_a": lambda doc: doc["weights_a"][0].append(1.0),
     "missing key": lambda doc: doc.pop("training_inputs"),
     "zero lag": _set("lag", 0),
@@ -178,6 +182,7 @@ BASELINE_CORRUPTIONS = {
     "coef missing an output": _drop_column("coef"),
     "names too short": _set("names", ["s0"]),
     "NaN coef": lambda doc: doc["coef"][0].__setitem__(0, float("nan")),
+    "boolean coef": lambda doc: doc["coef"][1].__setitem__(1, False),
     "non-numeric lambda": _set("lambda", "big"),
     "fractional lag": _fractional_lag,
 }

@@ -11,6 +11,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from nlvar.harness import ExperimentConfig, GridSpec, SyntheticSpec, run_experiment
 from nlvar.modelio import load_model
 
@@ -123,3 +125,34 @@ def test_predict_workload_builds_its_fixed_model(tmp_path, monkeypatch):
     model = load_model(model_path)
     assert model.A.shape == (len(model.specs), tail.values.shape[1])
     assert model.A.all() and data_csv.exists()
+
+
+def test_traced_predict_serves_each_partition_through_one_solver_cross_gram(tmp_path, monkeypatch):
+    # the traced predict run counts its cross-Gram work as the
+    # nlvar.solver.cross_gram spans inside solver.predict: serving must go
+    # through that binding, once per active partition and row block
+    from nlvar.modelio import predict_model
+    from nlvar.solver import _PREDICT_BLOCK_ROWS
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    workload = dataclasses.replace(workloads.WORKLOADS["predict"], n_train=60, rows=30)
+    model = load_model(workload.build(20, tmp_path)[0])
+    model.A[6:12] = 0.0  # partition 1 serves nothing
+    rows = np.random.default_rng(3).standard_normal((2 * _PREDICT_BLOCK_ROWS + 1,
+                                                     model.training_inputs.shape[1]))
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        predict_model(model, rows)
+        predict_model(model, rows[0])
+    finally:
+        tracer.uninstall()
+    assert not tracer.broken
+    predicts = [i for i, span in enumerate(tracer.spans) if span.name == "solver.predict"]
+    crosses = [span for span in tracer.spans if span.name == "kernels.cross"]
+    assert len(predicts) == 2 and crosses
+    assert all(span.parent in predicts for span in crosses)
+    active = 4  # of the 5 partitions
+    assert len(crosses) <= active * 3 + active  # 3 row blocks, then one row

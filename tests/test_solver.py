@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import alternating_l1_oracle, cg_solve, task_objective
+from oracles import alternating_l1_oracle, cg_solve, predict_per_kernel, task_objective
 
 from nlvar import solver
 from nlvar.errors import (ConfigError, DimensionMismatchError, SingularSystemError,
@@ -18,7 +18,7 @@ from nlvar.kernels import (
     cross_gram,
     partition_columns,
 )
-from nlvar.modelio import load_model, save_model
+from nlvar.modelio import load_model, model_from_dict, model_to_dict, save_model
 from nlvar.series import MultivariateSeries, lag_columns, lag_embed
 from nlvar.solver import (
     _PREDICT_BLOCK_ROWS,
@@ -643,6 +643,48 @@ def test_predict_over_several_blocks_matches_one_row_calls():
     batch = predict(model, rows)
     single = np.vstack([predict(model, row) for row in rows])
     np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-12 * np.abs(single).max())
+
+
+def _sparse_model(method):
+    """A fitted kernel model on 3 series with some zero-weight kernels and,
+    when partitioned, one input partition whose kernels are all zero."""
+    rng = np.random.default_rng(24)
+    model = fit(method, _toy_train(rng), 0.5)
+    model.A[[0, 3]] = 0.0
+    if method != "nvar":
+        model.A[6:12] = 0.0  # partition 1
+    model.A[model.A.any(axis=1)] += 0.25  # the rest all active
+    return model
+
+
+@pytest.mark.parametrize("method", ["nvarl1", "nvarl12", "nvar"])
+@pytest.mark.parametrize("n_rows", [1, 31, 32, 33, 100])
+def test_predict_matches_the_per_kernel_reference(method, n_rows):
+    # the partition-wise path sums the kernels in another order: equal to
+    # rounding, across block boundaries and a partial last block
+    model = _sparse_model(method)
+    rows = np.random.default_rng(n_rows).standard_normal((n_rows, model.training_inputs.shape[1]))
+    expected = predict_per_kernel(model, rows)
+    assert np.abs(expected).max() > 0.0
+    np.testing.assert_allclose(predict(model, rows), expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
+    np.testing.assert_allclose(predict(model, rows[0]), expected[:1], rtol=1e-12,
+                               atol=1e-12 * np.abs(expected[0]).max())
+
+
+def test_predict_serves_a_document_that_lists_a_partitions_kernels_apart():
+    # kernel order in a model document is free: interleaving the partitions'
+    # kernels changes no forecast
+    model = _sparse_model("nvarl1")
+    doc = model_to_dict(model)
+    order = [d for i in range(6) for d in range(i, len(model.specs), 6)]
+    doc["kernels"] = [doc["kernels"][d] for d in order]
+    doc["weights_a"] = [doc["weights_a"][d] for d in order]
+    interleaved = model_from_dict(doc)
+    rows = np.random.default_rng(25).standard_normal((40, model.training_inputs.shape[1]))
+    expected = predict_per_kernel(model, rows)
+    np.testing.assert_allclose(predict(interleaved, rows), expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
 
 
 def test_fit_takes_one_kernel_method_and_one_scalar_lambda():
