@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatchError, SingularSystemError, UnsupportedKindError
 from .grouplasso import GroupedProblem, SolverOptions, solve_group_lasso
-from .series import NormStats, SupervisedSet, input_rows, lag_columns
+from .series import NormStats, SupervisedSet, finite_forecasts, input_rows, lag_columns
 from .solver import AdjacencyMatrix, normalize_adjacency
 
 BASELINE_METHODS = ("mean", "lar", "lvarl2", "lvarl1")
@@ -90,7 +90,7 @@ def fit_baseline(method: str, train: SupervisedSet, lam: float = 0.0,
 
 def predict_baseline(fit: BaselineFit, new_inputs) -> np.ndarray:
     """Standardized-space forecasts for lag-embedded input rows; a
-    non-finite input raises BadDataError."""
+    non-finite input or forecast raises BadDataError."""
     X = input_rows(new_inputs)
     if fit.method == "mean":
         m = X.shape[1] // fit.lag
@@ -99,7 +99,7 @@ def predict_baseline(fit: BaselineFit, new_inputs) -> np.ndarray:
         raise DimensionMismatchError(
             f"inputs have {X.shape[1]} columns, model expects {fit.coef.shape[0]}"
         )
-    return X @ fit.coef
+    return finite_forecasts(lambda: X @ fit.coef)
 
 
 def baseline_adjacency(fit: BaselineFit) -> AdjacencyMatrix:

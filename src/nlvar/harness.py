@@ -32,7 +32,7 @@ from .kernels import (
     build_gram_stack,
     make_specs,
 )
-from .modelio import real_number, whole_number
+from .modelio import finite_array, real_number, whole_number
 from .series import (MultivariateSeries, SupervisedSet, lag_embed, read_csv, standardize_apply,
                      standardize_fit, write_csv)
 
@@ -76,8 +76,8 @@ class SyntheticSpec:
         self.seed = whole_number(self.seed, "synthetic seed")
         if self.psi is None:
             self.psi = default_psi()
-        self.psi = np.asarray(self.psi, dtype=float)
-        if self.psi.ndim != 2 or self.psi.shape[0] != self.psi.shape[1]:
+        self.psi = finite_array(self.psi, 2, "psi")
+        if self.psi.shape[0] != self.psi.shape[1]:
             raise DimensionMismatchError("psi must be a square matrix")
         if self.length < 2:
             raise BadRangeError("synthetic length must be at least 2")
@@ -155,14 +155,14 @@ def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
     """nvarl1 / nvar (l1 route on empirical features) and nvarl12.
 
     Unlike solver.fit this builds the Gram stack, the features and the
-    cross-Gram blocks once for the whole grid.
+    cross-Gram blocks once for the whole grid, and forecasts each grid
+    point by one solver.expand over the cross stack.
     """
     partitions = [None] if method == "nvar" else list(range(sub.n_series))
     grams = build_gram_stack(sub.inputs, sub.partition_map, dictionary, partitions)
     if method != "nvarl12":
         design = GroupedProblem(build_feature_stack(grams).features,
                                 sub.outputs[:, 0], 0.0)
-        B = design.B
     cross = build_cross_stack(grams, sub.inputs, np.asarray(X_val, dtype=float),
                               sub.partition_map)
     Y = sub.outputs
@@ -176,18 +176,10 @@ def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
             A, C = np.column_stack(warm), np.column_stack([task.c for task in tasks])
         else:
             kappa = 2.0 * math.sqrt(lam)
-            W = np.zeros((B.shape[1], m))
-            for s in range(m):
-                W[:, s] = _solve_stacked(B, design.starts, design.sizes, Y[:, s], kappa,
-                                         options, design.majorizer, warm[s])[0]
-            warm = list(W.T)
-            A = solver.l1_weights(W, design.starts, lam)
-            C = (Y - B @ W) / lam  # the residuals over lam, as in solver.solve_task_l1
-        preds = np.zeros((len(X_val), m))
-        for d, block in enumerate(cross):
-            if A[d].any():
-                preds += (block @ C) * A[d][None, :]
-        yield preds
+            warm = [_solve_stacked(design.B, design.starts, design.sizes, Y[:, s], kappa,
+                                   options, design.majorizer, warm[s])[0] for s in range(m)]
+            A, C = solver.l1_solution(design, np.column_stack(warm), Y, lam)
+        yield solver.expand(cross, A, C)
 
 
 def cv_select(train: SupervisedSet, method: str, grid: GridSpec | None = None,
@@ -323,7 +315,8 @@ def read_keys(doc, keys, where: str) -> dict:
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a run config from the JSON document accepted by the CLI.
 
-    Missing or malformed values (a non-integral count or size included),
+    Missing or malformed values (a non-integral count or size, a path that
+    is not a string and a save_models that is not a JSON boolean included),
     bad or no kernels, and any key it does not read raise ConfigError. The
     data.synthetic, grid and solver keys are the fields of SyntheticSpec,
     GridSpec and SolverOptions.
@@ -341,12 +334,19 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
         dictionary = tuple((kind, param) for kind, param in doc.get("kernels", DEFAULT_DICTIONARY))
         for kind, param in dictionary:
             KernelSpec(kind=kind, param=param)
+        paths = {"data csv": data.get("csv"), "out_dir": doc.get("out_dir")}
+        for what, path in paths.items():
+            if path is not None and not isinstance(path, str):
+                raise ConfigError(f"{what} must be a path string, got {path!r}")
+        save_models = doc.get("save_models", False)
+        if not isinstance(save_models, bool):
+            raise ConfigError(f"save_models must be true or false, got {save_models!r}")
         return ExperimentConfig(
             train=train,
             methods=doc.get("methods", ALL_METHODS),
             synthetic=(SyntheticSpec(**{"length": train + holdout, **data["synthetic"]})
                        if "synthetic" in data else None),
-            csv_path=data.get("csv"),
+            csv_path=paths["data csv"],
             holdout=holdout,
             lag=whole_number(doc.get("lag", DEFAULT_LAG), "lag"),
             dictionary=dictionary,
@@ -354,8 +354,8 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
             folds=whole_number(doc.get("folds", 5), "folds"),
             lam=None if doc.get("lambda") is None else real_number(doc["lambda"], "lambda"),
             options=SolverOptions(**solver_doc),
-            out_dir=doc.get("out_dir"),
-            save_models=bool(doc.get("save_models", False)),
+            out_dir=paths["out_dir"],
+            save_models=save_models,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {type(exc).__name__}: {exc}") from None

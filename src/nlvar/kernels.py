@@ -3,12 +3,10 @@
 Each kernel operates on one input partition (the lagged past of a single
 series) or, for the unpartitioned variant, on the full input vector. The
 kernels of one partition are evaluated together, from one inner-product
-matrix and, when a Gaussian is among them, one squared-distance matrix:
-for training Grams (build_gram_stack), for cross-Gram stacks
-(build_cross_stack) and for serving, where cross_gram takes one
-partition's list of specs. Training Gram matrices are rescaled to trace n
-and the factor is kept on the spec so test-time cross-Gram blocks use the
-same scaling.
+matrix and, when a Gaussian is among them, one squared-distance matrix.
+Training Grams (build_gram_stack) are rescaled to trace n and the factor is
+kept on the spec; cross_gram, the one cross-Gram builder, applies it to
+test-time blocks, for serving and for build_cross_stack alike.
 """
 
 from __future__ import annotations
@@ -244,19 +242,6 @@ def _training_grams(specs, slots, X: np.ndarray) -> None:
         K *= spec.norm_factor
 
 
-def _cross_blocks(specs, slots, X: np.ndarray, Z: np.ndarray) -> None:
-    """Kernel blocks between test rows Z and training rows X (from
-    _row_sets) of kernels sharing one partition, each scaled by its training
-    factor in its slot."""
-    _partition_kernels(specs, slots, X, Z)
-    for spec, K in zip(specs, slots):
-        if spec.norm_factor is None:
-            raise NormFactorMissingError(
-                f"{spec.label()}: gram_matrix must run on training data first"
-            )
-        K *= spec.norm_factor
-
-
 def gram_matrix(spec: KernelSpec, rows: np.ndarray) -> tuple[np.ndarray, float]:
     """Training Gram matrix rescaled to trace n; stores the factor on the spec."""
     X, _ = _row_sets(rows, None)
@@ -268,7 +253,7 @@ def gram_matrix(spec: KernelSpec, rows: np.ndarray) -> tuple[np.ndarray, float]:
 def cross_gram(specs: KernelSpec | list[KernelSpec], train_rows: np.ndarray,
                test_rows: np.ndarray) -> np.ndarray:
     """Kernel blocks between test and training rows, each scaled by its
-    training factor.
+    training factor; a spec without one raises NormFactorMissingError.
 
     One KernelSpec gives its (n_test, n_train) block. A list of k specs on
     one input partition (the rows hold that partition's columns) gives
@@ -279,7 +264,13 @@ def cross_gram(specs: KernelSpec | list[KernelSpec], train_rows: np.ndarray,
     one = isinstance(specs, KernelSpec)
     group = [specs] if one else list(specs)
     blocks = np.empty((len(group), Z.shape[0], X.shape[0]))
-    _cross_blocks(group, list(blocks), X, Z)
+    _partition_kernels(group, list(blocks), X, Z)
+    for spec, K in zip(group, blocks):
+        if spec.norm_factor is None:
+            raise NormFactorMissingError(
+                f"{spec.label()}: gram_matrix must run on training data first"
+            )
+        K *= spec.norm_factor
     return blocks[0] if one else blocks
 
 
@@ -328,12 +319,12 @@ def build_feature_stack(stack: GramStack) -> FeatureStack:
 
 def build_cross_stack(stack: GramStack, train_inputs: np.ndarray, new_inputs: np.ndarray,
                       partition_map) -> np.ndarray:
-    """Cross-Gram blocks (l, n_new, n_train) for every kernel in the stack."""
+    """Cross-Gram blocks (l, n_new, n_train) for every kernel in the stack,
+    filled one partition at a time by cross_gram."""
     specs = stack.specs
     out = np.empty((len(specs), new_inputs.shape[0], train_inputs.shape[0]))
     bounds = np.cumsum([0, *group_sizes(stack.group_index)])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         cols = partition_columns(specs[lo], partition_map)
-        X, Z = _row_sets(train_inputs[:, cols], new_inputs[:, cols])
-        _cross_blocks(specs[lo:hi], list(out[lo:hi]), X, Z)
+        out[lo:hi] = cross_gram(specs[lo:hi], train_inputs[:, cols], new_inputs[:, cols])
     return out

@@ -34,8 +34,8 @@ def _stats_doc(stats: NormStats | None):
 def _stats_from(doc) -> NormStats | None:
     if doc is None:
         return None
-    return NormStats(mean=_finite(doc["mean"], 1, "norm_stats mean"),
-                     std=_finite(doc["std"], 1, "norm_stats std"))
+    return NormStats(mean=finite_array(doc["mean"], 1, "norm_stats mean"),
+                     std=finite_array(doc["std"], 1, "norm_stats std"))
 
 
 def _matrix(x) -> list:
@@ -77,12 +77,17 @@ def model_to_dict(model) -> dict:
     }
 
 
-def _finite(doc, ndim: int, what: str) -> np.ndarray:
+def finite_array(doc, ndim: int, what: str) -> np.ndarray:
+    """A finite ndim-d (1 or 2) float array from a JSON document (a model or
+    a config); a wrong shape, a non-finite entry or a boolean entry raises
+    ConfigError instead of being converted."""
     arr = np.asarray(doc, dtype=float)
-    _check(arr.ndim == ndim and bool(np.all(np.isfinite(arr))), f"{what} must be a finite {ndim}-d array")
+    if not (arr.ndim == ndim and np.all(np.isfinite(arr))):
+        raise ConfigError(f"{what} must be a finite {ndim}-d array")
     # the float conversion reads a JSON true as 1.0: one pass over the types
     entries = doc if ndim == 1 else itertools.chain.from_iterable(doc)
-    _check(bool not in map(type, entries), f"{what} must hold numbers, not booleans")
+    if bool in map(type, entries):
+        raise ConfigError(f"{what} must hold numbers, not booleans")
     return arr
 
 
@@ -150,9 +155,9 @@ def _model_from_dict(doc: dict):
             )
             for k in doc["kernels"]
         ]
-        A = _finite(doc["weights_a"], 2, "weights_a")
-        C = _finite(doc["coefficients"], 2, "coefficients")
-        X = _finite(doc["training_inputs"], 2, "training_inputs")
+        A = finite_array(doc["weights_a"], 2, "weights_a")
+        C = finite_array(doc["coefficients"], 2, "coefficients")
+        X = finite_array(doc["training_inputs"], 2, "training_inputs")
         lam = np.array([real_number(v, "lambda") for v in doc["lambda"]])
         m = A.shape[1]
         _check(A.shape[0] == len(specs), f"weights_a has {A.shape[0]} rows for {len(specs)} kernels")
@@ -165,7 +170,7 @@ def _model_from_dict(doc: dict):
         model = solver.ModelFit(method=kind, A=A, C=C, specs=specs, group_index=group_index_of(specs),
                                 training_inputs=X, norm_stats=stats, lag=lag, lam=lam, names=names)
     elif kind in baselines.BASELINE_METHODS:
-        coef = None if doc.get("coef") is None else _finite(doc["coef"], 2, "coef")
+        coef = None if doc.get("coef") is None else finite_array(doc["coef"], 2, "coef")
         lam = None if doc["lambda"] is None else real_number(doc["lambda"], "lambda")
         m = None
         if coef is not None:

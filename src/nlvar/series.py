@@ -116,15 +116,21 @@ def standardize_fit(series: MultivariateSeries, train_len: int) -> NormStats:
     """Compute per-series mean/std over the first ``train_len`` rows.
 
     Std uses the unbiased (n-1) divisor. Raises ConstantSeriesError when a
-    column is (numerically) constant over the window.
+    column is (numerically) constant over the window, and BadDataError when
+    finite values overflow a mean or std to infinity.
     """
     if not 2 <= train_len <= series.n_steps:
         raise BadRangeError(
             f"train_len must be in [2, {series.n_steps}], got {train_len}"
         )
     window = series.values[:train_len]
-    mean = window.mean(axis=0)
-    std = window.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = window.mean(axis=0)
+        std = window.std(axis=0, ddof=1)
+    huge = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if huge.size:
+        raise BadDataError(f"series {[series.names[j] for j in huge]} overflow the "
+                           "standardization: their mean or std is not finite")
     flat = np.flatnonzero(std < STD_FLOOR)
     if flat.size:
         raise ConstantSeriesError(
@@ -159,6 +165,17 @@ def input_rows(new_inputs) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise BadDataError("predict inputs contain NaN or infinite values")
     return X
+
+
+def finite_forecasts(forecast) -> np.ndarray:
+    """forecast(), computed with numpy's floating-point warnings off; a NaN
+    or infinite forecast (finite inputs that overflow the model) raises
+    BadDataError."""
+    with np.errstate(all="ignore"):
+        preds = forecast()
+    if not np.all(np.isfinite(preds)):
+        raise BadDataError("forecast is not finite: the inputs overflow the model")
+    return preds
 
 
 def lag_columns(m: int, p: int) -> list[list[int]]:

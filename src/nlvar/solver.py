@@ -44,7 +44,7 @@ from .kernels import (
     group_sizes,
     partition_columns,
 )
-from .series import NormStats, SupervisedSet, input_rows, lag_columns
+from .series import NormStats, SupervisedSet, finite_forecasts, input_rows, lag_columns
 
 KERNEL_METHODS = ("nvarl1", "nvarl12", "nvar")
 
@@ -165,11 +165,13 @@ def solve_coefficients(grams: GramStack, a, y, lam: float) -> np.ndarray:
     return c
 
 
-def l1_weights(Z, starts, lam: float) -> np.ndarray:
-    """Kernel weights a_d = sqrt(lam) * ||z_d||_2 from stacked feature-space
-    weights Z (one task's vector, or one column per task); `starts` are the
-    offsets of the kernels' feature blocks."""
-    return math.sqrt(lam) * np.sqrt(np.add.reduceat(Z * Z, starts, axis=0))
+def l1_solution(problem: GroupedProblem, W, Y, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A, C) of the l1 route from group-lasso weights W on `problem`'s
+    design: kernel weights a_d = sqrt(lam) * ||w_d||_2 and coefficients
+    c = (y - B w) / lam, the residual over lam. W and Y hold one task's
+    vectors, or one column per task."""
+    A = math.sqrt(lam) * np.sqrt(np.add.reduceat(W * W, problem.starts, axis=0))
+    return A, (Y - problem.B @ W) / lam
 
 
 def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, lam: float,
@@ -194,9 +196,7 @@ def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, 
             f"{len(problem.design_blocks)} feature blocks for {grams.n_kernels} kernels"
         )
     sol = solve_group_lasso(problem, warm_start=warm, opts=opts)
-    w = np.concatenate(sol.weights)
-    a = l1_weights(w, problem.starts, lam)
-    c = (y - problem.B @ w) / lam
+    a, c = l1_solution(problem, np.concatenate(sol.weights), y, lam)
     return TaskSolution(a=a, c=c, z_blocks=sol.weights, converged=sol.converged,
                         objective_trace=sol.objective_trace)
 
@@ -398,12 +398,13 @@ def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions = 
 
 def predict(fit_result: ModelFit, new_inputs) -> np.ndarray:
     """One-step forecasts (standardized space) for lag-embedded input rows;
-    a non-finite input raises BadDataError.
+    a non-finite input, or finite inputs that overflow to a non-finite
+    forecast, raise BadDataError.
 
     Forecasts are served per input partition: for each block of rows, one
     cross_gram call evaluates all of a partition's kernels with a nonzero
-    weight, one product contracts their blocks with C, and the kernel
-    weights sum the results.
+    weight, and expand contracts their blocks with C and sums them with the
+    kernel weights.
     """
     X = input_rows(new_inputs)
     if X.shape[1] != fit_result.training_inputs.shape[1]:
@@ -422,16 +423,26 @@ def predict(fit_result: ModelFit, new_inputs) -> np.ndarray:
         specs = [fit_result.specs[d] for d in kernels]
         cols = partition_columns(specs[0], part_map)
         groups.append((specs, A[kernels], cols, fit_result.training_inputs[:, cols]))
-    n, m = C.shape
-    preds = np.zeros((X.shape[0], m))
-    for start in range(0, X.shape[0], _PREDICT_BLOCK_ROWS):
-        rows = X[start:start + _PREDICT_BLOCK_ROWS]
-        out = preds[start:start + _PREDICT_BLOCK_ROWS]
-        for specs, weights, cols, train in groups:
-            blocks = cross_gram(specs, train, rows[:, cols])
-            terms = (blocks.reshape(-1, n) @ C).reshape(len(specs), -1, m)
-            out += np.einsum("krm,km->rm", terms, weights)
-    return preds
+
+    def serve():
+        preds = np.zeros((X.shape[0], C.shape[1]))
+        for start in range(0, X.shape[0], _PREDICT_BLOCK_ROWS):
+            rows = X[start:start + _PREDICT_BLOCK_ROWS]
+            out = preds[start:start + _PREDICT_BLOCK_ROWS]
+            for specs, weights, cols, train in groups:
+                out += expand(cross_gram(specs, train, rows[:, cols]), weights, C)
+        return preds
+
+    return finite_forecasts(serve)
+
+
+def expand(blocks: np.ndarray, weights: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The kernel expansion sum_k weights[k] * (blocks[k] @ C) of k cross-Gram
+    blocks (k, rows, n) with their (k, m) weights, by one (k*rows, n) @ C
+    product; a zero weight adds exact zeros."""
+    k, rows, n = blocks.shape
+    terms = (blocks.reshape(k * rows, n) @ C).reshape(k, rows, -1)
+    return np.einsum("krm,km->rm", terms, weights)
 
 
 def normalize_adjacency(raw: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlvar.cli import main
-from nlvar.series import read_csv
+from nlvar.series import MultivariateSeries, read_csv, write_csv
 
 
 @pytest.fixture()
@@ -215,6 +215,35 @@ def test_fit_with_an_overflowing_kernel_exits_2_and_writes_no_model(tmp_path, da
     assert "Gram trace inf" in capsys.readouterr().err
 
 
+def test_fit_on_values_that_overflow_the_standardization_exits_2(tmp_path, data_csv, capsys):
+    # the parent std came out inf, the fit ran on all-zero data and wrote a
+    # model whose "std": [Infinity, ...] is not JSON
+    huge = tmp_path / "huge.csv"
+    series = read_csv(data_csv)
+    write_csv(MultivariateSeries(series.values * 1e200, series.names), huge)
+    capsys.readouterr()
+    assert main(["fit", "--data", str(huge), "--method", "lvarl2", "--train", "150",
+                 "--lambda", "1", "--out", str(tmp_path / "model.json")]) == 2
+    assert "overflow the standardization" in _one_line_error(capsys)
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_predict_on_a_row_that_overflows_the_model_exits_2(tmp_path, data_csv, capsys):
+    # the forecast was NaN, and the CLI blamed the data for it
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_csv), "--method", "nvarl1", "--train", "150",
+                 "--lag", "3", "--lambda", "2.0", "--out", str(model_path)]) == 0
+    extreme = tmp_path / "extreme.csv"
+    lines = data_csv.read_text().splitlines()
+    lines[5] = ",".join(["1e305"] * len(lines[5].split(",")))
+    extreme.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(extreme),
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    assert "forecast is not finite" in _one_line_error(capsys)
+    assert not (tmp_path / "f.csv").exists()
+
+
 @pytest.mark.parametrize("method, lam", [("nvarl1", "0"), ("lvarl2", "-1"), ("nvarl1", "nan")])
 def test_fit_rejects_bad_lambda_with_exit_code_2(tmp_path, data_csv, capsys, method, lam):
     capsys.readouterr()
@@ -414,6 +443,16 @@ def test_benchmark_prints_a_failed_row_and_exits_0(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("mean ")
     assert out[1].startswith("nvarl1   FAILED: DegenerateKernelError: ")
+
+
+def test_benchmark_rejects_a_csv_path_that_is_not_a_string_with_exit_code_2(tmp_path, capsys):
+    # a list reached open() and ended in a TypeError traceback
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps({**_SMALL_RUN, "data": {"csv": ["a"]}, "methods": ["mean"]}))
+    capsys.readouterr()
+    assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "data csv must be a path string" in _one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 def test_benchmark_rejects_more_folds_than_the_pairs_allow_with_exit_code_2(tmp_path, capsys):

@@ -528,6 +528,15 @@ _BAD_VALUES = [(change, None) for change in [
     # cv_select's rule: at least 2 folds, and 2 rows per fold of the 97 pairs
     ({"folds": 1}, "folds"),
     ({"folds": 49}, "97 training pairs cannot make 49 usable folds"),
+    # untyped paths and flags: a list reached open(), 5 opened a file
+    # descriptor and "no" saved the models
+    ({"out_dir": 5}, "out_dir must be a path string"),
+    ({"data": {"csv": ["a"]}}, "data csv must be a path string"),
+    ({"data": {"csv": 5}}, "data csv must be a path string"),
+    ({"save_models": "no"}, "save_models must be true or false"),
+    ({"save_models": 1}, "save_models must be true or false"),
+    # float() reads a JSON true as 1.0
+    ({"data": {"synthetic": {"length": 160, "psi": [[1, True], [0, 1]]}}}, "psi must hold numbers"),
 ]
 
 

@@ -273,7 +273,7 @@ def test_cross_stack_equals_per_spec_cross_grams(dictionary, partitions):
     for spec, block in zip(stack.specs, blocks):
         cols = slice(None) if spec.partition is None else partition_map[spec.partition]
         alone = cross_gram(spec, inputs[:, cols], new_inputs[:, cols])
-        assert np.abs(block - alone).max() <= 1e-13 * np.abs(alone).max(), spec.label()
+        assert np.array_equal(block, alone), spec.label()
 
 
 @pytest.mark.parametrize("dictionary", [

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -243,3 +244,23 @@ def test_each_family_predict_rejects_non_finite_inputs(bad):
     for method in ("mean", "lvarl2", "lvarl1"):
         with pytest.raises(BadDataError):
             predict_baseline(fit_baseline(method, train, 1.0), X)
+
+
+def test_each_family_predict_rejects_a_forecast_that_overflows():
+    # finite rows that overflow the model gave NaN forecasts and numpy
+    # warnings; the forecast check is one isfinite over the output
+    rng = np.random.default_rng(8)
+    _, train = _fixture(rng)
+    X = rng.standard_normal((3, train.inputs.shape[1]))
+    X[1, 2] = 1e120
+    kernel = fit("nvarl1", train, 1.0)
+    ridge = fit_baseline("lvarl2", train, 1.0)
+    ridge.coef *= 1e4  # a model document may hold any finite coefficients
+    Y = X.copy()
+    Y[1] = np.copysign(1e306, ridge.coef[:, 0])  # sums past the largest float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, rows in ((kernel, X), (ridge, Y)):
+            with pytest.raises(BadDataError, match="forecast is not finite"):
+                predict_model(model, rows)
+            assert np.all(np.isfinite(predict_model(model, rows[[0, 2]])))

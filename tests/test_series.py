@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from nlvar.errors import (
+    BadDataError,
     BadRangeError,
     ConstantSeriesError,
     DimensionMismatchError,
@@ -47,6 +50,18 @@ def test_fit_is_idempotent_on_standardized_window():
 def test_fit_rejects_constant_column():
     with pytest.raises(ConstantSeriesError):
         standardize_fit(_series([5.0, 5.0, 5.0]), 3)
+
+
+def test_fit_rejects_values_that_overflow_the_mean_or_std():
+    # finite values around 1e200 square to inf in the std: no std of inf,
+    # no all-zero standardized series and no numpy warning
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((40, 2))
+    values[:, 1] *= 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadDataError, match=r"\['s1'\] overflow"):
+            standardize_fit(_series(values), 40)
 
 
 def test_fit_rejects_bad_window():

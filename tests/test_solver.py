@@ -195,6 +195,23 @@ def test_l1_closed_form_weights_and_representer():
         assert np.linalg.norm(feat_pred - kern_pred) <= 1e-6 * np.linalg.norm(y)
 
 
+def test_column_wise_l1_solution_matches_each_task():
+    # the CV path reads every task's (A, C) at once from column-stacked
+    # group-lasso weights; column s must be task s's own (a, c)
+    rng = np.random.default_rng(6)
+    stack = _random_stack(rng, 9)
+    design = GroupedProblem(build_feature_stack(stack).features, np.zeros(9), 0.0)
+    Y = rng.standard_normal((9, 4))
+    lam = 0.3
+    tasks = [solve_task_l1(design, stack, y, lam, opts=TIGHT) for y in Y.T]
+    assert any(task.a.any() for task in tasks)
+    W = np.column_stack([np.concatenate(task.z_blocks) for task in tasks])
+    A, C = solver.l1_solution(design, W, Y, lam)
+    for s, task in enumerate(tasks):
+        np.testing.assert_allclose(A[:, s], task.a, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(C[:, s], task.c, rtol=1e-12, atol=0)
+
+
 def _l1_saved_model_gaps(model, path):
     """Per output: |sqrt(q_d) - 1| on active kernels, (sqrt(q_d) - 1)+ on
     inactive ones, q_d = lam c^T K^d c, from the saved model document and
