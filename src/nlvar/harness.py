@@ -88,13 +88,17 @@ def generate_synthetic(spec: SyntheticSpec) -> MultivariateSeries:
 
     Noise coordinates are Exponential(1) - 1 (zero mean, unit variance),
     sampled by inverse CDF -log(1-U) - 1 from a PCG64 uniform stream; one
-    extra leading draw supplies e_0.
+    extra leading draw supplies e_0. A psi whose filter overflows the series
+    raises ConfigError.
     """
     m = spec.psi.shape[0]
     rng = np.random.default_rng(spec.seed)
     u = rng.random((spec.length + 1, m))
     e = -np.log1p(-u) - 1.0
-    values = e[1:] + e[:-1] @ spec.psi.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = e[1:] + e[:-1] @ spec.psi.T
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("psi is too large: its filter overflows the series")
     names = [f"y{j + 1}" for j in range(m)]
     return MultivariateSeries(values=values, names=names)
 

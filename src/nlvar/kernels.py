@@ -6,7 +6,11 @@ kernels of one partition are evaluated together, from one inner-product
 matrix and, when a Gaussian is among them, one squared-distance matrix.
 Training Grams (build_gram_stack) are rescaled to trace n and the factor is
 kept on the spec; cross_gram, the one cross-Gram builder, applies it to
-test-time blocks, for serving and for build_cross_stack alike.
+test-time blocks, for serving and for build_cross_stack alike. What a
+cross-Gram block needs of the training rows alone (the rows and their half
+squared norms) can be prepared once as TrainingRows, whose leading axis
+stacks partitions: one cross_gram call then evaluates every partition that
+shares a kernel layout.
 """
 
 from __future__ import annotations
@@ -118,6 +122,24 @@ class FeatureStack:
         return [phi.shape[1] for phi in self.features]
 
 
+@dataclass(frozen=True)
+class TrainingRows:
+    """Training rows of P input partitions, prepared for cross-Gram blocks:
+    rows (P, n, p) and their half squared norms -||x||^2 / 2, (P, n).
+    Indexing with a slice or a list of partitions selects those partitions."""
+
+    rows: np.ndarray
+    half_sq: np.ndarray
+
+    @classmethod
+    def of(cls, rows: np.ndarray) -> TrainingRows:
+        """Prepare the (P, n, p) float rows of P partitions."""
+        return cls(rows, -0.5 * np.sum(rows * rows, axis=-1))
+
+    def __getitem__(self, partitions) -> TrainingRows:
+        return TrainingRows(self.rows[partitions], self.half_sq[partitions])
+
+
 def make_specs(partitions, dictionary=DEFAULT_DICTIONARY) -> list[KernelSpec]:
     """Instantiate the dictionary on each partition, partition-major order."""
     if not dictionary:
@@ -189,9 +211,11 @@ def _inhomogeneous_power(G: np.ndarray, degree: int, out: np.ndarray, scratch) -
         squares *= squares
 
 
-def _partition_kernels(specs, slots, X: np.ndarray, Z: np.ndarray) -> None:
-    """Raw kernel values slots[i][r, c] = k_i(Z[r], X[c]) for kernels that
-    share one input partition, written in place.
+def _partition_kernels(specs, slots, X: np.ndarray, Z: np.ndarray, x_half: np.ndarray) -> None:
+    """Raw kernel values slots[i][..., r, c] = k_i(Z[..., r, :], X[..., c, :])
+    for kernels that share one input partition, written in place: X (n, p)
+    and Z (r, p), or a leading axis of partitions that share the kernels'
+    (kind, param) layout. x_half holds X's half squared norms -||x||^2 / 2.
 
     All of them come from one product <u,v>, held in the first linear
     kernel's slot, and the Gaussians from one -||u-v||^2 / 2, held in the last
@@ -204,7 +228,7 @@ def _partition_kernels(specs, slots, X: np.ndarray, Z: np.ndarray) -> None:
         by_kind[spec.kind].append((spec.param, K))
     linear, polynomials, gaussians = by_kind.values()
     G = linear[0][1] if linear else np.empty(slots[0].shape)
-    np.matmul(Z, X.T, out=G)
+    np.matmul(Z, X.swapaxes(-1, -2), out=G)
     for _, K in linear[1:]:
         np.copyto(K, G)
     scratch = gaussians[0][1] if gaussians else None
@@ -215,9 +239,8 @@ def _partition_kernels(specs, slots, X: np.ndarray, Z: np.ndarray) -> None:
     if gaussians:
         # -||u-v||^2 / 2 = <u,v> - ||u||^2 / 2 - ||v||^2 / 2, clipped at 0
         half_sq = gaussians[-1][1]
-        x_half = -0.5 * np.sum(X * X, axis=1)
-        z_half = x_half if Z is X else -0.5 * np.sum(Z * Z, axis=1)
-        np.add.outer(z_half, x_half, out=half_sq)
+        z_half = x_half if Z is X else -0.5 * np.sum(Z * Z, axis=-1)
+        np.add(z_half[..., :, None], x_half[..., None, :], out=half_sq)
         half_sq += G
         np.minimum(half_sq, 0.0, out=half_sq)
         for width, K in gaussians:  # half_sq's own slot comes last
@@ -232,7 +255,7 @@ def _training_grams(specs, slots, X: np.ndarray) -> None:
     # an overflowing entry overflows a diagonal one too (Cauchy-Schwarz), so
     # the trace check below reports it as a DegenerateKernelError
     with np.errstate(over="ignore"):
-        _partition_kernels(specs, slots, X, X)
+        _partition_kernels(specs, slots, X, X, -0.5 * np.sum(X * X, axis=-1))
     n = X.shape[0]
     for spec, K in zip(specs, slots):
         tr = float(np.trace(K))
@@ -250,28 +273,46 @@ def gram_matrix(spec: KernelSpec, rows: np.ndarray) -> tuple[np.ndarray, float]:
     return G, spec.norm_factor
 
 
-def cross_gram(specs: KernelSpec | list[KernelSpec], train_rows: np.ndarray,
-               test_rows: np.ndarray) -> np.ndarray:
+def cross_gram(specs, train, test_rows) -> np.ndarray:
     """Kernel blocks between test and training rows, each scaled by its
     training factor; a spec without one raises NormFactorMissingError.
 
-    One KernelSpec gives its (n_test, n_train) block. A list of k specs on
-    one input partition (the rows hold that partition's columns) gives
-    their (k, n_test, n_train) blocks, all from one <u,v> and one
-    -||u-v||^2 / 2; block i equals cross_gram(specs[i], ...) bit for bit.
+    With training rows `train` (n_train, p) and test rows (n_test, p), one
+    KernelSpec gives its (n_test, n_train) block, and a list of k specs on
+    one input partition (the rows hold that partition's columns) gives their
+    (k, n_test, n_train) blocks, all from one <u,v> and one -||u-v||^2 / 2;
+    block i equals cross_gram(specs[i], ...) bit for bit.
+
+    With `train` a TrainingRows of P partitions, test rows (P, n_test, p)
+    and specs P lists of k specs with one (kind, param) layout, one call
+    gives the (k, P, n_test, n_train) blocks of all P partitions, block
+    [i, j] equal to cross_gram(specs[j][i], train.rows[j], test_rows[j]) bit
+    for bit. Kernel-major, each kernel's blocks are one contiguous array for
+    the elementwise passes.
     """
-    X, Z = _row_sets(train_rows, test_rows)
-    one = isinstance(specs, KernelSpec)
-    group = [specs] if one else list(specs)
-    blocks = np.empty((len(group), Z.shape[0], X.shape[0]))
-    _partition_kernels(group, list(blocks), X, Z)
-    for spec, K in zip(group, blocks):
-        if spec.norm_factor is None:
-            raise NormFactorMissingError(
-                f"{spec.label()}: gram_matrix must run on training data first"
-            )
-        K *= spec.norm_factor
-    return blocks[0] if one else blocks
+    if not isinstance(train, TrainingRows):
+        X, Z = _row_sets(train, test_rows)
+        one = isinstance(specs, KernelSpec)
+        blocks = cross_gram([[specs] if one else list(specs)], TrainingRows.of(X[None]), Z[None])
+        return blocks[0, 0] if one else blocks[:, 0]
+    Z = np.asarray(test_rows, dtype=float)
+    P, n, p = train.rows.shape
+    if Z.ndim != 3 or Z.shape[0] != P or Z.shape[2] != p or len(specs) != P:
+        raise DimensionMismatchError(f"test rows {Z.shape} and {len(specs)} spec lists "
+                                     f"for training rows {train.rows.shape}")
+    layout = [(spec.kind, spec.param) for spec in specs[0]]
+    for part in specs:
+        if [(spec.kind, spec.param) for spec in part] != layout:
+            raise DimensionMismatchError("stacked partitions must share one kernel layout")
+        for spec in part:
+            if spec.norm_factor is None:
+                raise NormFactorMissingError(
+                    f"{spec.label()}: gram_matrix must run on training data first"
+                )
+    blocks = np.empty((len(layout), P, Z.shape[1], n))
+    _partition_kernels(specs[0], list(blocks), train.rows, Z, train.half_sq)
+    blocks *= np.array([[spec.norm_factor for spec in part] for part in specs]).T[:, :, None, None]
+    return blocks
 
 
 def empirical_features(K: np.ndarray) -> np.ndarray:

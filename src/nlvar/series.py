@@ -142,17 +142,23 @@ def standardize_fit(series: MultivariateSeries, train_len: int) -> NormStats:
 def standardize_apply(
     series: MultivariateSeries, stats: NormStats, direction: str = "forward"
 ) -> MultivariateSeries:
-    """Apply (or undo) the per-series affine rescaling."""
+    """Apply the per-series affine rescaling, or undo it ("inverse", which
+    maps standardized forecasts back to original units). Finite values that
+    overflow either way raise BadDataError."""
     if series.n_series != stats.mean.shape[0]:
         raise DimensionMismatchError(
             f"series has {series.n_series} columns, stats cover {stats.mean.shape[0]}"
         )
-    if direction == "forward":
-        values = (series.values - stats.mean) / stats.std
-    elif direction == "inverse":
-        values = series.values * stats.std + stats.mean
-    else:
+    if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if direction == "forward":
+            values = (series.values - stats.mean) / stats.std
+        else:
+            values = series.values * stats.std + stats.mean
+    if not np.all(np.isfinite(values)):
+        raise BadDataError("the series overflows when standardized" if direction == "forward"
+                           else "the forecast overflows in original units")
     return MultivariateSeries(values=values, names=list(series.names))
 
 
@@ -241,5 +247,5 @@ def write_csv(series: MultivariateSeries, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(series.names)
-        for row in series.values:
-            writer.writerow([repr(float(v)) for v in row])
+        # the csv module writes a Python float as its repr, which reads back exactly
+        writer.writerows(series.values.tolist())

@@ -12,7 +12,7 @@ task; the fitted weights stack into the matrix read out as a Granger graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -38,11 +38,11 @@ from .kernels import (
     FeatureStack,
     GramStack,
     KernelSpec,
+    TrainingRows,
     build_feature_stack,
     build_gram_stack,
     cross_gram,
     group_sizes,
-    partition_columns,
 )
 from .series import NormStats, SupervisedSet, finite_forecasts, input_rows, lag_columns
 
@@ -52,9 +52,9 @@ KERNEL_METHODS = ("nvarl1", "nvarl12", "nvar")
 #: exact zeros (proximal solvers produce true zeros; this only removes dust).
 ADJ_ZERO_TOL = 1e-8
 
-#: Rows of new inputs per cross-Gram block in `predict`: a partition's blocks
-#: and their temporaries stay in cache, and memory does not grow with the row
-#: count.
+#: (Partition x row) pairs of new inputs per cross-Gram block in `predict`:
+#: a block's kernels and their temporaries stay in cache, and memory does not
+#: grow with the row count.
 _PREDICT_BLOCK_ROWS = 32
 
 
@@ -87,7 +87,14 @@ class TaskSolution:
 class ModelFit:
     """A fitted forecaster: weight matrix A (l x m), coefficients C (n x m),
     the kernel specs with their training normalization, and everything needed
-    to evaluate the kernel expansion at new points."""
+    to evaluate the kernel expansion at new points.
+
+    training_inputs is held as a read-only copy, and what cross-Gram blocks
+    need of it alone is prepared once on construction: partition_rows, each
+    input partition's training rows (m, n, lag), and full_rows, the full
+    input rows (1, n, m * lag), each with their half squared norms. A, C and
+    the specs' norm factors are read afresh by every predict call.
+    """
 
     method: str
     A: np.ndarray
@@ -99,6 +106,16 @@ class ModelFit:
     lag: int
     lam: np.ndarray
     names: list[str] | None = None
+    partition_rows: TrainingRows = field(init=False, repr=False, compare=False)
+    full_rows: TrainingRows = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        X = np.array(self.training_inputs, dtype=float)
+        X.flags.writeable = False
+        self.training_inputs = X
+        part_map = lag_columns(X.shape[1] // self.lag, self.lag)
+        self.partition_rows = TrainingRows.of(np.stack([X[:, cols] for cols in part_map]))
+        self.full_rows = TrainingRows.of(X[None])
 
     @property
     def n_outputs(self) -> int:
@@ -388,7 +405,7 @@ def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions = 
         C=np.column_stack([t.c for t in tasks]),
         specs=grams.specs,
         group_index=grams.group_index,
-        training_inputs=train.inputs.copy(),
+        training_inputs=train.inputs,
         norm_stats=norm_stats,
         lag=train.lag,
         lam=np.full(m, lam),
@@ -401,48 +418,68 @@ def predict(fit_result: ModelFit, new_inputs) -> np.ndarray:
     a non-finite input, or finite inputs that overflow to a non-finite
     forecast, raise BadDataError.
 
-    Forecasts are served per input partition: for each block of rows, one
-    cross_gram call evaluates all of a partition's kernels with a nonzero
-    weight, and expand contracts their blocks with C and sums them with the
-    kernel weights.
+    Forecasts are served from the model's prepared training rows, one
+    cross_gram call per block of at most _PREDICT_BLOCK_ROWS partition-rows:
+    a block stacks input partitions whose kernels with a nonzero weight share
+    one (kind, param) layout, and expand contracts its blocks with C and sums
+    them with the kernel weights. A short call stacks its partitions (a
+    one-row call with one layout is one cross_gram call); from
+    _PREDICT_BLOCK_ROWS rows on, a block is one partition's next rows.
     """
     X = input_rows(new_inputs)
     if X.shape[1] != fit_result.training_inputs.shape[1]:
         raise DimensionMismatchError(
             f"inputs have {X.shape[1]} columns, model expects {fit_result.training_inputs.shape[1]}"
         )
-    part_map = lag_columns(X.shape[1] // fit_result.lag, fit_result.lag)
-    A, C = fit_result.A, fit_result.C
+    A, C, specs = fit_result.A, fit_result.C, fit_result.specs
     # grouped by partition, not by group_sizes: a model document may list a
     # partition's kernels apart
     kernels_of: dict = {}
     for d in np.flatnonzero(A.any(axis=1)).tolist():
-        kernels_of.setdefault(fit_result.specs[d].partition, []).append(d)
-    groups = []
-    for kernels in kernels_of.values():
-        specs = [fit_result.specs[d] for d in kernels]
-        cols = partition_columns(specs[0], part_map)
-        groups.append((specs, A[kernels], cols, fit_result.training_inputs[:, cols]))
+        kernels_of.setdefault(specs[d].partition, []).append(d)
+    layouts: dict = {}
+    for part, kernels in kernels_of.items():
+        layout = tuple((specs[d].kind, specs[d].param) for d in kernels)
+        layouts.setdefault((part is None, layout), []).append(part)
+    block_rows = max(1, min(X.shape[0], _PREDICT_BLOCK_ROWS))
+    stacked = max(1, _PREDICT_BLOCK_ROWS // block_rows)
+    part_map = lag_columns(X.shape[1] // fit_result.lag, fit_result.lag)
+    blocks = []
+    for (full, _), parts in layouts.items():
+        for i in range(0, len(parts), stacked):
+            chunk = parts[i:i + stacked]
+            kernels = [kernels_of[part] for part in chunk]
+            if full:
+                train, cols = fit_result.full_rows, [list(range(X.shape[1]))]
+            else:
+                lo = chunk[0]
+                run = chunk == list(range(lo, lo + len(chunk)))  # a slice is a view
+                train = fit_result.partition_rows[slice(lo, lo + len(chunk)) if run else chunk]
+                cols = [part_map[part] for part in chunk]
+            blocks.append(([[specs[d] for d in k] for k in kernels],
+                           A[np.transpose(kernels)], train, np.array(cols)))
 
     def serve():
         preds = np.zeros((X.shape[0], C.shape[1]))
-        for start in range(0, X.shape[0], _PREDICT_BLOCK_ROWS):
-            rows = X[start:start + _PREDICT_BLOCK_ROWS]
-            out = preds[start:start + _PREDICT_BLOCK_ROWS]
-            for specs, weights, cols, train in groups:
-                out += expand(cross_gram(specs, train, rows[:, cols]), weights, C)
+        for start in range(0, X.shape[0], block_rows):
+            rows = X[start:start + block_rows]
+            out = preds[start:start + block_rows]
+            for grid, weights, train, cols in blocks:
+                out += expand(cross_gram(grid, train, rows[:, cols].swapaxes(0, 1)), weights, C)
         return preds
 
     return finite_forecasts(serve)
 
 
 def expand(blocks: np.ndarray, weights: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """The kernel expansion sum_k weights[k] * (blocks[k] @ C) of k cross-Gram
-    blocks (k, rows, n) with their (k, m) weights, by one (k*rows, n) @ C
+    """The kernel expansion sum_k weights[k] * (blocks[k] @ C) of cross-Gram
+    blocks (..., rows, n) with their (..., m) weights over the same leading
+    axes (k kernels, or k kernels by P partitions), by one (k*rows, n) @ C
     product; a zero weight adds exact zeros."""
-    k, rows, n = blocks.shape
+    *lead, rows, n = blocks.shape
+    k = math.prod(lead)
     terms = (blocks.reshape(k * rows, n) @ C).reshape(k, rows, -1)
-    return np.einsum("krm,km->rm", terms, weights)
+    return np.einsum("krm,km->rm", terms, weights.reshape(k, -1))
 
 
 def normalize_adjacency(raw: np.ndarray) -> np.ndarray:

@@ -244,6 +244,36 @@ def test_predict_on_a_row_that_overflows_the_model_exits_2(tmp_path, data_csv, c
     assert not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_predict_whose_forecast_overflows_in_original_units_exits_2(tmp_path, data_csv, capsys):
+    # undoing the standardization overflowed a finite forecast with a numpy
+    # warning, and the CLI blamed the data ("series contains NaN or infinite
+    # values")
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_csv), "--method", "lvarl2", "--train", "150",
+                 "--lambda", "1", "--out", str(model_path)]) == 0
+    extreme = tmp_path / "extreme.csv"
+    lines = data_csv.read_text().splitlines()
+    lines[160] = ",".join(["1.7e308"] * len(lines[160].split(",")))
+    extreme.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(extreme),
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    assert "forecast overflows in original units" in _one_line_error(capsys)
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_generate_with_a_psi_that_overflows_the_series_exits_2(tmp_path, capsys):
+    psi_path = tmp_path / "psi.csv"
+    psi_path.write_text("a,b\n1e308,1e308\n1e308,1e308\n")
+    capsys.readouterr()
+    assert main(["generate", "--length", "50", "--psi", str(psi_path),
+                 "--out", str(tmp_path / "g.csv")]) == 2
+    assert "filter overflows the series" in _one_line_error(capsys)
+    assert not (tmp_path / "g.csv").exists()
+
+
 @pytest.mark.parametrize("method, lam", [("nvarl1", "0"), ("lvarl2", "-1"), ("nvarl1", "nan")])
 def test_fit_rejects_bad_lambda_with_exit_code_2(tmp_path, data_csv, capsys, method, lam):
     capsys.readouterr()

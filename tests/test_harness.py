@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,13 @@ def test_generator_deterministic_and_shaped():
     assert np.array_equal(a.values, b.values)
     c = generate_synthetic(SyntheticSpec(length=300, seed=100))
     assert not np.array_equal(a.values, c.values)
+
+
+def test_generator_rejects_a_psi_whose_filter_overflows_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="filter overflows the series"):
+            generate_synthetic(SyntheticSpec(length=50, psi=np.full((2, 2), 1e308)))
 
 
 def test_generator_moments_close_to_analytic():

@@ -13,6 +13,7 @@ from nlvar.errors import (
 from nlvar.kernels import (
     DEFAULT_DICTIONARY,
     KernelSpec,
+    TrainingRows,
     build_cross_stack,
     build_feature_stack,
     build_gram_stack,
@@ -296,6 +297,44 @@ def test_cross_gram_of_a_partition_equals_per_spec_blocks(dictionary):
         alone = cross_gram(spec, inputs[:, cols], new_inputs[:, cols])
         assert alone.shape == (7, inputs.shape[0])
         assert np.array_equal(block, alone), spec.label()
+
+
+@pytest.mark.parametrize("n_new", [1, 7])
+def test_stacked_cross_gram_equals_each_partitions_blocks(n_new):
+    # one call over P partitions with one kernel layout: block [i, j] must
+    # equal kernel i's own cross_gram on partition j bit for bit
+    rng = np.random.default_rng(16)
+    inputs, partition_map = _embedded(rng, m=4)
+    new_inputs = rng.standard_normal((n_new, inputs.shape[1]))
+    stack = build_gram_stack(inputs, partition_map)
+    parts = [0, 2, 3]
+    grid = [[spec for spec in stack.specs if spec.partition == j] for j in parts]
+    train = TrainingRows.of(np.stack([inputs[:, partition_map[j]] for j in parts]))
+    Z = np.stack([new_inputs[:, partition_map[j]] for j in parts])
+    blocks = cross_gram(grid, train, Z)
+    assert blocks.shape == (len(DEFAULT_DICTIONARY), len(parts), n_new, inputs.shape[0])
+    for j, part in enumerate(parts):
+        cols = partition_map[part]
+        for i, spec in enumerate(grid[j]):
+            alone = cross_gram(spec, inputs[:, cols], new_inputs[:, cols])
+            assert np.array_equal(blocks[i, j], alone), spec.label()
+    assert np.array_equal(train[1:].rows, train.rows[1:])
+    assert np.array_equal(train[[2, 0]].half_sq, -0.5 * np.sum(train.rows[[2, 0]] ** 2, axis=-1))
+
+
+def test_stacked_cross_gram_rejects_mixed_layouts_and_unnormalized_kernels():
+    rng = np.random.default_rng(17)
+    inputs, partition_map = _embedded(rng)
+    stack = build_gram_stack(inputs, partition_map)
+    train = TrainingRows.of(np.stack([inputs[:, partition_map[j]] for j in (0, 1)]))
+    Z = train.rows[:, :3]
+    grid = [stack.specs[:6], stack.specs[6:12]]
+    with pytest.raises(DimensionMismatchError, match="layout"):
+        cross_gram([grid[0], grid[1][::-1]], train, Z)
+    with pytest.raises(DimensionMismatchError):
+        cross_gram(grid, train, Z[:1])
+    with pytest.raises(NormFactorMissingError):
+        cross_gram([grid[0], [KernelSpec(s.kind, s.param, 1) for s in grid[1]]], train, Z)
 
 
 def test_overflowing_kernel_in_a_stack_raises_without_a_warning():

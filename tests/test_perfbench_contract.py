@@ -130,7 +130,8 @@ def test_predict_workload_builds_its_fixed_model(tmp_path, monkeypatch):
 def test_traced_predict_serves_each_partition_through_one_solver_cross_gram(tmp_path, monkeypatch):
     # the traced predict run counts its cross-Gram work as the
     # nlvar.solver.cross_gram spans inside solver.predict: serving must go
-    # through that binding, once per active partition and row block
+    # through that binding, once per active partition and row block, and a
+    # one-row call whose active partitions share one kernel layout once
     from nlvar.modelio import predict_model
     from nlvar.solver import _PREDICT_BLOCK_ROWS
 
@@ -155,4 +156,6 @@ def test_traced_predict_serves_each_partition_through_one_solver_cross_gram(tmp_
     assert len(predicts) == 2 and crosses
     assert all(span.parent in predicts for span in crosses)
     active = 4  # of the 5 partitions
-    assert len(crosses) <= active * 3 + active  # 3 row blocks, then one row
+    batch, one_row = ([span for span in crosses if span.parent == p] for p in predicts)
+    assert len(batch) <= active * 3  # 3 row blocks
+    assert len(one_row) == 1

@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -167,6 +168,37 @@ def test_csv_round_trip(tmp_path):
     loaded = read_csv(path)
     assert loaded.names == ["x", "y", "z"]
     np.testing.assert_array_equal(loaded.values, series.values)
+
+
+def test_csv_writes_each_value_as_its_repr_and_reads_it_back_exactly(tmp_path):
+    rng = np.random.default_rng(10)
+    values = np.vstack([[-0.0, 1e-300, 1e300, 3.0, -7.0],
+                        [0.0, 5e-324, -1.7976931348623157e308, 1.0 / 3.0, 2.0**52],
+                        rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5))])
+    series = _series(values)
+    path = tmp_path / "data.csv"
+    write_csv(series, path)
+    # the per-value writer the file must stay byte-identical to
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(series.names)
+        for row in values:
+            writer.writerow([repr(float(v)) for v in row])
+    assert path.read_bytes() == reference.read_bytes()
+    loaded = read_csv(path).values
+    assert np.array_equal(loaded, values)
+    assert np.array_equal(np.signbit(loaded), np.signbit(values))  # -0.0 stays negative
+
+
+def test_undoing_the_standardization_rejects_a_forecast_that_overflows():
+    stats = NormStats(mean=np.array([0.5, -0.5]), std=np.array([4.0, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadDataError, match="forecast overflows in original units"):
+            standardize_apply(_series([[1.7e308, 1.0]]), stats, "inverse")
+        with pytest.raises(BadDataError, match="overflows when standardized"):
+            standardize_apply(_series([[1.0, 1.7e308]]), stats, "forward")
 
 
 def test_csv_rejects_missing_values(tmp_path):

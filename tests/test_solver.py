@@ -689,6 +689,79 @@ def test_predict_matches_the_per_kernel_reference(method, n_rows):
                                atol=1e-12 * np.abs(expected[0]).max())
 
 
+@pytest.mark.parametrize("method", ["nvarl1", "nvarl12", "nvar"])
+@pytest.mark.parametrize("n_rows", [2, 17])
+def test_short_calls_match_the_per_kernel_reference(method, n_rows):
+    # under _PREDICT_BLOCK_ROWS rows a call stacks its partitions
+    model = _sparse_model(method)
+    rows = np.random.default_rng(n_rows).standard_normal((n_rows, model.training_inputs.shape[1]))
+    expected = predict_per_kernel(model, rows)
+    np.testing.assert_allclose(predict(model, rows), expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
+
+
+def _counted_cross_grams(monkeypatch):
+    calls = []
+
+    def counting(*args, _cross=solver.cross_gram):
+        calls.append(args)
+        return _cross(*args)
+
+    monkeypatch.setattr(solver, "cross_gram", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n_rows, calls", [(1, 2), (2, 2), (17, 5), (40, 10)])
+def test_partitions_with_two_active_layouts_match_the_per_kernel_reference(monkeypatch, n_rows,
+                                                                          calls):
+    # partitions 0, 1 and 3 keep all six kernels, 2 and 4 lose two of
+    # theirs: a short call makes one cross_gram call per layout, a call of
+    # 17 rows or more one per partition and row block
+    rng = np.random.default_rng(26)
+    model = fit("nvarl1", _toy_train(rng, m=5), 0.5)
+    model.A[:] = rng.uniform(0.5, 1.5, model.A.shape)
+    model.A[[12, 17, 24, 29]] = 0.0
+    rows = rng.standard_normal((n_rows, model.training_inputs.shape[1]))
+    expected = predict_per_kernel(model, rows)
+    made = _counted_cross_grams(monkeypatch)
+    np.testing.assert_allclose(predict(model, rows), expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
+    assert len(made) == calls
+
+
+@pytest.mark.parametrize("method", ["nvarl1", "nvar"])
+def test_predict_follows_weights_changed_in_place(method):
+    # the prepared training rows hold nothing of A, C or the norm factors
+    model = _sparse_model(method)
+    rows = np.random.default_rng(27).standard_normal((3, model.training_inputs.shape[1]))
+    served = []
+    for change in range(3):
+        expected = predict_per_kernel(model, rows)
+        served.append(predict(model, rows))
+        np.testing.assert_allclose(served[-1], expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+        np.testing.assert_allclose(predict(model, rows[0]), expected[:1], rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected[0]).max())
+        if change == 0:
+            # all of partition 2, or nvar's last two kernels, and one more weight
+            model.A[slice(12, 18) if method == "nvarl1" else slice(4, 6)] = 0.0
+            model.A[1] *= 3.0
+        else:
+            model.specs[np.flatnonzero(model.A.any(axis=1))[0]].norm_factor *= 2.0
+    assert not np.allclose(served[0], served[1]) and not np.allclose(served[1], served[2])
+
+
+def test_training_inputs_are_a_read_only_copy():
+    rng = np.random.default_rng(28)
+    train = _toy_train(rng)
+    model = fit("nvarl1", train, 1.0)
+    before = predict(model, train.inputs[:4])
+    train.inputs[:] = 0.0
+    assert np.array_equal(predict(model, train.inputs[:4] + model.training_inputs[:4]), before)
+    with pytest.raises(ValueError):
+        model.training_inputs[0, 0] = 1.0
+
+
 def test_predict_serves_a_document_that_lists_a_partitions_kernels_apart():
     # kernel order in a model document is free: interleaving the partitions'
     # kernels changes no forecast
