@@ -1,4 +1,12 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the readers each type
+holding a config or model value calls on construction: a bool, a fraction or
+a non-finite value raises ConfigError instead of being converted."""
+
+import itertools
+import math
+import numbers
+
+import numpy as np
 
 
 class NlvarError(Exception):
@@ -55,3 +63,42 @@ class ConfigError(NlvarError):
 
 class BadDataError(NlvarError, ValueError):
     """Series or predict input that is unreadable, non-numeric or non-finite."""
+
+
+#: What a missing key or a malformed value raises on its way into a type.
+MALFORMED_VALUE_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def whole_number(value, what: str) -> int:
+    """An integral number as int; a bool, a fraction, a non-finite or a
+    non-number value raises ConfigError instead of being truncated."""
+    try:
+        if not isinstance(value, bool) and value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{what} must be a whole number, got {value!r}")
+
+
+def real_number(value, what: str) -> float:
+    """A finite number as float; a bool, a string or other non-number, or a
+    non-finite value raises ConfigError instead of being converted."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
+def finite_array(doc, ndim: int, what: str) -> np.ndarray:
+    """A finite ndim-d (1 or 2) float array; a wrong shape, a non-finite
+    entry or a boolean entry raises ConfigError instead of being converted."""
+    arr = np.asarray(doc, dtype=float)
+    if not (arr.ndim == ndim and np.all(np.isfinite(arr))):
+        raise ConfigError(f"{what} must be a finite {ndim}-d array")
+    # the float conversion reads a JSON true as 1.0: one pass over the types
+    entries = doc if ndim == 1 else itertools.chain.from_iterable(doc)
+    if bool in map(type, entries):
+        raise ConfigError(f"{what} must hold numbers, not booleans")
+    return arr

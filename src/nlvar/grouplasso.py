@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteObjectiveError
+from .errors import DimensionMismatchError, NonFiniteObjectiveError, real_number, whole_number
 
 #: KKT tolerance relative to the penalty: a solve is converged only once the
 #: largest per-group optimality violation is below this times kappa.
@@ -54,16 +54,19 @@ class SolverOptions:
     change per sweep below which a group-lasso solve checks its KKT gap over
     all groups, and it sets the KKT tolerance (kkt_tolerance: KKT_REL_TOL at
     the default), the gap a converged solve must meet. Frozen, so the one
-    default SolverOptions() can be every entry point's default.
+    default SolverOptions() can be every entry point's default. A wrongly
+    typed value raises ConfigError.
     """
 
     max_iter: int = 800
     rel_tol: float = 1e-6
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iter", whole_number(self.max_iter, "solver max_iter"))
+        object.__setattr__(self, "rel_tol", real_number(self.rel_tol, "solver rel_tol"))
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not self.rel_tol > 0.0:  # NaN included
+        if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
 
 

@@ -8,31 +8,33 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, modelio, solver
 from .errors import (
+    MALFORMED_VALUE_ERRORS,
     BadRangeError,
     ConfigError,
     DimensionMismatchError,
     FoldTooSmallError,
     NlvarError,
+    finite_array,
+    real_number,
+    whole_number,
 )
 # the benchmark tracer times the CV solves through this module's binding of
 # the stacked group-lasso solver, so the CV path calls it directly
 from .grouplasso import GroupedProblem, SolverOptions, _solve_stacked
 from .kernels import (
     DEFAULT_DICTIONARY,
-    KernelSpec,
     build_cross_stack,
     build_feature_stack,
     build_gram_stack,
     make_specs,
 )
-from .modelio import finite_array, real_number, whole_number
 from .series import (MultivariateSeries, SupervisedSet, lag_embed, read_csv, standardize_apply,
                      standardize_fit, write_csv)
 
@@ -74,13 +76,13 @@ class SyntheticSpec:
     def __post_init__(self):
         self.length = whole_number(self.length, "synthetic length")
         self.seed = whole_number(self.seed, "synthetic seed")
-        if self.psi is None:
-            self.psi = default_psi()
-        self.psi = finite_array(self.psi, 2, "psi")
+        self.psi = finite_array(default_psi() if self.psi is None else self.psi, 2, "psi")
         if self.psi.shape[0] != self.psi.shape[1]:
             raise DimensionMismatchError("psi must be a square matrix")
         if self.length < 2:
             raise BadRangeError("synthetic length must be at least 2")
+        if self.seed < 0:
+            raise ConfigError(f"synthetic seed must be at least 0, got {self.seed}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> MultivariateSeries:
@@ -88,12 +90,15 @@ def generate_synthetic(spec: SyntheticSpec) -> MultivariateSeries:
 
     Noise coordinates are Exponential(1) - 1 (zero mean, unit variance),
     sampled by inverse CDF -log(1-U) - 1 from a PCG64 uniform stream; one
-    extra leading draw supplies e_0. A psi whose filter overflows the series
-    raises ConfigError.
+    extra leading draw supplies e_0. A length numpy cannot draw, and a psi
+    whose filter overflows the series, raise ConfigError.
     """
     m = spec.psi.shape[0]
     rng = np.random.default_rng(spec.seed)
-    u = rng.random((spec.length + 1, m))
+    try:
+        u = rng.random((spec.length + 1, m))
+    except ValueError as exc:  # numpy's "Maximum allowed dimension exceeded"
+        raise ConfigError(f"cannot draw a synthetic series of {spec.length} steps: {exc}") from None
     e = -np.log1p(-u) - 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         values = e[1:] + e[:-1] @ spec.psi.T
@@ -261,7 +266,8 @@ def evaluate_holdout(predict_fn, holdout: SupervisedSet) -> tuple[float, float]:
 
 @dataclass
 class ExperimentConfig:
-    """Everything needed for a benchmark-style run."""
+    """Everything needed for a benchmark-style run, each field read and
+    checked on construction (the kernel pairs as KernelSpec reads them)."""
 
     train: int
     methods: tuple = ALL_METHODS
@@ -278,16 +284,25 @@ class ExperimentConfig:
     save_models: bool = False
 
     def __post_init__(self):
+        for name in ("train", "holdout", "lag", "folds"):
+            setattr(self, name, whole_number(getattr(self, name), name))
+        for what, path in (("data csv", self.csv_path), ("out_dir", self.out_dir)):
+            if path is not None and not isinstance(path, str):
+                raise ConfigError(f"{what} must be a path string, got {path!r}")
+        if not isinstance(self.save_models, bool):
+            raise ConfigError(f"save_models must be true or false, got {self.save_models!r}")
         if not isinstance(self.methods, (list, tuple)):
             raise ConfigError(f"methods must be a list of method names, got {self.methods!r}")
         self.methods = tuple(self.methods)
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; valid: {list(ALL_METHODS)}")
-        if not self.dictionary:
-            raise ConfigError("kernels must list at least one kernel")
+        self.dictionary = tuple((spec.kind, spec.param)
+                                for spec in make_specs([None], self.dictionary))
         if (self.synthetic is None) == (self.csv_path is None):
             raise ConfigError("exactly one data source (synthetic or csv) is required")
+        if self.lag < 1:
+            raise ConfigError(f"lag must be at least 1, got {self.lag}")
         if self.train < self.lag + 2:
             raise ConfigError(f"train={self.train} too small for lag={self.lag}")
         if self.holdout < 1:
@@ -300,8 +315,9 @@ class ExperimentConfig:
                 and pairs < 2 * self.folds):
             raise ConfigError(f"{pairs} training pairs cannot make {self.folds} usable folds")
         if self.lam is not None:
-            if not (math.isfinite(self.lam) and self.lam >= 0.0):
-                raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
+            self.lam = real_number(self.lam, "lambda")
+            if self.lam < 0.0:
+                raise ConfigError(f"lambda must be >= 0, got {self.lam}")
             if self.lam == 0.0 and set(self.methods) & set(solver.KERNEL_METHODS):
                 raise ConfigError("lambda must be > 0 for the kernel methods")
 
@@ -316,52 +332,42 @@ def read_keys(doc, keys, where: str) -> dict:
     return doc
 
 
+#: Config keys that set an ExperimentConfig field, with the field each sets.
+_CONFIG_FIELDS = {"train": "train", "holdout": "holdout", "lag": "lag", "methods": "methods",
+                  "kernels": "dictionary", "folds": "folds", "lambda": "lam",
+                  "out_dir": "out_dir", "save_models": "save_models"}
+
+
+def _from_object(cls, doc, where: str, **given):
+    """A `cls` built from a JSON object of its fields, on top of `given`."""
+    return cls(**{**given, **read_keys(doc, [f.name for f in fields(cls)], where)})
+
+
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a run config from the JSON document accepted by the CLI.
 
-    Missing or malformed values (a non-integral count or size, a path that
-    is not a string and a save_models that is not a JSON boolean included),
-    bad or no kernels, and any key it does not read raise ConfigError. The
-    data.synthetic, grid and solver keys are the fields of SyntheticSpec,
-    GridSpec and SolverOptions.
+    Each key maps onto a field (data.synthetic, grid and solver onto a
+    SyntheticSpec, GridSpec and SolverOptions), and the types read their
+    values. A malformed value, and a key nothing reads, raise ConfigError.
     """
-    doc = read_keys(doc, ("data", "train", "holdout", "lag", "methods", "kernels", "grid",
-                          "folds", "lambda", "solver", "out_dir", "save_models"), "config")
+    doc = read_keys(doc, (*_CONFIG_FIELDS, "data", "grid", "solver"), "config")
     try:
-        train = whole_number(doc["train"], "train")
-        holdout = whole_number(doc.get("holdout", DEFAULT_HOLDOUT), "holdout")
+        kwargs = {name: doc[key] for key, name in _CONFIG_FIELDS.items() if key in doc}
         data = read_keys(doc.get("data", {}), ("synthetic", "csv"), "data")
-        solver_doc = dict(doc.get("solver") or {})
-        for key, read in (("max_iter", whole_number), ("rel_tol", real_number)):
-            if key in solver_doc:
-                solver_doc[key] = read(solver_doc[key], f"solver {key}")
-        dictionary = tuple((kind, param) for kind, param in doc.get("kernels", DEFAULT_DICTIONARY))
-        for kind, param in dictionary:
-            KernelSpec(kind=kind, param=param)
-        paths = {"data csv": data.get("csv"), "out_dir": doc.get("out_dir")}
-        for what, path in paths.items():
-            if path is not None and not isinstance(path, str):
-                raise ConfigError(f"{what} must be a path string, got {path!r}")
-        save_models = doc.get("save_models", False)
-        if not isinstance(save_models, bool):
-            raise ConfigError(f"save_models must be true or false, got {save_models!r}")
-        return ExperimentConfig(
-            train=train,
-            methods=doc.get("methods", ALL_METHODS),
-            synthetic=(SyntheticSpec(**{"length": train + holdout, **data["synthetic"]})
-                       if "synthetic" in data else None),
-            csv_path=paths["data csv"],
-            holdout=holdout,
-            lag=whole_number(doc.get("lag", DEFAULT_LAG), "lag"),
-            dictionary=dictionary,
-            grid=GridSpec(**doc.get("grid", {})),
-            folds=whole_number(doc.get("folds", 5), "folds"),
-            lam=None if doc.get("lambda") is None else real_number(doc["lambda"], "lambda"),
-            options=SolverOptions(**solver_doc),
-            out_dir=paths["out_dir"],
-            save_models=save_models,
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        if "csv" in data:
+            kwargs["csv_path"] = data["csv"]
+        if "synthetic" in data:
+            # the run's window (holdout at the field's own default when absent),
+            # unless data.synthetic gives its length
+            length = (whole_number(doc["train"], "train")
+                      + whole_number(doc.get("holdout", ExperimentConfig.holdout), "holdout"))
+            kwargs["synthetic"] = _from_object(SyntheticSpec, data["synthetic"], "data.synthetic",
+                                               length=length)
+        for key, name, cls in (("grid", "grid", GridSpec), ("solver", "options", SolverOptions)):
+            if key in doc:
+                kwargs[name] = _from_object(cls, doc[key], key)
+        return ExperimentConfig(**kwargs)
+    except MALFORMED_VALUE_ERRORS as exc:
         raise ConfigError(f"bad config: {type(exc).__name__}: {exc}") from None
 
 

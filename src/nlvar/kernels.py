@@ -26,6 +26,8 @@ from .errors import (
     DimensionMismatchError,
     NormFactorMissingError,
     NotPSDError,
+    real_number,
+    whole_number,
 )
 
 #: (kind, parameter) pairs applied to every input partition by default.
@@ -46,12 +48,13 @@ RANK_TOL = 1e-10
 class KernelSpec:
     """One dictionary entry bound to an input partition.
 
-    kind is 'linear', 'polynomial' (param = degree >= 2, inhomogeneous
-    (1 + <u,v>)^degree) or 'gaussian' (param = width w, exp(-||u-v||^2/(2 w^2))).
+    kind is 'linear' (param None), 'polynomial' (param = degree >= 2,
+    inhomogeneous (1 + <u,v>)^degree) or 'gaussian' (param = width w, with w
+    and w^2 positive floats, exp(-||u-v||^2/(2 w^2))).
     partition is the source-series index, or None for the full input vector.
     norm_factor, the training Gram's scale to trace n, is stored when that
     Gram is built (build_gram_stack or gram_matrix) and rescales every
-    cross-Gram block.
+    cross-Gram block. A wrongly typed value raises ConfigError.
     """
 
     kind: str
@@ -60,22 +63,25 @@ class KernelSpec:
     norm_factor: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.param, bool):
-            raise ValueError(f"kernel parameter must be a number, got {self.param}")
         if self.kind == "linear":
-            self.param = None
-        elif self.kind == "polynomial":
-            if self.param is None or int(self.param) != self.param or self.param < 2:
-                raise ValueError(f"polynomial degree must be an integer >= 2, got {self.param}")
-            self.param = int(self.param)
-        elif self.kind == "gaussian":
-            if self.param is None or not 0 < self.param < math.inf:
-                raise ValueError(f"gaussian width must be positive and finite, got {self.param}")
-            self.param = float(self.param)
+            if self.param is not None:
+                raise ValueError(f"a linear kernel takes no parameter, got {self.param!r}")
+        elif self.kind in ("polynomial", "gaussian"):
+            self.param = real_number(self.param, "kernel parameter")
+            if self.kind == "polynomial":
+                if int(self.param) != self.param or self.param < 2:
+                    raise ValueError(f"polynomial degree must be an integer >= 2, got {self.param}")
+                self.param = int(self.param)
+            elif not (self.param > 0.0 and 0.0 < self.param * self.param < math.inf):
+                raise ValueError(f"gaussian width {self.param}: it and its square must be > 0")
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.norm_factor is not None and not self.norm_factor > 0:
-            raise ValueError(f"{self.label()}: norm_factor must be positive, got {self.norm_factor}")
+        if self.partition is not None:
+            self.partition = whole_number(self.partition, "kernel partition")
+        if self.norm_factor is not None:
+            self.norm_factor = real_number(self.norm_factor, "kernel norm_factor")
+            if not self.norm_factor > 0:
+                raise ValueError(f"{self.label()}: norm_factor must be > 0, got {self.norm_factor}")
 
     def label(self) -> str:
         part = "full" if self.partition is None else str(self.partition)
@@ -143,7 +149,7 @@ class TrainingRows:
 def make_specs(partitions, dictionary=DEFAULT_DICTIONARY) -> list[KernelSpec]:
     """Instantiate the dictionary on each partition, partition-major order."""
     if not dictionary:
-        raise ConfigError("the kernel dictionary must list at least one kernel")
+        raise ConfigError("kernels must list at least one kernel")
     return [KernelSpec(kind=kind, param=param, partition=part)
             for part in partitions for kind, param in dictionary]
 

@@ -9,33 +9,19 @@ written with full round-trip precision.
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import json
-import math
-import numbers
 
 import numpy as np
 
 from . import baselines, solver
-from .errors import ConfigError, UnsupportedKindError
+from .errors import (MALFORMED_VALUE_ERRORS, ConfigError, UnsupportedKindError, finite_array,
+                     real_number, whole_number)
 from .kernels import KernelSpec, group_index_of
 from .series import NormStats
 
 FORMAT_NAME = "nlvar-model"
 FORMAT_VERSION = 1
-
-
-def _stats_doc(stats: NormStats | None):
-    if stats is None:
-        return None
-    return {"mean": [float(v) for v in stats.mean], "std": [float(v) for v in stats.std]}
-
-
-def _stats_from(doc) -> NormStats | None:
-    if doc is None:
-        return None
-    return NormStats(mean=finite_array(doc["mean"], 1, "norm_stats mean"),
-                     std=finite_array(doc["std"], 1, "norm_stats std"))
 
 
 def _matrix(x) -> list:
@@ -46,15 +32,7 @@ def model_to_dict(model) -> dict:
     if isinstance(model, solver.ModelFit):
         body = {
             "lambda": [float(v) for v in model.lam],
-            "kernels": [
-                {
-                    "kind": spec.kind,
-                    "param": spec.param,
-                    "partition": spec.partition,
-                    "norm_factor": spec.norm_factor,
-                }
-                for spec in model.specs
-            ],
+            "kernels": [dataclasses.asdict(spec) for spec in model.specs],
             "weights_a": _matrix(model.A),
             "coefficients": _matrix(model.C),
             "training_inputs": _matrix(model.training_inputs),
@@ -72,23 +50,10 @@ def model_to_dict(model) -> dict:
         "kind": model.method,
         "lag": model.lag,
         "names": model.names,
-        "norm_stats": _stats_doc(model.norm_stats),
+        "norm_stats": None if model.norm_stats is None else {
+            "mean": model.norm_stats.mean.tolist(), "std": model.norm_stats.std.tolist()},
         **body,
     }
-
-
-def finite_array(doc, ndim: int, what: str) -> np.ndarray:
-    """A finite ndim-d (1 or 2) float array from a JSON document (a model or
-    a config); a wrong shape, a non-finite entry or a boolean entry raises
-    ConfigError instead of being converted."""
-    arr = np.asarray(doc, dtype=float)
-    if not (arr.ndim == ndim and np.all(np.isfinite(arr))):
-        raise ConfigError(f"{what} must be a finite {ndim}-d array")
-    # the float conversion reads a JSON true as 1.0: one pass over the types
-    entries = doc if ndim == 1 else itertools.chain.from_iterable(doc)
-    if bool in map(type, entries):
-        raise ConfigError(f"{what} must hold numbers, not booleans")
-    return arr
 
 
 def _check(ok: bool, what: str) -> None:
@@ -96,35 +61,11 @@ def _check(ok: bool, what: str) -> None:
         raise ConfigError(f"malformed model document: {what}")
 
 
-def whole_number(value, what: str) -> int:
-    """An integral number from a JSON document (a model or a config) as int;
-    a bool, a fraction, a non-finite or a non-number value raises ConfigError
-    instead of being truncated."""
-    try:
-        if not isinstance(value, bool) and value == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{what} must be a whole number, got {value!r}")
-
-
-def real_number(value, what: str) -> float:
-    """A finite number from a JSON document (a model or a config) as float;
-    a bool, a string or other non-number, or a non-finite value raises
-    ConfigError instead of being converted."""
-    try:
-        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except OverflowError:
-        pass
-    raise ConfigError(f"{what} must be a finite number, got {value!r}")
-
-
 def model_from_dict(doc: dict):
     """Rebuild a fitted model, checking every shape the forecasts rely on.
 
-    v1 documents of the retired kind "nvar_full" load as the kernel model
-    they nest.
+    v1 documents of the retired kind "nvar_full" load as the one "nvar"
+    document they nest. KernelSpec and NormStats read their own fields.
     """
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ConfigError("not an nlvar model document")
@@ -132,33 +73,28 @@ def model_from_dict(doc: dict):
         raise ConfigError(f"unsupported model version {doc.get('version')}")
     try:
         return _model_from_dict(doc)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except MALFORMED_VALUE_ERRORS as exc:
         raise ConfigError(f"malformed model document: {type(exc).__name__}: {exc}") from None
 
 
 def _model_from_dict(doc: dict):
     kind = doc["kind"]
     if kind == "nvar_full":
+        _check(doc["model"].get("kind") == "nvar", "nvar_full must nest one nvar document")
         return model_from_dict(doc["model"])
     lag = whole_number(doc["lag"], "model lag")
     _check(lag >= 1, "lag must be positive")
     names = doc["names"]
-    stats = _stats_from(doc["norm_stats"])
+    stats = None if doc["norm_stats"] is None else NormStats(**doc["norm_stats"])
     if kind in solver.KERNEL_METHODS:
-        specs = [
-            KernelSpec(
-                kind=k["kind"],
-                param=k["param"],
-                partition=(None if k["partition"] is None
-                           else whole_number(k["partition"], "kernel partition")),
-                norm_factor=real_number(k["norm_factor"], "kernel norm_factor"),
-            )
-            for k in doc["kernels"]
-        ]
+        _check(all(k["norm_factor"] is not None for k in doc["kernels"]),
+               "a kernel has no norm_factor")
+        specs = [KernelSpec(kind=k["kind"], param=k["param"], partition=k["partition"],
+                            norm_factor=k["norm_factor"]) for k in doc["kernels"]]
         A = finite_array(doc["weights_a"], 2, "weights_a")
         C = finite_array(doc["coefficients"], 2, "coefficients")
         X = finite_array(doc["training_inputs"], 2, "training_inputs")
-        lam = np.array([real_number(v, "lambda") for v in doc["lambda"]])
+        lam = finite_array(doc["lambda"], 1, "lambda")
         m = A.shape[1]
         _check(A.shape[0] == len(specs), f"weights_a has {A.shape[0]} rows for {len(specs)} kernels")
         _check(C.shape == (X.shape[0], m), f"coefficients are {C.shape}, expected {(X.shape[0], m)}")

@@ -17,6 +17,7 @@ from .errors import (
     ConstantSeriesError,
     DimensionMismatchError,
     SeriesTooShortError,
+    finite_array,
 )
 
 STD_FLOOR = 1e-12
@@ -54,16 +55,16 @@ class MultivariateSeries:
 
 @dataclass
 class NormStats:
-    """Per-series location/scale computed on a training window."""
+    """Per-series location/scale computed on a training window (finite, 1-d)."""
 
     mean: np.ndarray
     std: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.std = np.asarray(self.std, dtype=float)
-        if self.mean.shape != self.std.shape or self.mean.ndim != 1:
-            raise DimensionMismatchError("mean and std must be 1-d and equally long")
+        self.mean = finite_array(self.mean, 1, "norm_stats mean")
+        self.std = finite_array(self.std, 1, "norm_stats std")
+        if self.mean.shape != self.std.shape:
+            raise DimensionMismatchError("mean and std must be equally long")
         if np.any(self.std <= 0):
             raise ConstantSeriesError("std entries must be strictly positive")
 

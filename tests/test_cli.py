@@ -492,3 +492,36 @@ def test_benchmark_rejects_more_folds_than_the_pairs_allow_with_exit_code_2(tmp_
     assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "117 training pairs cannot make 100 usable folds" in _one_line_error(capsys)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"solver": []}, "solver must be a JSON object"),
+    ({"solver": 0}, "solver must be a JSON object"),
+    ({"solver": False}, "solver must be a JSON object"),
+    ({"solver": [["max_iter", 5]]}, "solver must be a JSON object"),
+    ({"kernels": [["polynomial", float("inf")]]}, "kernel parameter"),  # written as 1e400
+    ({"data": {"synthetic": {"seed": -1}}}, "seed must be at least 0"),
+])
+def test_benchmark_rejects_a_malformed_solver_degree_or_seed_with_exit_code_2(tmp_path, capsys,
+                                                                             change, message):
+    # each ended in the default budget, an OverflowError or a numpy traceback
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps({**_SMALL_RUN, "methods": ["mean"], **change})
+                   .replace("Infinity", "1e400"))
+    capsys.readouterr()
+    assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--seed", "-1", "--length", "50"], "seed must be at least 0"),
+    # beyond numpy's largest dimension: refused before anything is allocated
+    (["--length", "100000000000000000000"], "cannot draw a synthetic series"),
+])
+def test_generate_rejects_a_seed_or_length_numpy_refuses_with_exit_code_2(tmp_path, capsys,
+                                                                          args, message):
+    capsys.readouterr()
+    assert main(["generate", *args, "--out", str(tmp_path / "g.csv")]) == 2
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "g.csv").exists()

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from nlvar import baselines, grouplasso, harness, solver
-from nlvar.errors import BadRangeError, ConfigError, DimensionMismatchError, FoldTooSmallError
+from nlvar.errors import (BadRangeError, ConfigError, DimensionMismatchError, FoldTooSmallError,
+                          NlvarError)
 from nlvar.grouplasso import SolverOptions
 from nlvar.harness import (
     ExperimentConfig,
@@ -24,7 +25,7 @@ from nlvar.harness import (
     split_experiment_data,
 )
 from nlvar.harness import _kernel_path, select_lambda
-from nlvar.kernels import DEFAULT_DICTIONARY, build_feature_stack, build_gram_stack
+from nlvar.kernels import DEFAULT_DICTIONARY, KernelSpec, build_feature_stack, build_gram_stack
 from nlvar.series import MultivariateSeries, lag_embed
 from nlvar.solver import fit, predict, solve_task_l1
 
@@ -545,6 +546,17 @@ _BAD_VALUES = [(change, None) for change in [
     ({"save_models": 1}, "save_models must be true or false"),
     # float() reads a JSON true as 1.0
     ({"data": {"synthetic": {"length": 160, "psi": [[1, True], [0, 1]]}}}, "psi must hold numbers"),
+    # a solver that is not an object was read as the default budget, or as pairs
+    ({"solver": []}, "solver must be a JSON object"),
+    ({"solver": 0}, "solver must be a JSON object"),
+    ({"solver": False}, "solver must be a JSON object"),
+    ({"solver": [["max_iter", 5]]}, "solver must be a JSON object"),
+    # int(inf) raised an OverflowError past the reader
+    ({"kernels": [["polynomial", float("inf")]]}, "kernel parameter"),
+    ({"kernels": [["gaussian", 1e-200]]}, "gaussian width"),  # 1e-200 ** 2 is 0
+    ({"kernels": [["linear", 3]]}, "linear kernel takes no parameter"),  # was dropped
+    ({"lag": 0}, "lag must be at least 1"),
+    ({"data": {"synthetic": {"seed": -1}}}, "seed must be at least 0"),  # numpy refuses it
 ]
 
 
@@ -553,6 +565,26 @@ _BAD_VALUES = [(change, None) for change in [
 def test_config_rejects_bad_values(change, names):
     with pytest.raises(ConfigError, match=names):
         experiment_config_from_dict({**_GOOD_DOC, **change})
+
+
+def test_library_construction_reads_values_as_the_config_does():
+    synthetic = SyntheticSpec(length=160, seed=3)
+    for change in ({"train": 100.5}, {"lag": 0}, {"lag": 2.5}, {"folds": True},
+                   {"lam": float("nan")}, {"dictionary": ()}):
+        with pytest.raises(NlvarError):
+            ExperimentConfig(**{"train": 100, "holdout": 40, "synthetic": synthetic, **change})
+    with pytest.raises(ValueError, match="linear kernel takes no parameter"):
+        ExperimentConfig(train=100, holdout=40, synthetic=synthetic, dictionary=(("linear", 1.0),))
+    for options in ({"max_iter": 2.5}, {"max_iter": True}, {"rel_tol": float("inf")}):
+        with pytest.raises(ConfigError):
+            SolverOptions(**options)
+    with pytest.raises(ConfigError, match="kernel parameter"):
+        KernelSpec("polynomial", float("inf"))
+    config = ExperimentConfig(train=100.0, holdout=40, synthetic=synthetic, lam=1,
+                              dictionary=[["polynomial", 2.0], ["gaussian", 1]])
+    assert (config.train, config.lam) == (100, 1.0) and isinstance(config.train, int)
+    assert config.dictionary == (("polynomial", 2), ("gaussian", 1.0))
+    assert SolverOptions(max_iter=5.0) == SolverOptions(max_iter=5)
 
 
 def test_config_accepts_integral_floats_and_zero_lambda_for_baselines():

@@ -53,6 +53,8 @@ def test_spec_validation():
         KernelSpec("gaussian", -0.5)
     with pytest.raises(ValueError):
         KernelSpec("sigmoid", 1.0)
+    with pytest.raises(ValueError):
+        KernelSpec("gaussian", 1e-200)  # its square underflows to 0
 
 
 def test_gram_trace_equals_sample_size():

@@ -77,6 +77,27 @@ def test_legacy_nvar_full_document_loads_as_its_kernel_model(tmp_path):
     assert model_to_dict(loaded)["kind"] == "nvar"
 
 
+def test_legacy_nvar_full_document_nests_exactly_one_nvar_document():
+    # a nested mean document loaded as the mean baseline, and nvar_full
+    # documents nested 600 deep ended in a RecursionError
+    stats, train = _fixture(np.random.default_rng(1))
+
+    def legacy(inner):
+        return {"format": "nlvar-model", "version": 1, "kind": "nvar_full", "lag": 3,
+                "names": None, "norm_stats": None, "lambda": 0.8, "model": inner}
+
+    mean = model_to_dict(fit_baseline("mean", train, 0.0, norm_stats=stats))
+    nvar = deep = model_to_dict(fit("nvar", train, 0.8, norm_stats=stats))
+    assert model_from_dict(legacy(nvar)).method == "nvar"
+    for _ in range(600):
+        deep = legacy(deep)
+    for doc in (legacy(mean), legacy(legacy(nvar)), deep):
+        with pytest.raises(ConfigError, match="nvar_full must nest one nvar document"):
+            model_from_dict(doc)
+    with pytest.raises(ConfigError):
+        model_from_dict(legacy(None))
+
+
 def test_full_precision_floats(tmp_path):
     rng = np.random.default_rng(2)
     stats, train = _fixture(rng)
@@ -176,6 +197,9 @@ KERNEL_CORRUPTIONS = {
     "infinite lag": _set("lag", float("inf")),
     "NaN gaussian width": lambda doc: next(
         k for k in doc["kernels"] if k["kind"] == "gaussian").__setitem__("param", float("nan")),
+    "gaussian width whose square underflows": lambda doc: next(
+        k for k in doc["kernels"] if k["kind"] == "gaussian").__setitem__("param", 1e-200),
+    "linear kernel with a parameter": _set_kernel("param", 1.0),
 }
 
 BASELINE_CORRUPTIONS = {
