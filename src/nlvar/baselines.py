@@ -13,9 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatchError, SingularSystemError, UnsupportedKindError
+from .errors import (ConfigError, DimensionMismatchError, SingularSystemError,
+                     UnsupportedKindError, finite_array, real_number)
 from .grouplasso import GroupedProblem, SolverOptions, solve_group_lasso
-from .series import NormStats, SupervisedSet, finite_forecasts, input_rows, lag_columns
+from .series import (NormStats, SupervisedSet, finite_forecasts, input_rows, lag_columns,
+                     model_series)
 from .solver import AdjacencyMatrix, normalize_adjacency
 
 BASELINE_METHODS = ("mean", "lar", "lvarl2", "lvarl1")
@@ -24,7 +26,9 @@ BASELINE_METHODS = ("mean", "lar", "lvarl2", "lvarl1")
 @dataclass
 class BaselineFit:
     """A fitted baseline; all methods but mean carry a dense (m*p x m)
-    coefficient matrix (rows ordered like the embedded input columns)."""
+    coefficient matrix (rows ordered like the embedded input columns),
+    checked on construction as a ModelFit is, for the m series of coef or
+    else of the norm stats (a mean model may have neither)."""
 
     method: str
     lag: int
@@ -32,6 +36,17 @@ class BaselineFit:
     norm_stats: NormStats | None = None
     lam: float | None = None
     names: list[str] | None = None
+
+    def __post_init__(self):
+        m = None if self.norm_stats is None else self.norm_stats.mean.shape[0]
+        if self.coef is not None:
+            self.coef = finite_array(self.coef, 2, "coef")
+            m = self.coef.shape[1]
+        if self.lam is not None:
+            self.lam = real_number(self.lam, "lambda")
+        self.lag, self.names = model_series(self.lag, self.names, self.norm_stats, m)
+        if self.coef is not None and self.coef.shape[0] != m * self.lag:
+            raise ConfigError(f"coef is {self.coef.shape}, expected {(m * self.lag, m)}")
 
 
 def _ridge_solve(G: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
@@ -60,32 +75,25 @@ def fit_baseline(method: str, train: SupervisedSet, lam: float = 0.0,
     m, p = train.n_series, train.lag
 
     if method == "mean":
-        return BaselineFit(method=method, lag=p, norm_stats=norm_stats, names=names)
-
-    if method == "lar":
+        coef = None
+    elif method == "lar":
         coef = np.zeros((m * p, m))
         for j, cols in enumerate(train.partition_map):
             Xj = X[:, cols]
-            w = _ridge_solve(Xj.T @ Xj, Xj.T @ Y[:, j], lam)
-            coef[cols, j] = w
-        return BaselineFit(method=method, lag=p, coef=coef, norm_stats=norm_stats,
-                           lam=lam, names=names)
-
-    if method == "lvarl2":
+            coef[cols, j] = _ridge_solve(Xj.T @ Xj, Xj.T @ Y[:, j], lam)
+    elif method == "lvarl2":
         coef = _ridge_solve(X.T @ X, X.T @ Y, lam)
-        return BaselineFit(method=method, lag=p, coef=coef, norm_stats=norm_stats,
-                           lam=lam, names=names)
-
-    # lvarl1: the m outputs share one design
-    design = GroupedProblem([X[:, cols] for cols in train.partition_map], Y[:, 0], lam)
-    coef = np.zeros((m * p, m))
-    for s in range(m):
-        start = None if warm is None else [warm.coef[cols, s] for cols in train.partition_map]
-        sol = solve_group_lasso(design.with_target(Y[:, s], lam), warm_start=start, opts=options)
-        for j, cols in enumerate(train.partition_map):
-            coef[cols, s] = sol.weights[j]
+    else:  # lvarl1: the m outputs share one design
+        design = GroupedProblem([X[:, cols] for cols in train.partition_map], Y[:, 0], lam)
+        coef = np.zeros((m * p, m))
+        for s in range(m):
+            start = None if warm is None else [warm.coef[cols, s] for cols in train.partition_map]
+            sol = solve_group_lasso(design.with_target(Y[:, s], lam), warm_start=start,
+                                    opts=options)
+            for j, cols in enumerate(train.partition_map):
+                coef[cols, s] = sol.weights[j]
     return BaselineFit(method=method, lag=p, coef=coef, norm_stats=norm_stats,
-                       lam=lam, names=names)
+                       lam=None if coef is None else lam, names=names)
 
 
 def predict_baseline(fit: BaselineFit, new_inputs) -> np.ndarray:

@@ -87,9 +87,10 @@ def _cmd_adjacency(args):
 
 
 def _cmd_benchmark(args):
-    config = harness.experiment_config_from_dict(modelio.read_json(args.config))
+    doc = modelio.read_json(args.config)
     if args.out is not None:
-        config.out_dir = args.out
+        doc["out_dir"] = args.out
+    config = harness.experiment_config_from_dict(doc)
     report = harness.run_experiment(config)
     for method, entry in report["methods"].items():
         if entry["status"] == "ok":

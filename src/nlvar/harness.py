@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +64,7 @@ def default_psi() -> np.ndarray:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     """Benchmark process y_t = e_t + Psi e_{t-1} with recentred unit-variance
     exponential noise."""
@@ -74,9 +74,10 @@ class SyntheticSpec:
     psi: np.ndarray | None = None
 
     def __post_init__(self):
-        self.length = whole_number(self.length, "synthetic length")
-        self.seed = whole_number(self.seed, "synthetic seed")
-        self.psi = finite_array(default_psi() if self.psi is None else self.psi, 2, "psi")
+        object.__setattr__(self, "length", whole_number(self.length, "synthetic length"))
+        object.__setattr__(self, "seed", whole_number(self.seed, "synthetic seed"))
+        object.__setattr__(self, "psi", finite_array(default_psi() if self.psi is None
+                                                     else self.psi, 2, "psi"))
         if self.psi.shape[0] != self.psi.shape[1]:
             raise DimensionMismatchError("psi must be a square matrix")
         if self.length < 2:
@@ -108,7 +109,7 @@ def generate_synthetic(spec: SyntheticSpec) -> MultivariateSeries:
     return MultivariateSeries(values=values, names=names)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridSpec:
     """Logarithmic regularization grid 10^k * scale, k linearly spaced; the
     scale is sqrt(n_train_pairs) * (number of kernels or groups of the
@@ -119,11 +120,11 @@ class GridSpec:
     high_exp: float = 4.0
 
     def __post_init__(self):
-        self.count = whole_number(self.count, "grid count")
+        object.__setattr__(self, "count", whole_number(self.count, "grid count"))
         if self.count < 1:
             raise ConfigError(f"grid count must be >= 1, got {self.count}")
-        self.low_exp = real_number(self.low_exp, "grid low_exp")
-        self.high_exp = real_number(self.high_exp, "grid high_exp")
+        object.__setattr__(self, "low_exp", real_number(self.low_exp, "grid low_exp"))
+        object.__setattr__(self, "high_exp", real_number(self.high_exp, "grid high_exp"))
         if self.count > 1 and self.low_exp >= self.high_exp:
             raise ConfigError("grid low_exp must be below high_exp")
 
@@ -191,7 +192,7 @@ def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
         yield solver.expand(cross, A, C)
 
 
-def cv_select(train: SupervisedSet, method: str, grid: GridSpec | None = None,
+def cv_select(train: SupervisedSet, method: str, grid: GridSpec = GridSpec(),
               folds: int = 5, dictionary=DEFAULT_DICTIONARY,
               options: SolverOptions = SolverOptions()) -> tuple[float, np.ndarray]:
     """Pick the regularization value by blocked cross-validation.
@@ -210,7 +211,6 @@ def cv_select(train: SupervisedSet, method: str, grid: GridSpec | None = None,
         raise FoldTooSmallError("need at least 2 folds")
     if method in solver.KERNEL_METHODS:  # an empty dictionary fails even on a one-point grid
         make_specs([None], dictionary)
-    grid = grid or GridSpec()
     n = train.n_pairs
     with np.errstate(over="ignore", under="ignore"):
         lams = grid.values(math.sqrt(n) * scale_count(method, train.n_series, dictionary))
@@ -264,10 +264,11 @@ def evaluate_holdout(predict_fn, holdout: SupervisedSet) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed for a benchmark-style run, each field read and
-    checked on construction (the kernel pairs as KernelSpec reads them)."""
+    checked on construction (the kernel pairs as KernelSpec reads them);
+    frozen, so a changed copy (dataclasses.replace) is checked again."""
 
     train: int
     methods: tuple = ALL_METHODS
@@ -276,7 +277,7 @@ class ExperimentConfig:
     holdout: int = DEFAULT_HOLDOUT
     lag: int = DEFAULT_LAG
     dictionary: tuple = DEFAULT_DICTIONARY
-    grid: GridSpec = field(default_factory=GridSpec)
+    grid: GridSpec = GridSpec()
     folds: int = 5
     lam: float | None = None
     options: SolverOptions = SolverOptions()
@@ -285,7 +286,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("train", "holdout", "lag", "folds"):
-            setattr(self, name, whole_number(getattr(self, name), name))
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
         for what, path in (("data csv", self.csv_path), ("out_dir", self.out_dir)):
             if path is not None and not isinstance(path, str):
                 raise ConfigError(f"{what} must be a path string, got {path!r}")
@@ -293,12 +294,12 @@ class ExperimentConfig:
             raise ConfigError(f"save_models must be true or false, got {self.save_models!r}")
         if not isinstance(self.methods, (list, tuple)):
             raise ConfigError(f"methods must be a list of method names, got {self.methods!r}")
-        self.methods = tuple(self.methods)
+        object.__setattr__(self, "methods", tuple(self.methods))
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; valid: {list(ALL_METHODS)}")
-        self.dictionary = tuple((spec.kind, spec.param)
-                                for spec in make_specs([None], self.dictionary))
+        object.__setattr__(self, "dictionary", tuple(
+            (spec.kind, spec.param) for spec in make_specs([None], self.dictionary)))
         if (self.synthetic is None) == (self.csv_path is None):
             raise ConfigError("exactly one data source (synthetic or csv) is required")
         if self.lag < 1:
@@ -315,7 +316,7 @@ class ExperimentConfig:
                 and pairs < 2 * self.folds):
             raise ConfigError(f"{pairs} training pairs cannot make {self.folds} usable folds")
         if self.lam is not None:
-            self.lam = real_number(self.lam, "lambda")
+            object.__setattr__(self, "lam", real_number(self.lam, "lambda"))
             if self.lam < 0.0:
                 raise ConfigError(f"lambda must be >= 0, got {self.lam}")
             if self.lam == 0.0 and set(self.methods) & set(solver.KERNEL_METHODS):

@@ -15,8 +15,7 @@ import json
 import numpy as np
 
 from . import baselines, solver
-from .errors import (MALFORMED_VALUE_ERRORS, ConfigError, UnsupportedKindError, finite_array,
-                     real_number, whole_number)
+from .errors import MALFORMED_VALUE_ERRORS, ConfigError, UnsupportedKindError
 from .kernels import KernelSpec, group_index_of
 from .series import NormStats
 
@@ -24,23 +23,19 @@ FORMAT_NAME = "nlvar-model"
 FORMAT_VERSION = 1
 
 
-def _matrix(x) -> list:
-    return [[float(v) for v in row] for row in np.asarray(x)]
-
-
 def model_to_dict(model) -> dict:
     if isinstance(model, solver.ModelFit):
         body = {
-            "lambda": [float(v) for v in model.lam],
+            "lambda": model.lam.tolist(),
             "kernels": [dataclasses.asdict(spec) for spec in model.specs],
-            "weights_a": _matrix(model.A),
-            "coefficients": _matrix(model.C),
-            "training_inputs": _matrix(model.training_inputs),
+            "weights_a": model.A.tolist(),
+            "coefficients": model.C.tolist(),
+            "training_inputs": model.training_inputs.tolist(),
         }
     elif isinstance(model, baselines.BaselineFit):
         body = {
-            "lambda": None if model.lam is None else float(model.lam),
-            "coef": None if model.coef is None else _matrix(model.coef),
+            "lambda": model.lam,
+            "coef": None if model.coef is None else model.coef.tolist(),
         }
     else:
         raise UnsupportedKindError(f"cannot serialize {type(model).__name__}")
@@ -56,16 +51,12 @@ def model_to_dict(model) -> dict:
     }
 
 
-def _check(ok: bool, what: str) -> None:
-    if not ok:
-        raise ConfigError(f"malformed model document: {what}")
-
-
 def model_from_dict(doc: dict):
-    """Rebuild a fitted model, checking every shape the forecasts rely on.
+    """Rebuild a fitted model by mapping the document's keys onto ModelFit or
+    BaselineFit, which (with KernelSpec and NormStats) check their values.
 
     v1 documents of the retired kind "nvar_full" load as the one "nvar"
-    document they nest. KernelSpec and NormStats read their own fields.
+    document they nest.
     """
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ConfigError("not an nlvar model document")
@@ -80,48 +71,21 @@ def model_from_dict(doc: dict):
 def _model_from_dict(doc: dict):
     kind = doc["kind"]
     if kind == "nvar_full":
-        _check(doc["model"].get("kind") == "nvar", "nvar_full must nest one nvar document")
+        if doc["model"].get("kind") != "nvar":
+            raise ConfigError("malformed model document: nvar_full must nest one nvar document")
         return model_from_dict(doc["model"])
-    lag = whole_number(doc["lag"], "model lag")
-    _check(lag >= 1, "lag must be positive")
-    names = doc["names"]
     stats = None if doc["norm_stats"] is None else NormStats(**doc["norm_stats"])
+    fields = dict(method=kind, lag=doc["lag"], norm_stats=stats, lam=doc["lambda"],
+                  names=doc["names"])
     if kind in solver.KERNEL_METHODS:
-        _check(all(k["norm_factor"] is not None for k in doc["kernels"]),
-               "a kernel has no norm_factor")
         specs = [KernelSpec(kind=k["kind"], param=k["param"], partition=k["partition"],
                             norm_factor=k["norm_factor"]) for k in doc["kernels"]]
-        A = finite_array(doc["weights_a"], 2, "weights_a")
-        C = finite_array(doc["coefficients"], 2, "coefficients")
-        X = finite_array(doc["training_inputs"], 2, "training_inputs")
-        lam = finite_array(doc["lambda"], 1, "lambda")
-        m = A.shape[1]
-        _check(A.shape[0] == len(specs), f"weights_a has {A.shape[0]} rows for {len(specs)} kernels")
-        _check(C.shape == (X.shape[0], m), f"coefficients are {C.shape}, expected {(X.shape[0], m)}")
-        _check(X.shape[1] == m * lag, f"training_inputs have {X.shape[1]} columns, expected {m * lag}")
-        _check(lam.shape == (m,), f"lambda has {lam.size} entries for {m} outputs")
-        for spec in specs:
-            _check(spec.partition is None or 0 <= spec.partition < m,
-                   f"{spec.label()} names a partition outside 0..{m - 1}")
-        model = solver.ModelFit(method=kind, A=A, C=C, specs=specs, group_index=group_index_of(specs),
-                                training_inputs=X, norm_stats=stats, lag=lag, lam=lam, names=names)
-    elif kind in baselines.BASELINE_METHODS:
-        coef = None if doc.get("coef") is None else finite_array(doc["coef"], 2, "coef")
-        lam = None if doc["lambda"] is None else real_number(doc["lambda"], "lambda")
-        m = None
-        if coef is not None:
-            m = coef.shape[1]
-            _check(coef.shape[0] == m * lag, f"coef is {coef.shape}, expected {(m * lag, m)}")
-        elif stats is not None:
-            m = stats.mean.shape[0]
-        model = baselines.BaselineFit(method=kind, lag=lag, coef=coef, norm_stats=stats,
-                                      lam=lam, names=names)
-    else:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    if m is not None:
-        _check(names is None or len(names) == m, f"names do not cover {m} series")
-        _check(stats is None or stats.mean.shape[0] == m, f"norm_stats do not cover {m} series")
-    return model
+        return solver.ModelFit(A=doc["weights_a"], C=doc["coefficients"], specs=specs,
+                               group_index=group_index_of(specs),
+                               training_inputs=doc["training_inputs"], **fields)
+    if kind in baselines.BASELINE_METHODS:
+        return baselines.BaselineFit(coef=doc.get("coef"), **fields)
+    raise ConfigError(f"unknown model kind {kind!r}")
 
 
 def save_model(model, path) -> None:

@@ -11,14 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadDataError,
-    BadRangeError,
-    ConstantSeriesError,
-    DimensionMismatchError,
-    SeriesTooShortError,
-    finite_array,
-)
+from .errors import (BadDataError, BadRangeError, ConfigError, ConstantSeriesError,
+                     DimensionMismatchError, SeriesTooShortError, finite_array, whole_number)
 
 STD_FLOOR = 1e-12
 
@@ -37,6 +31,8 @@ class MultivariateSeries:
         n, m = self.values.shape
         if n < 1 or m < 1:
             raise DimensionMismatchError("series needs at least one row and one column")
+        if not _strings(self.names):
+            raise BadDataError(f"series names must be a list of strings, got {self.names!r}")
         if len(self.names) != m:
             raise DimensionMismatchError(
                 f"series has {m} columns but {len(self.names)} names"
@@ -67,6 +63,24 @@ class NormStats:
             raise DimensionMismatchError("mean and std must be equally long")
         if np.any(self.std <= 0):
             raise ConstantSeriesError("std entries must be strictly positive")
+
+
+def _strings(names) -> bool:
+    return isinstance(names, (list, tuple)) and all(isinstance(name, str) for name in names)
+
+
+def model_series(lag, names, norm_stats: NormStats | None, m: int | None):
+    """A fitted model's (lag, names), read with its norm stats for its m
+    series (None: not counted): a lag >= 1, names None or m strings, and norm
+    stats None or of m series. A value that breaks this raises ConfigError."""
+    lag = whole_number(lag, "model lag")
+    if lag < 1:
+        raise ConfigError(f"model lag must be at least 1, got {lag}")
+    if names is not None and not (_strings(names) and m in (None, len(names))):
+        raise ConfigError("model names must be null or a list of strings, one per series")
+    if norm_stats is not None and m not in (None, norm_stats.mean.shape[0]):
+        raise ConfigError(f"model norm_stats cover {norm_stats.mean.shape[0]} series, not {m}")
+    return lag, None if names is None else list(names)
 
 
 @dataclass

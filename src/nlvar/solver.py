@@ -17,13 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    NonFiniteObjectiveError,
-    SingularSystemError,
-    UnsupportedKindError,
-)
+from .errors import (ConfigError, DimensionMismatchError, NonFiniteObjectiveError,
+                     SingularSystemError, UnsupportedKindError, finite_array)
 from .grouplasso import (
     GroupedProblem,
     SolverOptions,
@@ -44,7 +39,8 @@ from .kernels import (
     cross_gram,
     group_sizes,
 )
-from .series import NormStats, SupervisedSet, finite_forecasts, input_rows, lag_columns
+from .series import (NormStats, SupervisedSet, finite_forecasts, input_rows, lag_columns,
+                     model_series)
 
 KERNEL_METHODS = ("nvarl1", "nvarl12", "nvar")
 
@@ -89,6 +85,10 @@ class ModelFit:
     the kernel specs with their training normalization, and everything needed
     to evaluate the kernel expansion at new points.
 
+    Loaded, fitted or built by hand, a model is read and checked on
+    construction (the lag, names and norm stats by series.model_series); a
+    value or shape the forecasts cannot use raises ConfigError.
+
     training_inputs is held as a read-only copy, and what cross-Gram blocks
     need of it alone is prepared once on construction: partition_rows, each
     input partition's training rows (m, n, lag), and full_rows, the full
@@ -110,10 +110,28 @@ class ModelFit:
     full_rows: TrainingRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        X = np.array(self.training_inputs, dtype=float)
+        self.A = finite_array(self.A, 2, "weights A")
+        l, m = self.A.shape
+        self.lag, self.names = model_series(self.lag, self.names, self.norm_stats, m)
+        X = np.array(finite_array(self.training_inputs, 2, "training_inputs"))
+        self.C = finite_array(self.C, 2, "coefficients C")
+        self.lam = finite_array(self.lam, 1, "lambda")
+        if l != len(self.specs):
+            raise ConfigError(f"weights A have {l} rows for {len(self.specs)} kernel specs")
+        if self.C.shape != (X.shape[0], m):
+            raise ConfigError(f"coefficients C are {self.C.shape}, expected {(X.shape[0], m)}")
+        if X.shape[1] != m * self.lag:
+            raise ConfigError(f"training_inputs have {X.shape[1]} columns, expected {m * self.lag}")
+        if self.lam.shape != (m,):
+            raise ConfigError(f"lambda has {self.lam.size} entries for {m} outputs")
+        for spec in self.specs:
+            if spec.norm_factor is None:
+                raise ConfigError(f"spec {spec.label()} has no norm_factor")
+            if spec.partition is not None and not 0 <= spec.partition < m:
+                raise ConfigError(f"spec {spec.label()} names a partition outside 0..{m - 1}")
         X.flags.writeable = False
         self.training_inputs = X
-        part_map = lag_columns(X.shape[1] // self.lag, self.lag)
+        part_map = lag_columns(m, self.lag)
         self.partition_rows = TrainingRows.of(np.stack([X[:, cols] for cols in part_map]))
         self.full_rows = TrainingRows.of(X[None])
 
@@ -399,18 +417,10 @@ def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions = 
         tasks = [solve_task_l12(grams, grams.group_index, y, lam, opts=options)
                  for y in train.outputs.T]
 
-    return ModelFit(
-        method=method,
-        A=np.column_stack([t.a for t in tasks]),
-        C=np.column_stack([t.c for t in tasks]),
-        specs=grams.specs,
-        group_index=grams.group_index,
-        training_inputs=train.inputs,
-        norm_stats=norm_stats,
-        lag=train.lag,
-        lam=np.full(m, lam),
-        names=list(names) if names is not None else None,
-    )
+    return ModelFit(method=method, A=np.column_stack([t.a for t in tasks]),
+                    C=np.column_stack([t.c for t in tasks]), specs=grams.specs,
+                    group_index=grams.group_index, training_inputs=train.inputs,
+                    norm_stats=norm_stats, lag=train.lag, lam=np.full(m, lam), names=names)
 
 
 def predict(fit_result: ModelFit, new_inputs) -> np.ndarray:

@@ -314,6 +314,23 @@ def test_predict_rejects_boolean_model_entries_with_exit_code_2(tmp_path, data_c
     assert not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.parametrize("names", ["abcde", [{}, [], None, 1, True]])
+def test_predict_rejects_model_names_that_are_not_one_string_per_series(tmp_path, data_csv,
+                                                                       capsys, names):
+    # both loaded, and predict wrote the CSV header a,b,c,d,e or {},[],,1,True
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_csv), "--method", "lvarl2", "--train", "150",
+                 "--lag", "3", "--lambda", "1.0", "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    doc["names"] = names
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(data_csv),
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    assert "model names must be" in _one_line_error(capsys)
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_fit_cv_matches_the_benchmark_fit(tmp_path, data_csv):
     # same settings, same training window: `fit --cv` must pick the penalty
     # and write the model a benchmark run does

@@ -441,8 +441,7 @@ def test_single_point_grid_report_is_strict_json(tmp_path):
     # a one-point grid runs no CV, so the report carries no CV curve (a NaN
     # there would make report.json invalid JSON)
     config = _small_config(tmp_path, methods=("mean", "lvarl2", "lvarl1"))
-    config.grid = GridSpec(count=1, low_exp=0.0)
-    run_experiment(config)
+    run_experiment(dataclasses.replace(config, grid=GridSpec(count=1, low_exp=0.0)))
 
     def reject(constant):
         raise ValueError(f"report.json holds {constant}")
@@ -587,6 +586,22 @@ def test_library_construction_reads_values_as_the_config_does():
     assert SolverOptions(max_iter=5.0) == SolverOptions(max_iter=5)
 
 
+def test_configs_are_frozen_and_replace_checks_again():
+    # an assigned lag skipped every check and ended in a TypeError inside
+    # run_experiment
+    config = _small_config(methods=("mean",))
+    for obj, name, value in ((config, "lag", 2.5), (config.synthetic, "seed", -1),
+                             (config.grid, "count", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+    with pytest.raises(ConfigError, match="lag must be a whole number"):
+        dataclasses.replace(config, lag=2.5)
+    with pytest.raises(ConfigError, match="synthetic seed must be at least 0"):
+        dataclasses.replace(config.synthetic, seed=-1)
+    assert dataclasses.replace(config, lag=2.0).lag == 2
+    assert ExperimentConfig(train=120, synthetic=config.synthetic).grid == GridSpec()
+
+
 def test_config_accepts_integral_floats_and_zero_lambda_for_baselines():
     cfg = experiment_config_from_dict({**_GOOD_DOC, "train": 100.0, "methods": ["mean", "lvarl2"],
                                        "lambda": 0.0})
@@ -602,21 +617,19 @@ def test_config_checks_the_fold_count_only_where_a_run_cross_validates():
 
 def test_run_experiment_records_failures_and_continues(tmp_path):
     config = _small_config(tmp_path, methods=("mean", "lvarl2"))
-    config.train = 130
-    config.holdout = 40  # needs 170 rows, series has 160
-    with pytest.raises(BadRangeError):
-        run_experiment(config)
-    # a per-method failure: too many folds for the 117 training pairs stops
-    # every method that runs CV, while the mean predictor needs none
-    config = _small_config(tmp_path, methods=("mean", "lvarl2", "lvarl1"))
-    config.folds = 100
+    with pytest.raises(BadRangeError):  # needs 170 rows, series has 160
+        run_experiment(dataclasses.replace(config, train=130, holdout=40))
+    # a per-method failure: a kernel whose Gram overflows stops both kernel
+    # methods, while the mean predictor needs no kernels
+    config = dataclasses.replace(_small_config(tmp_path, methods=("mean", "nvarl1", "nvar")),
+                                 dictionary=(("polynomial", 1000000000), ("linear", None)))
     report = run_experiment(config)
     assert report["methods"]["mean"]["status"] == "ok"
-    for method in ("lvarl2", "lvarl1"):
+    for method in ("nvarl1", "nvar"):
         entry = report["methods"][method]
         assert entry["status"] == "failed"
-        assert entry["error"].startswith("FoldTooSmallError: ")
-    assert "lvarl2,,,,failed" in (tmp_path / "mse_table.csv").read_text().splitlines()
+        assert entry["error"].startswith("DegenerateKernelError: ")
+    assert "nvarl1,,,,failed" in (tmp_path / "mse_table.csv").read_text().splitlines()
 
 
 def test_run_experiment_lets_programming_errors_propagate(monkeypatch):
@@ -626,7 +639,6 @@ def test_run_experiment_lets_programming_errors_propagate(monkeypatch):
         raise TypeError("a bug in a fit")
 
     monkeypatch.setattr(baselines, "fit_baseline", broken)
-    config = _small_config(methods=("mean", "lvarl2"))
-    config.lam = 1.0
+    config = dataclasses.replace(_small_config(methods=("mean", "lvarl2")), lam=1.0)
     with pytest.raises(TypeError, match="a bug in a fit"):
         run_experiment(config)

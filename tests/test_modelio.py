@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import nlvar
-from nlvar.baselines import fit_baseline, predict_baseline
+from nlvar.baselines import BaselineFit, fit_baseline, predict_baseline
 from nlvar.errors import BadDataError, ConfigError
 from nlvar.modelio import (
     load_model,
@@ -16,7 +17,7 @@ from nlvar.modelio import (
     save_model,
 )
 from nlvar.series import MultivariateSeries, lag_embed, standardize_apply, standardize_fit
-from nlvar.solver import fit, predict
+from nlvar.solver import ModelFit, fit, predict
 
 
 def _fixture(rng, n_total=60, m=2, p=3):
@@ -177,6 +178,8 @@ KERNEL_CORRUPTIONS = {
     "training_inputs missing a column": _drop_column("training_inputs"),
     "lambda too short": _cut("lambda", 1),
     "names too long": _set("names", ["s0", "s1", "s2"]),
+    "names as one string": _set("names", "ab"),
+    "a name that is not a string": _set("names", ["s0", 1]),
     "norm_stats too short": _set("norm_stats", {"mean": [0.0], "std": [1.0]}),
     "missing norm_factor": _set_kernel("norm_factor", None),
     "infinite norm_factor": _set_kernel("norm_factor", float("inf")),
@@ -206,6 +209,8 @@ BASELINE_CORRUPTIONS = {
     "coef cut short": _cut("coef", -1),
     "coef missing an output": _drop_column("coef"),
     "names too short": _set("names", ["s0"]),
+    "names as one string": _set("names", "ab"),
+    "a name that is not a string": _set("names", [None, "s1"]),
     "NaN coef": lambda doc: doc["coef"][0].__setitem__(0, float("nan")),
     "boolean coef": lambda doc: doc["coef"][1].__setitem__(1, False),
     "non-numeric lambda": _set("lambda", "big"),
@@ -241,6 +246,37 @@ def test_corrupted_baseline_documents_rejected(corruption):
     BASELINE_CORRUPTIONS[corruption](doc)
     with pytest.raises(ConfigError):
         model_from_dict(doc)
+
+
+def _fields(model) -> dict:
+    return {f.name: getattr(model, f.name) for f in dataclasses.fields(model) if f.init}
+
+
+def test_models_built_in_code_check_their_shapes_on_construction():
+    # only the document reader checked a model's shapes: a hand-built ModelFit
+    # with C one row short ended in numpy's matmul error inside predict
+    stats, train = _fixture(np.random.default_rng(9))
+    model = _fields(fit("nvarl1", train, 1.0, norm_stats=stats, names=["s0", "s1"]))
+    no_factor = dataclasses.replace(model["specs"][0], norm_factor=None)
+    outside = dataclasses.replace(model["specs"][0], partition=2)
+    for change, message in (({"C": model["C"][:-1]}, "coefficients C are"),
+                            ({"A": model["A"][:-1]}, "weights A have"),
+                            ({"specs": [no_factor, *model["specs"][1:]]}, "no norm_factor"),
+                            ({"specs": [outside, *model["specs"][1:]]}, "partition outside"),
+                            ({"names": "ab"}, "model names"),
+                            ({"lam": model["lam"][:1]}, "lambda has 1 entries")):
+        with pytest.raises(ConfigError, match=message):
+            ModelFit(**{**model, **change})
+    assert ModelFit(**model).names == ["s0", "s1"]
+    baseline = _fields(fit_baseline("lvarl2", train, 1.0, norm_stats=stats))
+    for change, message in (({"coef": baseline["coef"][:-1]}, "coef is"),
+                            ({"lam": True}, "lambda must be a finite number"),
+                            ({"lag": 0}, "lag must be at least 1")):
+        with pytest.raises(ConfigError, match=message):
+            BaselineFit(**{**baseline, **change})
+    with pytest.raises(ConfigError, match="norm_stats cover 2 series"):
+        BaselineFit(method="lvarl2", lag=1, coef=np.zeros((3, 3)), norm_stats=stats)
+    BaselineFit(method="mean", lag=3, names=["any", "number", "of", "names"])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

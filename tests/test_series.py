@@ -220,3 +220,13 @@ def test_series_validation():
         MultivariateSeries(values=np.ones((3, 2)), names=["only_one"])
     with pytest.raises(ValueError):
         MultivariateSeries(values=np.array([[1.0], [np.nan]]), names=["a"])
+
+
+def test_series_names_are_one_string_per_column():
+    # a name that was not a string was written into the CSV header as its repr
+    for names in ("ab", ["a", 1], ["a", None], [["a"], "b"]):
+        with pytest.raises(BadDataError, match="names must be a list of strings"):
+            MultivariateSeries(values=np.ones((3, 2)), names=names)
+    with pytest.raises(DimensionMismatchError):
+        MultivariateSeries(values=np.ones((3, 2)), names=("a", "b", "c"))
+    assert MultivariateSeries(values=np.ones((3, 2)), names=("a", "b")).names == ("a", "b")
