@@ -25,7 +25,7 @@ BASELINE_METHODS = ("mean", "lar", "lvarl2", "lvarl1")
 
 @dataclass
 class BaselineFit:
-    """A fitted baseline; all methods but mean carry a dense (m*p x m)
+    """A fitted baseline; all methods but mean must carry a dense (m*p x m)
     coefficient matrix (rows ordered like the embedded input columns),
     checked on construction as a ModelFit is, for the m series of coef or
     else of the norm stats (a mean model may have neither)."""
@@ -39,7 +39,7 @@ class BaselineFit:
 
     def __post_init__(self):
         m = None if self.norm_stats is None else self.norm_stats.mean.shape[0]
-        if self.coef is not None:
+        if self.coef is not None or self.method != "mean":
             self.coef = finite_array(self.coef, 2, "coef")
             m = self.coef.shape[1]
         if self.lam is not None:
@@ -70,7 +70,7 @@ def fit_baseline(method: str, train: SupervisedSet, lam: float = 0.0,
     if method not in BASELINE_METHODS:
         raise UnsupportedKindError(f"unknown baseline method {method!r}")
     if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+        raise ConfigError(f"lam must be nonnegative, got {lam}")
     X, Y = train.inputs, train.outputs
     m, p = train.n_series, train.lag
 
@@ -98,16 +98,18 @@ def fit_baseline(method: str, train: SupervisedSet, lam: float = 0.0,
 
 def predict_baseline(fit: BaselineFit, new_inputs) -> np.ndarray:
     """Standardized-space forecasts for lag-embedded input rows; a
-    non-finite input or forecast raises BadDataError."""
+    non-finite input or forecast raises BadDataError. A mean model is a zero
+    coef for the m series of its norm stats, or of the rows without them."""
     X = input_rows(new_inputs)
+    coef = fit.coef
     if fit.method == "mean":
-        m = X.shape[1] // fit.lag
-        return np.zeros((X.shape[0], m))
-    if X.shape[1] != fit.coef.shape[0]:
+        m = X.shape[1] // fit.lag if fit.norm_stats is None else fit.norm_stats.mean.shape[0]
+        coef = np.zeros((m * fit.lag, m))
+    if X.shape[1] != coef.shape[0]:
         raise DimensionMismatchError(
-            f"inputs have {X.shape[1]} columns, model expects {fit.coef.shape[0]}"
+            f"inputs have {X.shape[1]} columns, model expects {coef.shape[0]}"
         )
-    return finite_forecasts(lambda: X @ fit.coef)
+    return finite_forecasts(lambda: X @ coef)
 
 
 def baseline_adjacency(fit: BaselineFit) -> AdjacencyMatrix:

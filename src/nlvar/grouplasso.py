@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteObjectiveError, real_number, whole_number
+from .errors import (ConfigError, DimensionMismatchError, NonFiniteObjectiveError, real_number,
+                     whole_number)
 
 #: KKT tolerance relative to the penalty: a solve is converged only once the
 #: largest per-group optimality violation is below this times kappa.
@@ -65,9 +66,9 @@ class SolverOptions:
         object.__setattr__(self, "max_iter", whole_number(self.max_iter, "solver max_iter"))
         object.__setattr__(self, "rel_tol", real_number(self.rel_tol, "solver rel_tol"))
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise ConfigError("max_iter must be >= 1")
         if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
+            raise ConfigError("rel_tol must be positive")
 
 
 @dataclass
@@ -94,7 +95,7 @@ class GroupedProblem:
                     f"block {g} has shape {block.shape}, expected ({n}, r_g)"
                 )
         if self.penalty < 0.0:
-            raise ValueError("penalty must be nonnegative")
+            raise ConfigError("penalty must be nonnegative")
         self.sizes = np.array([b.shape[1] for b in blocks])
         self.starts = group_starts(self.sizes)
         self.B = np.hstack(blocks)
@@ -111,7 +112,7 @@ class GroupedProblem:
                 f"target has {other.target.shape[0]} rows, expected {self.target.shape[0]}"
             )
         if penalty < 0.0:
-            raise ValueError("penalty must be nonnegative")
+            raise ConfigError("penalty must be nonnegative")
         return other
 
 
@@ -234,6 +235,7 @@ def _extrapolate(history) -> np.ndarray | None:
     return c @ W[1:]
 
 
+@np.errstate(all="ignore")
 def _solve_stacked(B, starts, sizes, y, kappa, opts, majorizer, w0=None):
     """Cyclic block coordinate descent on the stacked design, one exact
     majorized step per group and sweep, with a working set and Anderson
@@ -249,7 +251,8 @@ def _solve_stacked(B, starts, sizes, y, kappa, opts, majorizer, w0=None):
     only if its objective is strictly lower. trace[k] is the objective after
     sweep k and any extrapolation taken after it. Between extrapolations the
     residual is updated in place: its rounding drift over a budget of sweeps
-    is orders of magnitude below the KKT tolerance.
+    is orders of magnitude below the KKT tolerance. With numpy's warnings
+    off, an overflow ends as a non-finite objective (NonFiniteObjectiveError).
     """
     total = B.shape[1]
     w = np.zeros(total) if w0 is None else np.array(w0, dtype=float)

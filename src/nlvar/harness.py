@@ -16,6 +16,7 @@ import numpy as np
 from . import baselines, modelio, solver
 from .errors import (
     MALFORMED_VALUE_ERRORS,
+    BadDataError,
     BadRangeError,
     ConfigError,
     DimensionMismatchError,
@@ -246,7 +247,8 @@ def evaluate_holdout(predict_fn, holdout: SupervisedSet) -> tuple[float, float]:
     """(mse, mse_std): hold-out MSE of a standardized-space predictor.
 
     Per-step error is ||y_t - yhat_t||^2 / m; mse_std is the standard error
-    of the mean over hold-out steps.
+    of the mean over hold-out steps. Forecasts too large for either to be
+    finite raise BadDataError.
     """
     if holdout.n_pairs < 1:
         raise BadRangeError("holdout set is empty")
@@ -255,10 +257,14 @@ def evaluate_holdout(predict_fn, holdout: SupervisedSet) -> tuple[float, float]:
         raise DimensionMismatchError(
             f"predictions {preds.shape} vs outputs {holdout.outputs.shape}"
         )
-    per_step = np.mean((holdout.outputs - preds) ** 2, axis=1)
-    n = per_step.shape[0]
-    mse_std = float(per_step.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(per_step.mean()), mse_std
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_step = np.mean((holdout.outputs - preds) ** 2, axis=1)
+        n = per_step.shape[0]
+        mse_std = float(per_step.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        mse = float(per_step.mean())
+    if not (math.isfinite(mse) and math.isfinite(mse_std)):
+        raise BadDataError("hold-out errors overflow: the forecasts are too large to score")
+    return mse, mse_std
 
 
 # ---------------------------------------------------------------------------

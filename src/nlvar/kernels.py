@@ -65,23 +65,23 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind == "linear":
             if self.param is not None:
-                raise ValueError(f"a linear kernel takes no parameter, got {self.param!r}")
+                raise ConfigError(f"a linear kernel takes no parameter, got {self.param!r}")
         elif self.kind in ("polynomial", "gaussian"):
             self.param = real_number(self.param, "kernel parameter")
             if self.kind == "polynomial":
                 if int(self.param) != self.param or self.param < 2:
-                    raise ValueError(f"polynomial degree must be an integer >= 2, got {self.param}")
+                    raise ConfigError(f"polynomial degree {self.param} is not an integer >= 2")
                 self.param = int(self.param)
             elif not (self.param > 0.0 and 0.0 < self.param * self.param < math.inf):
-                raise ValueError(f"gaussian width {self.param}: it and its square must be > 0")
+                raise ConfigError(f"gaussian width {self.param}: it and its square must be > 0")
         else:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+            raise ConfigError(f"unknown kernel kind {self.kind!r}")
         if self.partition is not None:
             self.partition = whole_number(self.partition, "kernel partition")
         if self.norm_factor is not None:
             self.norm_factor = real_number(self.norm_factor, "kernel norm_factor")
             if not self.norm_factor > 0:
-                raise ValueError(f"{self.label()}: norm_factor must be > 0, got {self.norm_factor}")
+                raise ConfigError(f"{self.label()}: norm_factor {self.norm_factor} is not > 0")
 
     def label(self) -> str:
         part = "full" if self.partition is None else str(self.partition)

@@ -165,7 +165,7 @@ def standardize_apply(
             f"series has {series.n_series} columns, stats cover {stats.mean.shape[0]}"
         )
     if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+        raise ConfigError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         if direction == "forward":
             values = (series.values - stats.mean) / stats.std

@@ -39,8 +39,7 @@ from .kernels import (
     cross_gram,
     group_sizes,
 )
-from .series import (NormStats, SupervisedSet, finite_forecasts, input_rows, lag_columns,
-                     model_series)
+from .series import NormStats, SupervisedSet, finite_forecasts, input_rows, model_series
 
 KERNEL_METHODS = ("nvarl1", "nvarl12", "nvar")
 
@@ -48,9 +47,9 @@ KERNEL_METHODS = ("nvarl1", "nvarl12", "nvar")
 #: exact zeros (proximal solvers produce true zeros; this only removes dust).
 ADJ_ZERO_TOL = 1e-8
 
-#: (Partition x row) pairs of new inputs per cross-Gram block in `predict`:
-#: a block's kernels and their temporaries stay in cache, and memory does not
-#: grow with the row count.
+#: (Slot x row) pairs of new inputs per cross-Gram block in `predict` (one
+#: row of each slot when a layout has more slots): a block's kernels and their
+#: temporaries stay in cache, and memory does not grow with the row count.
 _PREDICT_BLOCK_ROWS = 32
 
 
@@ -90,10 +89,11 @@ class ModelFit:
     value or shape the forecasts cannot use raises ConfigError.
 
     training_inputs is held as a read-only copy, and what cross-Gram blocks
-    need of it alone is prepared once on construction: partition_rows, each
-    input partition's training rows (m, n, lag), and full_rows, the full
-    input rows (1, n, m * lag), each with their half squared norms. A, C and
-    the specs' norm factors are read afresh by every predict call.
+    need of it alone is prepared once on construction: serving_rows, the
+    training rows of each input slot with their half squared norms, one slot
+    per input series or one of the full row when no spec has a partition
+    (specs may not mix the two), and serving_columns, each slot's columns.
+    A, C and the specs' norm factors are read afresh by every predict call.
     """
 
     method: str
@@ -106,8 +106,8 @@ class ModelFit:
     lag: int
     lam: np.ndarray
     names: list[str] | None = None
-    partition_rows: TrainingRows = field(init=False, repr=False, compare=False)
-    full_rows: TrainingRows = field(init=False, repr=False, compare=False)
+    serving_rows: TrainingRows = field(init=False, repr=False, compare=False)
+    serving_columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.A = finite_array(self.A, 2, "weights A")
@@ -129,11 +129,13 @@ class ModelFit:
                 raise ConfigError(f"spec {spec.label()} has no norm_factor")
             if spec.partition is not None and not 0 <= spec.partition < m:
                 raise ConfigError(f"spec {spec.label()} names a partition outside 0..{m - 1}")
+        full = [spec.partition is None for spec in self.specs]
+        if any(full) and not all(full):
+            raise ConfigError("kernel specs mix full-input and partitioned kernels")
         X.flags.writeable = False
         self.training_inputs = X
-        part_map = lag_columns(m, self.lag)
-        self.partition_rows = TrainingRows.of(np.stack([X[:, cols] for cols in part_map]))
-        self.full_rows = TrainingRows.of(X[None])
+        self.serving_columns = np.arange(X.shape[1]).reshape(1 if any(full) else m, -1)
+        self.serving_rows = TrainingRows.of(np.stack([X[:, cols] for cols in self.serving_columns]))
 
     @property
     def n_outputs(self) -> int:
@@ -191,7 +193,7 @@ def solve_coefficients(grams: GramStack, a, y, lam: float) -> np.ndarray:
     """Expansion coefficients c from the positive definite system
     (sum_d a_d K^d + lam I) c = y, by Cholesky with one refinement pass."""
     if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+        raise ConfigError(f"lam must be positive, got {lam}")
     a = np.asarray(a, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     M, factor = _factor_system(grams, a, lam)
@@ -221,7 +223,7 @@ def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, 
     solved on one such problem share its stacked design and majorizer.
     """
     if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+        raise ConfigError(f"lam must be positive, got {lam}")
     y = np.asarray(y, dtype=float).ravel()
     if isinstance(features, FeatureStack):
         features = GroupedProblem(features.features, y, 0.0)
@@ -301,6 +303,7 @@ def _ray_start(grams: GramStack, y, lam: float, starts) -> np.ndarray:
     return s * u
 
 
+@np.errstate(all="ignore")
 def solve_task_l12(grams: GramStack, group_index, y, lam: float,
                    warm=None, opts: SolverOptions = SolverOptions()) -> TaskSolution:
     """One output task under the l1/l2 penalty over the contiguous kernel
@@ -316,10 +319,11 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
     taken whole if it narrows the gap, and the solve stops unconverged if not.
     Without a warm start the solve starts at the best point on the ray of
     uniform weights (_ray_start), which halves the Newton steps of a cold
-    fit against a start at a = 1/l.
+    fit against a start at a = 1/l. With numpy's warnings off, an overflow
+    ends as a non-finite objective or Hessian (NonFiniteObjectiveError).
     """
     if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+        raise ConfigError(f"lam must be positive, got {lam}")
     y = np.asarray(y, dtype=float).ravel()
     l = grams.n_kernels
     if len(group_index) != l:
@@ -338,10 +342,10 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
         c = _cho_solve(factor, y)
         penalty = group_penalty(point, starts)
         obj = lam * float(y @ c) + penalty
-        if not np.isfinite(obj):
-            raise NonFiniteObjectiveError(f"objective became {obj}")
         Ut = _stack_times(grams, c).T  # column d is K^d c
         H = blas.dgemm(2.0 * lam, Ut, _cho_solve(factor, Ut), trans_a=1)
+        if not (np.isfinite(obj) and np.isfinite(H).all()):
+            raise NonFiniteObjectiveError(f"objective {obj} or its Hessian is not finite")
         return blas.dgemv(lam, Ut, c, trans=1), H, penalty, obj
 
     q, H, penalty, obj = at(a)
@@ -428,54 +432,37 @@ def predict(fit_result: ModelFit, new_inputs) -> np.ndarray:
     a non-finite input, or finite inputs that overflow to a non-finite
     forecast, raise BadDataError.
 
-    Forecasts are served from the model's prepared training rows, one
-    cross_gram call per block of at most _PREDICT_BLOCK_ROWS partition-rows:
-    a block stacks input partitions whose kernels with a nonzero weight share
-    one (kind, param) layout, and expand contracts its blocks with C and sums
-    them with the kernel weights. A short call stacks its partitions (a
-    one-row call with one layout is one cross_gram call); from
-    _PREDICT_BLOCK_ROWS rows on, a block is one partition's next rows.
+    The model's serving slots whose kernels of nonzero weight share one
+    (kind, param) layout are served together from its serving rows: P such
+    slots make one cross_gram call per block of max(1, _PREDICT_BLOCK_ROWS
+    // P) rows, and expand contracts the blocks with C and the kernel
+    weights. A one-row call whose slots share one layout is one call.
     """
-    X = input_rows(new_inputs)
-    if X.shape[1] != fit_result.training_inputs.shape[1]:
-        raise DimensionMismatchError(
-            f"inputs have {X.shape[1]} columns, model expects {fit_result.training_inputs.shape[1]}"
-        )
+    X, width = input_rows(new_inputs), fit_result.training_inputs.shape[1]
+    if X.shape[1] != width:
+        raise DimensionMismatchError(f"inputs have {X.shape[1]} columns, model expects {width}")
     A, C, specs = fit_result.A, fit_result.C, fit_result.specs
-    # grouped by partition, not by group_sizes: a model document may list a
+    # grouped by slot, not by group_sizes: a model document may list a
     # partition's kernels apart
     kernels_of: dict = {}
     for d in np.flatnonzero(A.any(axis=1)).tolist():
-        kernels_of.setdefault(specs[d].partition, []).append(d)
+        kernels_of.setdefault(specs[d].partition or 0, []).append(d)
     layouts: dict = {}
-    for part, kernels in kernels_of.items():
-        layout = tuple((specs[d].kind, specs[d].param) for d in kernels)
-        layouts.setdefault((part is None, layout), []).append(part)
-    block_rows = max(1, min(X.shape[0], _PREDICT_BLOCK_ROWS))
-    stacked = max(1, _PREDICT_BLOCK_ROWS // block_rows)
-    part_map = lag_columns(X.shape[1] // fit_result.lag, fit_result.lag)
-    blocks = []
-    for (full, _), parts in layouts.items():
-        for i in range(0, len(parts), stacked):
-            chunk = parts[i:i + stacked]
-            kernels = [kernels_of[part] for part in chunk]
-            if full:
-                train, cols = fit_result.full_rows, [list(range(X.shape[1]))]
-            else:
-                lo = chunk[0]
-                run = chunk == list(range(lo, lo + len(chunk)))  # a slice is a view
-                train = fit_result.partition_rows[slice(lo, lo + len(chunk)) if run else chunk]
-                cols = [part_map[part] for part in chunk]
-            blocks.append(([[specs[d] for d in k] for k in kernels],
-                           A[np.transpose(kernels)], train, np.array(cols)))
+    for slot, kernels in kernels_of.items():
+        layouts.setdefault(tuple((specs[d].kind, specs[d].param) for d in kernels), []).append(slot)
 
     def serve():
         preds = np.zeros((X.shape[0], C.shape[1]))
-        for start in range(0, X.shape[0], block_rows):
-            rows = X[start:start + block_rows]
-            out = preds[start:start + block_rows]
-            for grid, weights, train, cols in blocks:
-                out += expand(cross_gram(grid, train, rows[:, cols].swapaxes(0, 1)), weights, C)
+        for slots in layouts.values():
+            kernels = [kernels_of[slot] for slot in slots]
+            lo, P = slots[0], len(slots)
+            run = slots == list(range(lo, lo + P))  # a slice is a view
+            grid, weights = [[specs[d] for d in k] for k in kernels], A[np.transpose(kernels)]
+            train = fit_result.serving_rows[slice(lo, lo + P) if run else slots]
+            cols, step = fit_result.serving_columns[slots], max(1, _PREDICT_BLOCK_ROWS // P)
+            for start in range(0, X.shape[0], step):
+                rows = X[start:start + step, cols].swapaxes(0, 1)
+                preds[start:start + step] += expand(cross_gram(grid, train, rows), weights, C)
         return preds
 
     return finite_forecasts(serve)

@@ -7,9 +7,9 @@ from nlvar.baselines import (
     fit_baseline,
     predict_baseline,
 )
-from nlvar.errors import DimensionMismatchError, UnsupportedKindError
+from nlvar.errors import ConfigError, DimensionMismatchError, UnsupportedKindError
 from nlvar.grouplasso import SolverOptions
-from nlvar.series import MultivariateSeries, lag_embed
+from nlvar.series import MultivariateSeries, lag_embed, standardize_fit
 from nlvar.solver import fit, predict
 
 
@@ -135,6 +135,23 @@ def test_predict_checks_dimensions():
     model = fit_baseline("lvarl2", train, 1.0)
     with pytest.raises(DimensionMismatchError):
         predict_baseline(model, np.ones((2, 5)))
+
+
+@pytest.mark.parametrize("method", ["lar", "lvarl2", "lvarl1"])
+def test_a_coefficient_model_requires_its_coef(method):
+    with pytest.raises(ConfigError, match="coef must be a finite 2-d array"):
+        BaselineFit(method=method, lag=2, coef=None)
+    assert BaselineFit(method="mean", lag=2).coef is None
+
+
+def test_mean_predict_checks_the_width_of_its_norm_stats():
+    # 7 columns on a 3-series lag-5 model forecast a (2, 1) array
+    rng = np.random.default_rng(11)
+    series = MultivariateSeries(rng.standard_normal((30, 3)), ["a", "b", "c"])
+    model = fit_baseline("mean", lag_embed(series, 5), norm_stats=standardize_fit(series, 30))
+    with pytest.raises(DimensionMismatchError):
+        predict_baseline(model, np.ones((2, 7)))
+    assert predict_baseline(model, np.ones((2, 15))).shape == (2, 3)
 
 
 def test_adjacency_zero_coefficients():

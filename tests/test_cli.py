@@ -400,6 +400,36 @@ def test_benchmark_rejects_a_non_number_for_a_real_key(tmp_path, capsys, change,
     assert not (tmp_path / "out").exists()
 
 
+def test_predict_and_adjacency_reject_an_lvarl1_model_without_coef(tmp_path, data_csv, capsys):
+    # the model loaded, and both commands ended in an AttributeError traceback
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_csv), "--method", "lvarl1", "--train", "150",
+                 "--lag", "3", "--lambda", "1.0", "--out", str(model_path)]) == 0
+    model_path.write_text(json.dumps({**json.loads(model_path.read_text()), "coef": None}))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(data_csv),
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    assert "coef must be" in _one_line_error(capsys)
+    assert main(["adjacency", "--model", str(model_path), "--out", str(tmp_path / "a.csv")]) == 2
+    assert "coef must be" in _one_line_error(capsys)
+    assert not (tmp_path / "f.csv").exists() and not (tmp_path / "a.csv").exists()
+
+
+def test_predict_rejects_a_model_that_mixes_full_input_and_partitioned_kernels(tmp_path, data_csv,
+                                                                              capsys):
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_csv), "--method", "nvarl1", "--train", "60",
+                 "--lag", "3", "--lambda", "2.0", "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    doc["kernels"][0]["partition"] = None
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(data_csv),
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    assert "mix full-input and partitioned" in _one_line_error(capsys)
+    assert not (tmp_path / "f.csv").exists()
+
+
 def _first_gaussian(doc):
     return next(k for k in doc["kernels"] if k["kind"] == "gaussian")
 

@@ -3,7 +3,7 @@ import pytest
 from oracles import _block_minimize, cd_group_lasso, gl_objective, random_grouped_instance
 
 from nlvar import grouplasso
-from nlvar.errors import DimensionMismatchError, NonFiniteObjectiveError
+from nlvar.errors import ConfigError, DimensionMismatchError, NonFiniteObjectiveError
 from nlvar.grouplasso import (
     GroupedProblem,
     SolverOptions,
@@ -184,9 +184,9 @@ def test_solution_reports_iterations_and_convergence():
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SolverOptions(max_iter=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SolverOptions(rel_tol=0.0)
 
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nlvar import baselines, grouplasso, harness, solver
+from nlvar import baselines, errors, grouplasso, harness, solver
 from nlvar.errors import (BadRangeError, ConfigError, DimensionMismatchError, FoldTooSmallError,
                           NlvarError)
 from nlvar.grouplasso import SolverOptions
@@ -26,7 +26,7 @@ from nlvar.harness import (
 )
 from nlvar.harness import _kernel_path, select_lambda
 from nlvar.kernels import DEFAULT_DICTIONARY, KernelSpec, build_feature_stack, build_gram_stack
-from nlvar.series import MultivariateSeries, lag_embed
+from nlvar.series import MultivariateSeries, lag_embed, standardize_apply, standardize_fit
 from nlvar.solver import fit, predict, solve_task_l1
 
 
@@ -572,7 +572,7 @@ def test_library_construction_reads_values_as_the_config_does():
                    {"lam": float("nan")}, {"dictionary": ()}):
         with pytest.raises(NlvarError):
             ExperimentConfig(**{"train": 100, "holdout": 40, "synthetic": synthetic, **change})
-    with pytest.raises(ValueError, match="linear kernel takes no parameter"):
+    with pytest.raises(ConfigError, match="linear kernel takes no parameter"):
         ExperimentConfig(train=100, holdout=40, synthetic=synthetic, dictionary=(("linear", 1.0),))
     for options in ({"max_iter": 2.5}, {"max_iter": True}, {"rel_tol": float("inf")}):
         with pytest.raises(ConfigError):
@@ -584,6 +584,47 @@ def test_library_construction_reads_values_as_the_config_does():
     assert (config.train, config.lam) == (100, 1.0) and isinstance(config.train, int)
     assert config.dictionary == (("polynomial", 2), ("gaussian", 1.0))
     assert SolverOptions(max_iter=5.0) == SolverOptions(max_iter=5)
+
+
+def test_library_construction_raises_config_error_on_a_value_out_of_range():
+    # a library caller catching NlvarError sees every one of these
+    rng = np.random.default_rng(4)
+    train = lag_embed(MultivariateSeries(rng.standard_normal((30, 2)), ["a", "b"]), 2)
+    grams = build_gram_stack(train.inputs, train.partition_map)
+    y = train.outputs[:, 0]
+    problem = grouplasso.GroupedProblem([train.inputs], y, 0.0)
+    series = MultivariateSeries(rng.standard_normal((5, 2)), ["a", "b"])
+    for call in (lambda: SolverOptions(max_iter=0),
+                 lambda: SolverOptions(rel_tol=0.0),
+                 lambda: KernelSpec("linear", 1.0),
+                 lambda: KernelSpec("polynomial", 1),
+                 lambda: KernelSpec("gaussian", 0.0),
+                 lambda: KernelSpec("cubic"),
+                 lambda: KernelSpec("linear", norm_factor=0.0),
+                 lambda: grouplasso.GroupedProblem([train.inputs], y, -1.0),
+                 lambda: problem.with_target(y, -1.0),
+                 lambda: baselines.fit_baseline("lvarl2", train, -1.0),
+                 lambda: solver.solve_coefficients(grams, np.ones(12), y, 0.0),
+                 lambda: solve_task_l1(build_feature_stack(grams), grams, y, 0.0),
+                 lambda: solver.solve_task_l12(grams, grams.group_index, y, 0.0),
+                 lambda: standardize_apply(series, standardize_fit(series, 5), "up")):
+        with pytest.raises(ConfigError):
+            call()
+
+
+@pytest.mark.parametrize("method", ["nvarl1", "nvarl12", "nvar", "lvarl1"])
+@pytest.mark.parametrize("lam", [1e-300, 1e-200])
+def test_a_tiny_fixed_lambda_ends_typed_or_finite_without_a_warning(method, lam):
+    # numpy's overflow warnings escaped the solvers and the hold-out score,
+    # and nvarl1 and nvar read ok with a hold-out MSE of 2.7e172
+    config = dataclasses.replace(_small_config(methods=(method,)), lam=lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entry = run_experiment(config)["methods"][method]
+    if entry["status"] == "ok":
+        assert math.isfinite(entry["mse"]) and math.isfinite(entry["mse_std"])
+    else:
+        assert issubclass(getattr(errors, entry["error"].split(":")[0]), NlvarError), entry
 
 
 def test_configs_are_frozen_and_replace_checks_again():

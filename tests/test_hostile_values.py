@@ -1,7 +1,8 @@
 """Both JSON readers, the config reader and the model reader, meet a hostile
 value at every position of a valid document: each reading returns, or raises
 an NlvarError, with numpy's warnings turned into errors. Never another
-exception, and never a warning."""
+exception, and never a warning. A model document that loads also serves
+three rows of its width under the same rule."""
 
 import copy
 import warnings
@@ -11,7 +12,7 @@ import numpy as np
 from nlvar.baselines import fit_baseline
 from nlvar.errors import NlvarError
 from nlvar.harness import experiment_config_from_dict
-from nlvar.modelio import model_from_dict, model_to_dict
+from nlvar.modelio import model_from_dict, model_to_dict, predict_model
 from nlvar.series import MultivariateSeries, lag_embed, standardize_apply, standardize_fit
 from nlvar.solver import fit
 
@@ -33,9 +34,16 @@ def _model_docs() -> list[dict]:
     series = MultivariateSeries(rng.standard_normal((14, 2)), ["s0", "s1"])
     stats = standardize_fit(series, 14)
     train = lag_embed(standardize_apply(series, stats, "forward"), 2)
-    models = [fit("nvarl1", train, 1.0, norm_stats=stats, names=series.names),
-              fit_baseline("lvarl1", train, 1.0, norm_stats=stats, names=series.names)]
+    models = [fit(method, train, 1.0, norm_stats=stats, names=series.names)
+              for method in ("nvarl1", "nvar")]
+    models += [fit_baseline(method, train, 1.0, norm_stats=stats, names=series.names)
+               for method in ("lvarl1", "mean")]
     return [model_to_dict(model) for model in models]
+
+
+def _load_and_serve(doc):
+    rows = np.random.default_rng(1).standard_normal((3, 4))  # 2 series, lag 2
+    return predict_model(model_from_dict(doc), rows)
 
 
 def _positions(node, path=()):
@@ -79,5 +87,5 @@ def _sweep(read, doc) -> list[str]:
 
 def test_both_readers_meet_every_hostile_value_with_an_nlvar_error():
     failures = [failure for doc in CONFIGS for failure in _sweep(experiment_config_from_dict, doc)]
-    failures += [failure for doc in _model_docs() for failure in _sweep(model_from_dict, doc)]
+    failures += [failure for doc in _model_docs() for failure in _sweep(_load_and_serve, doc)]
     assert not failures, "\n".join(failures)

@@ -5,6 +5,7 @@ import pytest
 from oracles import kernel_eval
 
 from nlvar.errors import (
+    ConfigError,
     DegenerateKernelError,
     DimensionMismatchError,
     NormFactorMissingError,
@@ -47,13 +48,13 @@ def test_eval_rejects_mismatched_vectors():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         KernelSpec("polynomial", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         KernelSpec("gaussian", -0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         KernelSpec("sigmoid", 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         KernelSpec("gaussian", 1e-200)  # its square underflows to 0
 
 

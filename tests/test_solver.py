@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -692,7 +693,7 @@ def test_predict_matches_the_per_kernel_reference(method, n_rows):
 @pytest.mark.parametrize("method", ["nvarl1", "nvarl12", "nvar"])
 @pytest.mark.parametrize("n_rows", [2, 17])
 def test_short_calls_match_the_per_kernel_reference(method, n_rows):
-    # under _PREDICT_BLOCK_ROWS rows a call stacks its partitions
+    # a short call is one partial block of every layout
     model = _sparse_model(method)
     rows = np.random.default_rng(n_rows).standard_normal((n_rows, model.training_inputs.shape[1]))
     expected = predict_per_kernel(model, rows)
@@ -711,22 +712,45 @@ def _counted_cross_grams(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n_rows, calls", [(1, 2), (2, 2), (17, 5), (40, 10)])
-def test_partitions_with_two_active_layouts_match_the_per_kernel_reference(monkeypatch, n_rows,
-                                                                          calls):
-    # partitions 0, 1 and 3 keep all six kernels, 2 and 4 lose two of
-    # theirs: a short call makes one cross_gram call per layout, a call of
-    # 17 rows or more one per partition and row block
-    rng = np.random.default_rng(26)
+def _two_layout_model(rng):
+    """nvarl1 on 5 series: partitions 0, 1 and 3 keep all six kernels, 2 and
+    4 lose two of theirs."""
     model = fit("nvarl1", _toy_train(rng, m=5), 0.5)
     model.A[:] = rng.uniform(0.5, 1.5, model.A.shape)
     model.A[[12, 17, 24, 29]] = 0.0
+    return model
+
+
+@pytest.mark.parametrize("n_rows, calls", [(1, 2), (2, 2), (17, 4), (40, 7)])
+def test_partitions_with_two_active_layouts_match_the_per_kernel_reference(monkeypatch, n_rows,
+                                                                          calls):
+    # each layout serves its partitions together: the full layout's three
+    # in blocks of 32 // 3 = 10 rows, the other's two in blocks of 16
+    rng = np.random.default_rng(26)
+    model = _two_layout_model(rng)
     rows = rng.standard_normal((n_rows, model.training_inputs.shape[1]))
     expected = predict_per_kernel(model, rows)
     made = _counted_cross_grams(monkeypatch)
     np.testing.assert_allclose(predict(model, rows), expected, rtol=1e-12,
                                atol=1e-12 * np.abs(expected).max())
     assert len(made) == calls
+
+
+@pytest.mark.parametrize("model", ["nvarl1", "nvarl12", "nvar", "two layouts"])
+@pytest.mark.parametrize("n_rows", [1, 5, 31, 33, 100])
+def test_every_cross_gram_block_holds_at_most_the_block_rows(monkeypatch, model, n_rows):
+    # memory does not grow with the rows: a block of P slots of one layout
+    # holds at most max(_PREDICT_BLOCK_ROWS, P) slot-rows, and every active
+    # slot's rows are served once
+    model = (_two_layout_model(np.random.default_rng(26)) if model == "two layouts"
+             else _sparse_model(model))
+    active = {spec.partition for spec, weights in zip(model.specs, model.A) if weights.any()}
+    rows = np.random.default_rng(n_rows).standard_normal((n_rows, model.training_inputs.shape[1]))
+    made = _counted_cross_grams(monkeypatch)
+    predict(model, rows)
+    shapes = [test_rows.shape[:2] for _, _, test_rows in made]
+    assert all(P * r <= max(_PREDICT_BLOCK_ROWS, P) for P, r in shapes)
+    assert sum(P * r for P, r in shapes) == n_rows * len(active)
 
 
 @pytest.mark.parametrize("method", ["nvarl1", "nvar"])
@@ -775,6 +799,19 @@ def test_predict_serves_a_document_that_lists_a_partitions_kernels_apart():
     expected = predict_per_kernel(model, rows)
     np.testing.assert_allclose(predict(interleaved, rows), expected, rtol=1e-12,
                                atol=1e-12 * np.abs(expected).max())
+
+
+def test_a_model_that_mixes_full_input_and_partitioned_kernels_is_rejected():
+    # neither fit nor a v1 document makes one, and a model serves one row set
+    model = _sparse_model("nvarl1")
+    specs = [dataclasses.replace(spec, partition=None if d == 0 else spec.partition)
+             for d, spec in enumerate(model.specs)]
+    with pytest.raises(ConfigError, match="mix full-input and partitioned"):
+        dataclasses.replace(model, specs=specs)
+    doc = model_to_dict(model)
+    doc["kernels"][0]["partition"] = None
+    with pytest.raises(ConfigError, match="mix full-input and partitioned"):
+        model_from_dict(doc)
 
 
 def test_fit_takes_one_kernel_method_and_one_scalar_lambda():
