@@ -189,13 +189,17 @@ def _group_step(b, d, kappa: float, nu: float) -> np.ndarray:
     1 / ||b / (d nu + kappa/2)|| = 1. That left side is a power mean of
     affine functions of nu, so concave and increasing: Newton from any start
     (here the group's current norm; a negative step is clamped at 0) lands
-    at or below the root and then climbs to it monotonically. A zero d_i has
-    b_i = 0 and w_i = 0.
+    at or below the root and then climbs to it monotonically. A step that is
+    not finite (t = b / (kappa/2) overflows on a cold start once kappa is
+    tiny) restarts Newton from the root's lower bound (||b|| - kappa/2) /
+    max d, where every d_i nu + kappa/2 <= ||b||. A zero d_i has b_i = 0 and
+    w_i = 0.
     """
     if kappa == 0.0:
         return b / np.where(d > 0.0, d, 1.0)
     half = 0.5 * kappa
-    if math.sqrt(b @ b) <= half:
+    b_norm = math.sqrt(b @ b)
+    if b_norm <= half:
         return np.zeros_like(b)
     for _ in range(_NORM_NEWTON_MAX):
         x = d * nu + half
@@ -203,7 +207,8 @@ def _group_step(b, d, kappa: float, nu: float) -> np.ndarray:
         s = math.sqrt(t @ t)
         if abs(s - 1.0) <= _NORM_TOL:
             break
-        nu = max(nu + s * s * (s - 1.0) / (t @ (t * d / x)), 0.0)
+        step = nu + s * s * (s - 1.0) / (t @ (t * d / x))
+        nu = max(step, 0.0) if math.isfinite(step) else (b_norm - half) / d.max()
     return nu * b / (d * nu + half)
 
 

@@ -28,8 +28,10 @@ from .errors import (
 )
 # the benchmark tracer times the CV solves through this module's binding of
 # the stacked group-lasso solver, so the CV path calls it directly
-from .grouplasso import GroupedProblem, SolverOptions, _solve_stacked
-from .kernels import (
+from .grouplasso import SolverOptions, _solve_stacked
+# nothing here calls build_feature_stack (solver.l1_design builds the l1
+# route's features), but the benchmark tracer wraps this binding too
+from .kernels import (  # noqa: F401
     DEFAULT_DICTIONARY,
     build_cross_stack,
     build_feature_stack,
@@ -165,16 +167,17 @@ def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
                  options: SolverOptions):
     """nvarl1 / nvar (l1 route on empirical features) and nvarl12.
 
-    Unlike solver.fit this builds the Gram stack, the features and the
-    cross-Gram blocks once for the whole grid, and forecasts each grid
-    point by one solver.expand over the cross stack.
+    Unlike solver.fit this builds the kernels (the l1 route's design, as
+    solver.l1_design builds it, or nvarl12's Gram stack) and the cross-Gram
+    blocks once for the whole grid, and forecasts each grid point by one
+    solver.expand over the cross stack.
     """
-    partitions = [None] if method == "nvar" else list(range(sub.n_series))
-    grams = build_gram_stack(sub.inputs, sub.partition_map, dictionary, partitions)
-    if method != "nvarl12":
-        design = GroupedProblem(build_feature_stack(grams).features,
-                                sub.outputs[:, 0], 0.0)
-    cross = build_cross_stack(grams, sub.inputs, np.asarray(X_val, dtype=float),
+    if method == "nvarl12":
+        grams = build_gram_stack(sub.inputs, sub.partition_map, dictionary)
+        specs = grams.specs
+    else:
+        specs, design = solver.l1_design(method, sub, dictionary)
+    cross = build_cross_stack(specs, sub.inputs, np.asarray(X_val, dtype=float),
                               sub.partition_map)
     Y = sub.outputs
     m = Y.shape[1]
@@ -204,7 +207,8 @@ def cv_select(train: SupervisedSet, method: str, grid: GridSpec = GridSpec(),
     one standard error (over folds, at the minimizing value) of the minimum:
     differences below fold noise count as ties and break toward the larger
     penalty. The fits run with `options`, the budget of a final fit.
-    Returns (lam_star, mean validation MSE per ascending value).
+    Validation errors, or their noise, too large to be finite raise
+    BadDataError. Returns (lam_star, mean validation MSE per ascending value).
     """
     if method not in ALL_METHODS:
         raise ConfigError(f"unknown method {method!r}")
@@ -234,10 +238,15 @@ def cv_select(train: SupervisedSet, method: str, grid: GridSpec = GridSpec(),
         else:
             path = _baseline_path(method, sub, X_val, descending, options)
         for k, preds in zip(range(grid.count - 1, -1, -1), path):
-            errs[k, f] = float(np.mean((Y_val - preds) ** 2))
-    curve = errs.mean(axis=1)
-    k_min = len(curve) - 1 - int(np.argmin(curve[::-1]))
-    noise = float(errs[k_min].std(ddof=1)) / math.sqrt(folds)
+            with np.errstate(over="ignore", invalid="ignore"):
+                errs[k, f] = float(np.mean((Y_val - preds) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = errs.mean(axis=1)
+        k_min = len(curve) - 1 - int(np.argmin(curve[::-1]))
+        noise = float(errs[k_min].std(ddof=1)) / math.sqrt(folds)
+    if not (np.all(np.isfinite(curve)) and math.isfinite(noise)):
+        raise BadDataError(f"{method} validation errors overflow: "
+                           "the forecasts are too large to score")
     within = np.flatnonzero(curve <= curve[k_min] + noise)
     best = int(within.max())
     return float(lams[best]), curve

@@ -364,13 +364,13 @@ def build_feature_stack(stack: GramStack) -> FeatureStack:
     return FeatureStack(features=[empirical_features(K) for K in stack.grams])
 
 
-def build_cross_stack(stack: GramStack, train_inputs: np.ndarray, new_inputs: np.ndarray,
+def build_cross_stack(specs, train_inputs: np.ndarray, new_inputs: np.ndarray,
                       partition_map) -> np.ndarray:
-    """Cross-Gram blocks (l, n_new, n_train) for every kernel in the stack,
-    filled one partition at a time by cross_gram."""
-    specs = stack.specs
+    """Cross-Gram blocks (l, n_new, n_train) for every one of the l specs,
+    whose norm factors were stored with their training Grams, filled one
+    partition at a time by cross_gram; a partition's specs are contiguous."""
     out = np.empty((len(specs), new_inputs.shape[0], train_inputs.shape[0]))
-    bounds = np.cumsum([0, *group_sizes(stack.group_index)])
+    bounds = np.cumsum([0, *group_sizes(group_index_of(specs))])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         cols = partition_columns(specs[lo], partition_map)
         out[lo:hi] = cross_gram(specs[lo:hi], train_inputs[:, cols], new_inputs[:, cols])

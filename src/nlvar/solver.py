@@ -37,6 +37,7 @@ from .kernels import (
     build_feature_stack,
     build_gram_stack,
     cross_gram,
+    group_index_of,
     group_sizes,
 )
 from .series import NormStats, SupervisedSet, finite_forecasts, input_rows, model_series
@@ -222,20 +223,45 @@ def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, 
     `features` may also be a GroupedProblem over the feature blocks: tasks
     solved on one such problem share its stacked design and majorizer.
     """
-    if lam <= 0.0:
-        raise ConfigError(f"lam must be positive, got {lam}")
     y = np.asarray(y, dtype=float).ravel()
     if isinstance(features, FeatureStack):
         features = GroupedProblem(features.features, y, 0.0)
-    problem = features.with_target(y, 2.0 * math.sqrt(lam))
-    if len(problem.design_blocks) != grams.n_kernels:
+    if len(features.design_blocks) != grams.n_kernels:
         raise DimensionMismatchError(
-            f"{len(problem.design_blocks)} feature blocks for {grams.n_kernels} kernels"
+            f"{len(features.design_blocks)} feature blocks for {grams.n_kernels} kernels"
         )
+    return _solve_l1(features, y, lam, warm, opts)
+
+
+def _solve_l1(design: GroupedProblem, y, lam: float, warm, opts: SolverOptions) -> TaskSolution:
+    """One l1-route task on the stacked design of its kernels' features."""
+    if lam <= 0.0:
+        raise ConfigError(f"lam must be positive, got {lam}")
+    problem = design.with_target(y, 2.0 * math.sqrt(lam))
     sol = solve_group_lasso(problem, warm_start=warm, opts=opts)
     a, c = l1_solution(problem, np.concatenate(sol.weights), y, lam)
     return TaskSolution(a=a, c=c, z_blocks=sol.weights, converged=sol.converged,
                         objective_trace=sol.objective_trace)
+
+
+def l1_design(method: str, train: SupervisedSet,
+              dictionary=DEFAULT_DICTIONARY) -> tuple[list[KernelSpec], GroupedProblem]:
+    """The kernel specs of the l1 route (nvarl1, nvar) on `train`, with their
+    norm factors, and the stacked design of their empirical features.
+
+    Each input partition's Grams are built, factored into their features and
+    dropped before the next partition's are built, so the route never holds
+    the whole (l, n, n) stack; build_gram_stack builds every partition alone,
+    so the features are those of the full stack bit for bit. The design's
+    target is a placeholder (the first output): each task sets its own.
+    """
+    specs, features = [], []
+    for part in [None] if method == "nvar" else range(train.n_series):
+        grams = build_gram_stack(train.inputs, train.partition_map, dictionary, [part])
+        specs += grams.specs
+        features += build_feature_stack(grams).features
+        del grams
+    return specs, GroupedProblem(features, train.outputs[:, 0], 0.0)
 
 
 #: Cap on the projected proximal gradient steps minimizing one Newton model.
@@ -398,8 +424,9 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
 def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions = SolverOptions(),
         norm_stats: NormStats | None = None, names: list[str] | None = None, *,
         dictionary=DEFAULT_DICTIONARY) -> ModelFit:
-    """Fit all m output tasks of a kernel method at penalty `lam` over a
-    shared Gram stack built once.
+    """Fit all m output tasks of a kernel method at penalty `lam` over
+    kernels built once: the l1 route's stacked design (l1_design), or
+    nvarl12's whole Gram stack.
 
     Tasks are independent: each sees the same kernels and its own output
     column, so the columns of A and C match per-task solves exactly.
@@ -408,22 +435,19 @@ def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions = 
         raise ConfigError(f"method must be one of {KERNEL_METHODS}, got {method!r}")
     lam = float(lam)
     m = train.n_series
-    partitions = [None] if method == "nvar" else list(range(m))
-    grams = build_gram_stack(train.inputs, train.partition_map, dictionary, partitions)
-
-    if method in ("nvarl1", "nvar"):
-        # the stacked design and its majorizer depend only on the features,
-        # so the m tasks share them; the features are held only as that design
-        design = GroupedProblem(build_feature_stack(grams).features,
-                                train.outputs[:, 0], 0.0)
-        tasks = [solve_task_l1(design, grams, y, lam, opts=options) for y in train.outputs.T]
-    else:
+    if method == "nvarl12":
+        grams = build_gram_stack(train.inputs, train.partition_map, dictionary)
+        specs = grams.specs
         tasks = [solve_task_l12(grams, grams.group_index, y, lam, opts=options)
                  for y in train.outputs.T]
+    else:
+        # the m tasks share the design and its majorizer
+        specs, design = l1_design(method, train, dictionary)
+        tasks = [_solve_l1(design, y, lam, None, options) for y in train.outputs.T]
 
     return ModelFit(method=method, A=np.column_stack([t.a for t in tasks]),
-                    C=np.column_stack([t.c for t in tasks]), specs=grams.specs,
-                    group_index=grams.group_index, training_inputs=train.inputs,
+                    C=np.column_stack([t.c for t in tasks]), specs=specs,
+                    group_index=group_index_of(specs), training_inputs=train.inputs,
                     norm_stats=norm_stats, lag=train.lag, lam=np.full(m, lam), names=names)
 
 

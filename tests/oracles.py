@@ -5,7 +5,9 @@ evaluated term by term from the Gram matrices; the solvers report the same
 value from quantities their solves already hold. kernel_eval evaluates one
 kernel on one pair of vectors, against which the vectorized Grams are checked.
 predict_per_kernel sums a kernel model's forecast one kernel at a time, the
-reference for the partition-wise serving path.
+reference for the partition-wise serving path. full_stack_l1_fit fits the
+l1 route over the whole Gram stack, the reference for the fit that builds
+and factors one partition's Grams at a time.
 
 The group-lasso oracle is block coordinate descent like the solver it
 validates, but shares no code with it and differs in each step: it
@@ -20,7 +22,9 @@ import scipy.optimize
 import scipy.sparse.linalg
 
 from nlvar.errors import DimensionMismatchError
-from nlvar.kernels import cross_gram
+from nlvar.grouplasso import GroupedProblem
+from nlvar.kernels import build_feature_stack, build_gram_stack, cross_gram
+from nlvar.solver import solve_task_l1
 
 
 def kernel_eval(spec, u, v) -> float:
@@ -50,6 +54,19 @@ def predict_per_kernel(model, new_inputs) -> np.ndarray:
             block = cross_gram(spec, model.training_inputs[:, cols], Z[:, cols])
             preds += (block @ model.C) * weights
     return preds
+
+
+def full_stack_l1_fit(method, train, lam, dictionary, opts):
+    """(A, C, norm factors) of an nvarl1 or nvar fit made over the whole
+    (l, n, n) Gram stack: every partition's Grams built by one
+    build_gram_stack call and factored together, and each output solved by
+    solve_task_l1 on the shared design."""
+    partitions = [None] if method == "nvar" else list(range(train.n_series))
+    grams = build_gram_stack(train.inputs, train.partition_map, dictionary, partitions)
+    design = GroupedProblem(build_feature_stack(grams).features, train.outputs[:, 0], 0.0)
+    tasks = [solve_task_l1(design, grams, y, lam, opts=opts) for y in train.outputs.T]
+    return (np.column_stack([t.a for t in tasks]), np.column_stack([t.c for t in tasks]),
+            [spec.norm_factor for spec in grams.specs])
 
 
 def task_objective(stack, y, a, c, lam, method):

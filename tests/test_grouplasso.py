@@ -238,6 +238,18 @@ def test_group_step_on_an_all_zero_block_is_zero():
             _block_minimize(B, np.ones(8), kappa, np.zeros(3), np.eye(3)), 0.0)
 
 
+def test_group_step_at_a_tiny_kappa_is_the_least_squares_step():
+    # t = b / (kappa/2) overflows from a cold start: Newton restarts from the
+    # root's lower bound (_solve_stacked runs its steps with warnings off)
+    rng = np.random.default_rng(16)
+    B = _orthogonal_block(rng, 12, 4)
+    b = B.T @ rng.standard_normal(12)
+    d = block_majorizer(B, np.array([0]), np.array([4]))
+    with np.errstate(all="ignore"):
+        for kappa in (1e-150, 1e-300):
+            np.testing.assert_allclose(_group_step(b, d, kappa, 0.0), b / d, rtol=1e-12)
+
+
 def test_group_step_at_the_exact_threshold_is_zero():
     rng = np.random.default_rng(15)
     B = _orthogonal_block(rng, 12, 4)

@@ -7,9 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from nlvar import baselines, errors, grouplasso, harness, solver
-from nlvar.errors import (BadRangeError, ConfigError, DimensionMismatchError, FoldTooSmallError,
-                          NlvarError)
+from nlvar import baselines, errors, grouplasso, harness, kernels, solver
+from nlvar.errors import (BadDataError, BadRangeError, ConfigError, DimensionMismatchError,
+                          FoldTooSmallError, NlvarError)
 from nlvar.grouplasso import SolverOptions
 from nlvar.harness import (
     ExperimentConfig,
@@ -194,6 +194,29 @@ def test_l1_route_makes_no_coefficient_solve(monkeypatch):
     assert calls == []
     fit("nvarl12", train, 2.0)
     assert len(calls) == train.n_series
+
+
+@pytest.mark.parametrize("method", ["nvarl1", "nvar"])
+def test_l1_route_builds_one_partition_of_grams_at_a_time(monkeypatch, method):
+    # each partition's Grams are factored and dropped before the next are
+    # built, so the l1 route never holds the whole stack, in CV or the fit
+    built = []
+
+    def recording(*args, _build=kernels.build_gram_stack, **kwargs):
+        stack = _build(*args, **kwargs)
+        built.append([spec.partition for spec in stack.specs])
+        return stack
+
+    for module in (solver, harness):
+        monkeypatch.setattr(module, "build_gram_stack", recording)
+    series = generate_synthetic(SyntheticSpec(length=100, seed=23))
+    _, train, val = split_experiment_data(series, train=70, holdout=30, lag=3)
+    fit(method, train, 2.0)
+    for _ in _kernel_path(method, train, val.inputs, [20.0, 2.0], DEFAULT_DICTIONARY,
+                          SolverOptions()):
+        pass
+    parts = [None] if method == "nvar" else range(train.n_series)
+    assert built == 2 * [[part] * len(DEFAULT_DICTIONARY) for part in parts]
 
 
 @pytest.mark.parametrize("method", ["nvarl1", "nvar", "nvarl12"])
@@ -625,6 +648,35 @@ def test_a_tiny_fixed_lambda_ends_typed_or_finite_without_a_warning(method, lam)
         assert math.isfinite(entry["mse"]) and math.isfinite(entry["mse_std"])
     else:
         assert issubclass(getattr(errors, entry["error"].split(":")[0]), NlvarError), entry
+
+
+@pytest.mark.parametrize("method", ["nvarl1", "nvar"])
+def test_cv_scores_that_overflow_raise_bad_data_error(method):
+    # the validation forecasts reach ~1e86 on this grid: numpy's overflow
+    # warning escaped the fold scoring, and the curve and noise were not finite
+    series = generate_synthetic(SyntheticSpec(length=160, seed=11))
+    _, train, _ = split_experiment_data(series, train=120, holdout=40, lag=3)
+    grid = GridSpec(count=2, low_exp=-200, high_exp=-199)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadDataError, match="validation errors overflow"):
+            cv_select(train, method, grid, folds=3)
+
+
+def test_lvarl1_fits_at_a_tiny_fixed_lambda():
+    # the group step's cold Newton start overflowed t = b / (kappa/2), and
+    # lvarl1 failed at sweep 1 where the problem is near least squares
+    def mse(lam):
+        config = dataclasses.replace(_small_config(methods=("lvarl1",)), lag=5, lam=lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entry = run_experiment(config)["methods"]["lvarl1"]
+        assert entry["status"] == "ok", entry
+        return entry["mse"]
+
+    ref = mse(1e-100)
+    for lam in (1e-150, 1e-200):
+        assert abs(mse(lam) - ref) <= 0.01 * ref
 
 
 def test_configs_are_frozen_and_replace_checks_again():

@@ -224,9 +224,10 @@ def test_cross_stack_walks_the_stack_group_index():
     rng = np.random.default_rng(14)
     inputs, partition_map = _embedded(rng)
     stack = build_gram_stack(inputs, partition_map, (("linear", None), ("gaussian", 1.0)))
-    stack.group_index = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1)]
+    # partitions 0 and 1 interleaved: group index (0, 0), (1, 0), (0, 1), (1, 1), ...
+    specs = [stack.specs[d] for d in (0, 2, 1, 3, 4, 5)]
     with pytest.raises(DimensionMismatchError, match="contiguous"):
-        build_cross_stack(stack, inputs, inputs[:3], partition_map)
+        build_cross_stack(specs, inputs, inputs[:3], partition_map)
 
 
 #: (dictionary, partitions) pairs whose stacks must equal per-spec Grams
@@ -272,7 +273,7 @@ def test_cross_stack_equals_per_spec_cross_grams(dictionary, partitions):
     inputs, partition_map = _embedded(rng)
     new_inputs = rng.standard_normal((5, inputs.shape[1]))
     stack = build_gram_stack(inputs, partition_map, dictionary, partitions)
-    blocks = build_cross_stack(stack, inputs, new_inputs, partition_map)
+    blocks = build_cross_stack(stack.specs, inputs, new_inputs, partition_map)
     assert len(blocks) == stack.n_kernels
     for spec, block in zip(stack.specs, blocks):
         cols = slice(None) if spec.partition is None else partition_map[spec.partition]

@@ -3,7 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import alternating_l1_oracle, cg_solve, predict_per_kernel, task_objective
+from oracles import (alternating_l1_oracle, cg_solve, full_stack_l1_fit, predict_per_kernel,
+                     task_objective)
 
 from nlvar import solver
 from nlvar.errors import (ConfigError, DimensionMismatchError, SingularSystemError,
@@ -11,6 +12,7 @@ from nlvar.errors import (ConfigError, DimensionMismatchError, SingularSystemErr
 from nlvar.grouplasso import GroupedProblem, SolverOptions, kkt_tolerance
 from nlvar.harness import SyntheticSpec, generate_synthetic, split_experiment_data
 from nlvar.kernels import (
+    DEFAULT_DICTIONARY,
     FeatureStack,
     GramStack,
     KernelSpec,
@@ -156,6 +158,36 @@ def test_solves_make_no_copy_of_the_gram_stack():
             tracemalloc.stop()
         # M and its factor, or the cold start's Kbar and its work matrix
         assert peak < 2.5 * n * n * 8
+
+
+@pytest.mark.parametrize("method", ["nvarl1", "nvar"])
+def test_l1_fit_equals_the_full_stack_fit_bit_for_bit(method):
+    # fit builds and factors one partition's Grams at a time; each partition
+    # is built alone in the whole stack too, so nothing may move by a bit
+    series = generate_synthetic(SyntheticSpec(length=200, seed=23))
+    _, train, _ = split_experiment_data(series, train=160, holdout=40, lag=3)
+    model = fit(method, train, 2.0)
+    A, C, factors = full_stack_l1_fit(method, train, 2.0, DEFAULT_DICTIONARY, SolverOptions())
+    assert np.array_equal(model.A, A) and np.array_equal(model.C, C)
+    assert [spec.norm_factor for spec in model.specs] == factors
+
+
+def test_l1_fit_never_holds_the_whole_gram_stack():
+    # the whole stack and the stacked design held at once are more than
+    # the partition-at-a-time fit ever holds: one partition's Grams with the
+    # features so far, then the features and the design stacked from them
+    series = generate_synthetic(SyntheticSpec(length=400, seed=20))
+    _, train, _ = split_experiment_data(series, train=300, holdout=100, lag=5)
+    grams = build_gram_stack(train.inputs, train.partition_map)
+    bound = grams.grams.nbytes + train.n_pairs * sum(build_feature_stack(grams).ranks) * 8
+    del grams
+    tracemalloc.start()
+    try:
+        fit("nvarl1", train, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
 
 
 def test_l1_zero_target():
