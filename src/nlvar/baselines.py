@@ -44,6 +44,8 @@ class BaselineFit:
             m = self.coef.shape[1]
         if self.lam is not None:
             self.lam = real_number(self.lam, "lambda")
+            if self.lam < 0.0:
+                raise ConfigError(f"lambda {self.lam:g} is not >= 0")
         self.lag, self.names = model_series(self.lag, self.names, self.norm_stats, m)
         if self.coef is not None and self.coef.shape[0] != m * self.lag:
             raise ConfigError(f"coef is {self.coef.shape}, expected {(m * self.lag, m)}")
@@ -118,5 +120,5 @@ def baseline_adjacency(fit: BaselineFit) -> AdjacencyMatrix:
     if fit.method != "lvarl1":
         raise UnsupportedKindError(f"adjacency is only defined for lvarl1, not {fit.method!r}")
     raw = np.array([np.linalg.norm(fit.coef[cols], axis=0)
-                    for cols in lag_columns(fit.coef.shape[0] // fit.lag, fit.lag)])
+                    for cols in lag_columns(fit.coef.shape[1], fit.lag)])
     return AdjacencyMatrix(values=normalize_adjacency(raw), names=fit.names)

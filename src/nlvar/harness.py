@@ -132,10 +132,7 @@ class GridSpec:
             raise ConfigError("grid low_exp must be below high_exp")
 
     def values(self, scale: float) -> np.ndarray:
-        if self.count == 1:
-            return np.array([10.0 ** self.low_exp * scale])
-        exps = np.linspace(self.low_exp, self.high_exp, self.count)
-        return 10.0**exps * scale
+        return 10.0 ** np.linspace(self.low_exp, self.high_exp, self.count) * scale
 
 
 def scale_count(method: str, m: int, dictionary=DEFAULT_DICTIONARY) -> int:

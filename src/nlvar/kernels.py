@@ -52,9 +52,9 @@ class KernelSpec:
     inhomogeneous (1 + <u,v>)^degree) or 'gaussian' (param = width w, with w
     and w^2 positive floats, exp(-||u-v||^2/(2 w^2))).
     partition is the source-series index, or None for the full input vector.
-    norm_factor, the training Gram's scale to trace n, is stored when that
-    Gram is built (build_gram_stack or gram_matrix) and rescales every
-    cross-Gram block. A wrongly typed value raises ConfigError.
+    norm_factor, the training Gram's scale to trace n, is stored by
+    build_gram_stack and rescales every cross-Gram block. A wrongly typed
+    value raises ConfigError.
     """
 
     kind: str
@@ -254,31 +254,6 @@ def _partition_kernels(specs, slots, X: np.ndarray, Z: np.ndarray, x_half: np.nd
             np.exp(K, out=K)
 
 
-def _training_grams(specs, slots, X: np.ndarray) -> None:
-    """Training Grams of kernels sharing one partition (rows X, from
-    _row_sets), each rescaled to trace n in its n x n slot; stores the
-    factors on the specs."""
-    # an overflowing entry overflows a diagonal one too (Cauchy-Schwarz), so
-    # the trace check below reports it as a DegenerateKernelError
-    with np.errstate(over="ignore"):
-        _partition_kernels(specs, slots, X, X, -0.5 * np.sum(X * X, axis=-1))
-    n = X.shape[0]
-    for spec, K in zip(specs, slots):
-        tr = float(np.trace(K))
-        if not (np.isfinite(tr) and tr >= 1e-12):  # inf: the kernel overflowed
-            raise DegenerateKernelError(f"{spec.label()}: Gram trace {tr:.3e}")
-        spec.norm_factor = n / tr
-        K *= spec.norm_factor
-
-
-def gram_matrix(spec: KernelSpec, rows: np.ndarray) -> tuple[np.ndarray, float]:
-    """Training Gram matrix rescaled to trace n; stores the factor on the spec."""
-    X, _ = _row_sets(rows, None)
-    G = np.empty((X.shape[0], X.shape[0]))
-    _training_grams([spec], [G], X)
-    return G, spec.norm_factor
-
-
 def cross_gram(specs, train, test_rows) -> np.ndarray:
     """Kernel blocks between test and training rows, each scaled by its
     training factor; a spec without one raises NormFactorMissingError.
@@ -313,7 +288,7 @@ def cross_gram(specs, train, test_rows) -> np.ndarray:
         for spec in part:
             if spec.norm_factor is None:
                 raise NormFactorMissingError(
-                    f"{spec.label()}: gram_matrix must run on training data first"
+                    f"{spec.label()}: build_gram_stack must run on training data first"
                 )
     blocks = np.empty((len(layout), P, Z.shape[1], n))
     _partition_kernels(specs[0], list(blocks), train.rows, Z, train.half_sq)
@@ -342,10 +317,11 @@ def empirical_features(K: np.ndarray) -> np.ndarray:
 def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTIONARY,
                      partitions=None) -> GramStack:
     """Normalized Gram matrices for every dictionary kernel on every partition,
-    each partition's written in place from its shared products.
+    each partition's written in place from its shared products and rescaled
+    there to trace n; stores the factors on the specs.
 
     `partitions` defaults to one partition per series; pass [None] for the
-    unpartitioned full-input variant.
+    unpartitioned full-input variant, whose rows are a view of `inputs`.
     """
     if partitions is None:
         partitions = list(range(len(partition_map)))
@@ -356,7 +332,17 @@ def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTI
     bounds = np.cumsum([0, *group_sizes(stack.group_index)])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         X, _ = _row_sets(inputs[:, partition_columns(specs[lo], partition_map)], None)
-        _training_grams(specs[lo:hi], list(stack.grams[lo:hi]), X)
+        # an overflowing entry overflows a diagonal one too (Cauchy-Schwarz), so
+        # the trace check below reports it as a DegenerateKernelError
+        with np.errstate(over="ignore"):
+            _partition_kernels(specs[lo:hi], list(stack.grams[lo:hi]), X, X,
+                               -0.5 * np.sum(X * X, axis=-1))
+        for spec, K in zip(specs[lo:hi], stack.grams[lo:hi]):
+            tr = float(np.trace(K))
+            if not (np.isfinite(tr) and tr >= 1e-12):  # inf: the kernel overflowed
+                raise DegenerateKernelError(f"{spec.label()}: Gram trace {tr:.3e}")
+            spec.norm_factor = n / tr
+            K *= spec.norm_factor
     return stack
 
 

@@ -125,6 +125,10 @@ class ModelFit:
             raise ConfigError(f"training_inputs have {X.shape[1]} columns, expected {m * self.lag}")
         if self.lam.shape != (m,):
             raise ConfigError(f"lambda has {self.lam.size} entries for {m} outputs")
+        if not (self.lam > 0.0).all():
+            raise ConfigError(f"lambda {self.lam.min():g} is not > 0")
+        if (self.A < 0.0).any():
+            raise ConfigError(f"weights A hold a negative entry, {self.A.min():g}")
         for spec in self.specs:
             if spec.norm_factor is None:
                 raise ConfigError(f"spec {spec.label()} has no norm_factor")
@@ -212,7 +216,7 @@ def l1_solution(problem: GroupedProblem, W, Y, lam: float) -> tuple[np.ndarray, 
     return A, (Y - problem.B @ W) / lam
 
 
-def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, lam: float,
+def solve_task_l1(features: FeatureStack, grams: GramStack, y, lam: float,
                   warm=None, opts: SolverOptions = SolverOptions()) -> TaskSolution:
     """One output task under the entrywise-l1 weight penalty.
 
@@ -220,17 +224,13 @@ def solve_task_l1(features: FeatureStack | GroupedProblem, grams: GramStack, y, 
     with penalty 2*sqrt(lam); the kernel weights follow in closed form as
     a_d = sqrt(lam) * ||z_d||_2, and c = (y - sum_d Phi_d z_d) / lam, the
     residual over lam, solves (sum_d a_d K^d + lam I) c = y at the optimum.
-    `features` may also be a GroupedProblem over the feature blocks: tasks
-    solved on one such problem share its stacked design and majorizer.
     """
     y = np.asarray(y, dtype=float).ravel()
-    if isinstance(features, FeatureStack):
-        features = GroupedProblem(features.features, y, 0.0)
-    if len(features.design_blocks) != grams.n_kernels:
+    if len(features.features) != grams.n_kernels:
         raise DimensionMismatchError(
-            f"{len(features.design_blocks)} feature blocks for {grams.n_kernels} kernels"
+            f"{len(features.features)} feature blocks for {grams.n_kernels} kernels"
         )
-    return _solve_l1(features, y, lam, warm, opts)
+    return _solve_l1(GroupedProblem(features.features, y, 0.0), y, lam, warm, opts)
 
 
 def _solve_l1(design: GroupedProblem, y, lam: float, warm, opts: SolverOptions) -> TaskSolution:
@@ -521,8 +521,7 @@ def adjacency(fit_result: ModelFit) -> AdjacencyMatrix:
         raise UnsupportedKindError(
             "adjacency is undefined for unpartitioned (full-input) models"
         )
-    m_in = max(spec.partition for spec in fit_result.specs) + 1
-    raw = np.zeros((m_in, fit_result.n_outputs))
+    raw = np.zeros((fit_result.n_outputs, fit_result.n_outputs))
     for d, spec in enumerate(fit_result.specs):
         raw[spec.partition] += fit_result.A[d]
     return AdjacencyMatrix(values=normalize_adjacency(raw), names=fit_result.names)

@@ -22,7 +22,6 @@ import scipy.optimize
 import scipy.sparse.linalg
 
 from nlvar.errors import DimensionMismatchError
-from nlvar.grouplasso import GroupedProblem
 from nlvar.kernels import build_feature_stack, build_gram_stack, cross_gram
 from nlvar.solver import solve_task_l1
 
@@ -60,11 +59,11 @@ def full_stack_l1_fit(method, train, lam, dictionary, opts):
     """(A, C, norm factors) of an nvarl1 or nvar fit made over the whole
     (l, n, n) Gram stack: every partition's Grams built by one
     build_gram_stack call and factored together, and each output solved by
-    solve_task_l1 on the shared design."""
+    solve_task_l1 on the stack's features."""
     partitions = [None] if method == "nvar" else list(range(train.n_series))
     grams = build_gram_stack(train.inputs, train.partition_map, dictionary, partitions)
-    design = GroupedProblem(build_feature_stack(grams).features, train.outputs[:, 0], 0.0)
-    tasks = [solve_task_l1(design, grams, y, lam, opts=opts) for y in train.outputs.T]
+    features = build_feature_stack(grams)
+    tasks = [solve_task_l1(features, grams, y, lam, opts=opts) for y in train.outputs.T]
     return (np.column_stack([t.a for t in tasks]), np.column_stack([t.c for t in tasks]),
             [spec.norm_factor for spec in grams.specs])
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nlvar.cli import main
+from nlvar.modelio import load_model, model_adjacency
 from nlvar.series import MultivariateSeries, read_csv, write_csv
 
 
@@ -312,6 +313,59 @@ def test_predict_rejects_boolean_model_entries_with_exit_code_2(tmp_path, data_c
                  "--out", str(tmp_path / "f.csv")]) == 2
     assert "not booleans" in _one_line_error(capsys)
     assert not (tmp_path / "f.csv").exists()
+
+
+def _negate_weights(doc):
+    doc["weights_a"] = [[-w for w in row] for row in doc["weights_a"]]
+
+
+def _negative_lambda(doc):
+    doc["lambda"] = [-1.0] * len(doc["lambda"]) if isinstance(doc["lambda"], list) else -1.0
+
+
+@pytest.mark.parametrize("method, corrupt, message", [("nvarl1", _negate_weights, "negative"),
+                                                      ("nvarl1", _negative_lambda, "not > 0"),
+                                                      ("lvarl1", _negative_lambda, "not >= 0")])
+def test_predict_and_adjacency_reject_a_model_of_the_wrong_sign_with_exit_code_2(
+        tmp_path, data_csv, capsys, method, corrupt, message):
+    # both loaded; the negated nvarl1 model forecast and gave an all-zero graph
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_csv), "--method", method, "--train", "60",
+                 "--lag", "3", "--lambda", "2.0", "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    corrupt(doc)
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(data_csv),
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    assert message in _one_line_error(capsys)
+    assert main(["adjacency", "--model", str(model_path), "--out", str(tmp_path / "a.csv")]) == 2
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "f.csv").exists() and not (tmp_path / "a.csv").exists()
+
+
+def _without_last_series_kernels(doc):
+    last = max(kernel["partition"] for kernel in doc["kernels"])
+    keep = [d for d, kernel in enumerate(doc["kernels"]) if kernel["partition"] != last]
+    doc["kernels"] = [doc["kernels"][d] for d in keep]
+    doc["weights_a"] = [doc["weights_a"][d] for d in keep]
+
+
+@pytest.mark.parametrize("method, edit", [("nvarl1", _without_last_series_kernels),
+                                          ("lvarl1", lambda doc: None)])
+def test_adjacency_covers_every_series_of_the_model(tmp_path, data_csv, method, edit):
+    # a kernel model with no kernels for its last series gave an (m - 1) x m graph
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_csv), "--method", method, "--train", "60",
+                 "--lag", "3", "--lambda", "2.0", "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    edit(doc)
+    model_path.write_text(json.dumps(doc))
+    m = len(doc["names"])
+    assert model_adjacency(load_model(model_path)).values.shape == (m, m)
+    out = tmp_path / "adj.csv"
+    assert main(["adjacency", "--model", str(model_path), "--out", str(out)]) == 0
+    assert read_csv(out).values.shape == (m, m)
 
 
 @pytest.mark.parametrize("names", ["abcde", [{}, [], None, 1, True]])

@@ -95,6 +95,25 @@ def test_grid_single_value_skips_cv():
     assert np.isnan(curve).all()
 
 
+def test_one_point_grid_is_the_low_end_of_the_one_formula():
+    # one formula serves every count: a one-point grid is the first value of
+    # any longer grid from the same low_exp, whatever its high_exp. numpy's
+    # array power may round 10**e one ulp away from Python's scalar pow
+    # (9.999999999999999e-06 at e = -5), so 10**e * s holds bit for bit only
+    # where the two agree
+    exact = (-3.0, -2.5, 0.0, 0.5, 1.0, 4.0)
+    for e in exact + (-17.0, -5.0):
+        for s in (1.0, 7.3, math.sqrt(297) * 30):
+            expected = np.array([10.0**e * s])
+            longer = GridSpec(count=2, low_exp=e, high_exp=e + 1.0).values(s)[:1]
+            for h in (e - 1.0, e, e + 1.0):
+                one = GridSpec(count=1, low_exp=e, high_exp=h).values(s)
+                assert one.tobytes() == longer.tobytes()
+                np.testing.assert_array_max_ulp(one, expected, maxulp=1)
+                if e in exact:
+                    assert one.tobytes() == expected.tobytes()
+
+
 def test_cv_prefers_heavy_shrinkage_on_pure_noise():
     rng = np.random.default_rng(42)
     series = MultivariateSeries(rng.standard_normal((240, 2)), ["a", "b"])

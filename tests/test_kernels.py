@@ -20,7 +20,6 @@ from nlvar.kernels import (
     build_gram_stack,
     cross_gram,
     empirical_features,
-    gram_matrix,
     group_index_of,
     group_sizes,
     make_specs,
@@ -58,27 +57,32 @@ def test_spec_validation():
         KernelSpec("gaussian", 1e-200)  # its square underflows to 0
 
 
+def _gram(kind, param, rows):
+    """One kernel's training Gram on the full rows, and its spec, which
+    holds the norm factor."""
+    stack = build_gram_stack(rows, [], [(kind, param)], [None])
+    return stack.grams[0], stack.specs[0]
+
+
 def test_gram_trace_equals_sample_size():
     rng = np.random.default_rng(0)
     rows = rng.standard_normal((9, 4))
     for kind, param in DEFAULT_DICTIONARY:
-        spec = KernelSpec(kind, param)
-        G, rho = gram_matrix(spec, rows)
+        G, spec = _gram(kind, param, rows)
         assert abs(np.trace(G) - 9.0) < 1e-8
-        assert spec.norm_factor == rho
+        raw_trace = sum(kernel_eval(spec, u, u) for u in rows)
+        assert spec.norm_factor == pytest.approx(9.0 / raw_trace, rel=1e-12)
 
 
 def test_gram_gaussian_diagonal_constant():
     rng = np.random.default_rng(1)
-    spec = KernelSpec("gaussian", 1.0)
-    G, rho = gram_matrix(spec, rng.standard_normal((6, 3)))
-    np.testing.assert_allclose(np.diag(G), rho, rtol=1e-12)
+    G, spec = _gram("gaussian", 1.0, rng.standard_normal((6, 3)))
+    np.testing.assert_allclose(np.diag(G), spec.norm_factor, rtol=1e-12)
 
 
 def test_gram_linear_orthonormal_rows_is_identity():
-    spec = KernelSpec("linear")
-    G, rho = gram_matrix(spec, np.eye(3))
-    assert rho == pytest.approx(1.0)
+    G, spec = _gram("linear", None, np.eye(3))
+    assert spec.norm_factor == pytest.approx(1.0)
     np.testing.assert_allclose(G, np.eye(3), atol=1e-15)
 
 
@@ -86,36 +90,34 @@ def test_gram_psd_and_symmetric_by_independent_eigensolver():
     rng = np.random.default_rng(2)
     rows = 2.0 * rng.standard_normal((6, 5))
     for kind, param in DEFAULT_DICTIONARY:
-        G, _ = gram_matrix(KernelSpec(kind, param), rows)
+        G, _ = _gram(kind, param, rows)
         assert np.max(np.abs(G - G.T)) < 1e-10
         assert np.linalg.eigvalsh(G).min() >= -1e-8 * 6
 
 
 def test_gram_degenerate_trace_raises():
     with pytest.raises(DegenerateKernelError):
-        gram_matrix(KernelSpec("linear"), np.zeros((4, 3)))
+        _gram("linear", None, np.zeros((4, 3)))
     # a kernel that overflows has an infinite trace
     with pytest.raises(DegenerateKernelError):
-        gram_matrix(KernelSpec("polynomial", 10**9), np.ones((4, 3)))
+        _gram("polynomial", 10**9, np.ones((4, 3)))
 
 
 def test_cross_gram_consistent_with_training():
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((7, 2))
-    spec = KernelSpec("polynomial", 3)
-    G, _ = gram_matrix(spec, rows)
+    G, spec = _gram("polynomial", 3, rows)
     np.testing.assert_allclose(cross_gram(spec, rows, rows), G, atol=1e-12)
 
 
 def test_cross_gram_gaussian_peaks_at_matching_point():
     rng = np.random.default_rng(4)
     rows = rng.standard_normal((8, 3))
-    spec = KernelSpec("gaussian", 1.0)
-    _, rho = gram_matrix(spec, rows)
+    _, spec = _gram("gaussian", 1.0, rows)
     block = cross_gram(spec, rows, rows[[5]])
     assert block.shape == (1, 8)
     assert np.argmax(block[0]) == 5
-    assert block[0, 5] == pytest.approx(rho, rel=1e-12)
+    assert block[0, 5] == pytest.approx(spec.norm_factor, rel=1e-12)
 
 
 def test_cross_gram_matches_elementwise_oracle():
@@ -124,8 +126,7 @@ def test_cross_gram_matches_elementwise_oracle():
     test = rng.standard_normal((3, 4))
     # degrees 4 and 5 take more than one repeated product
     for kind, param in DEFAULT_DICTIONARY + (("polynomial", 4), ("polynomial", 5)):
-        spec = KernelSpec(kind, param)
-        gram_matrix(spec, train)
+        _, spec = _gram(kind, param, train)
         block = cross_gram(spec, train, test)
         expected = np.array(
             [[spec.norm_factor * kernel_eval(spec, u, v) for v in train] for u in test]
@@ -250,8 +251,8 @@ def test_stack_equals_per_spec_grams(dictionary, partitions):
     stack = build_gram_stack(inputs, partition_map, dictionary, partitions)
     for spec, K in zip(stack.specs, stack.grams):
         rows = inputs[:, slice(None) if spec.partition is None else partition_map[spec.partition]]
-        alone = KernelSpec(spec.kind, spec.param, spec.partition)
-        G, rho = gram_matrix(alone, rows)
+        G, alone = _gram(spec.kind, spec.param, rows)
+        rho = alone.norm_factor
         assert np.abs(K - G).max() <= 1e-13 * np.abs(G).max(), spec.label()
         assert spec.norm_factor == rho, spec.label()
         expected = [[rho * kernel_eval(spec, u, v) for v in rows] for u in rows]
@@ -350,4 +351,4 @@ def test_overflowing_kernel_in_a_stack_raises_without_a_warning():
             build_gram_stack(10.0 * inputs, partition_map,
                              DEFAULT_DICTIONARY + (("polynomial", 10**9),))
         with pytest.raises(DegenerateKernelError):
-            gram_matrix(KernelSpec("polynomial", 3 * 2**20), 10.0 * inputs)
+            _gram("polynomial", 3 * 2**20, 10.0 * inputs)

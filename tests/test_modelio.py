@@ -203,6 +203,10 @@ KERNEL_CORRUPTIONS = {
     "gaussian width whose square underflows": lambda doc: next(
         k for k in doc["kernels"] if k["kind"] == "gaussian").__setitem__("param", 1e-200),
     "linear kernel with a parameter": _set_kernel("param", 1.0),
+    "negated weights": lambda doc: doc.__setitem__(
+        "weights_a", [[-w for w in row] for row in doc["weights_a"]]),
+    "zero lambda": _set("lambda", [0.0, 1.0]),
+    "negative lambda": _set("lambda", [-1.0, -1.0]),
 }
 
 BASELINE_CORRUPTIONS = {
@@ -215,6 +219,7 @@ BASELINE_CORRUPTIONS = {
     "boolean coef": lambda doc: doc["coef"][1].__setitem__(1, False),
     "non-numeric lambda": _set("lambda", "big"),
     "fractional lag": _fractional_lag,
+    "negative lambda": _set("lambda", -1.0),
 }
 
 
@@ -264,14 +269,17 @@ def test_models_built_in_code_check_their_shapes_on_construction():
                             ({"specs": [no_factor, *model["specs"][1:]]}, "no norm_factor"),
                             ({"specs": [outside, *model["specs"][1:]]}, "partition outside"),
                             ({"names": "ab"}, "model names"),
-                            ({"lam": model["lam"][:1]}, "lambda has 1 entries")):
+                            ({"lam": model["lam"][:1]}, "lambda has 1 entries"),
+                            ({"A": -model["A"]}, "negative"),
+                            ({"lam": np.array([1.0, 0.0])}, "not > 0")):
         with pytest.raises(ConfigError, match=message):
             ModelFit(**{**model, **change})
     assert ModelFit(**model).names == ["s0", "s1"]
     baseline = _fields(fit_baseline("lvarl2", train, 1.0, norm_stats=stats))
     for change, message in (({"coef": baseline["coef"][:-1]}, "coef is"),
                             ({"lam": True}, "lambda must be a finite number"),
-                            ({"lag": 0}, "lag must be at least 1")):
+                            ({"lag": 0}, "lag must be at least 1"),
+                            ({"lam": -1.0}, "not >= 0")):
         with pytest.raises(ConfigError, match=message):
             BaselineFit(**{**baseline, **change})
     with pytest.raises(ConfigError, match="norm_stats cover 2 series"):

@@ -57,3 +57,35 @@ def test_no_module_reaches_a_siblings_private_names():
     for path in paths:
         found |= _reaches(path.stem, path.read_text(), siblings)
     assert found - ALLOWED == set()
+
+
+#: (module, name) imports that the module never reads. The benchmark tracer
+#: wraps the binding nlvar.harness.build_feature_stack, so harness keeps it.
+UNREAD_ALLOWED = {("harness", "build_feature_stack")}
+
+
+def _unread_imports(module: str, source: str) -> set:
+    """(module, name) for every name that `source` imports and never reads."""
+    tree = ast.parse(source)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return {(module, name) for name in imported - read}
+
+
+def test_the_checker_sees_unread_imports():
+    source = ("from __future__ import annotations\nimport scipy.linalg\nimport json as j\n"
+              "from .solver import fit, predict as p\nx: j.JSONDecoder = fit\np = 1\n")
+    assert _unread_imports("cli", source) == {("cli", "scipy"), ("cli", "p")}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":  # the package's imports are its public names
+            found |= _unread_imports(path.stem, path.read_text())
+    assert found - UNREAD_ALLOWED == set()

@@ -233,10 +233,11 @@ def test_column_wise_l1_solution_matches_each_task():
     # group-lasso weights; column s must be task s's own (a, c)
     rng = np.random.default_rng(6)
     stack = _random_stack(rng, 9)
-    design = GroupedProblem(build_feature_stack(stack).features, np.zeros(9), 0.0)
+    feats = build_feature_stack(stack)
+    design = GroupedProblem(feats.features, np.zeros(9), 0.0)
     Y = rng.standard_normal((9, 4))
     lam = 0.3
-    tasks = [solve_task_l1(design, stack, y, lam, opts=TIGHT) for y in Y.T]
+    tasks = [solve_task_l1(feats, stack, y, lam, opts=TIGHT) for y in Y.T]
     assert any(task.a.any() for task in tasks)
     W = np.column_stack([np.concatenate(task.z_blocks) for task in tasks])
     A, C = solver.l1_solution(design, W, Y, lam)
@@ -381,7 +382,7 @@ def test_l1_rejects_a_design_that_does_not_match_the_gram_stack():
     with pytest.raises(DimensionMismatchError):
         solve_task_l1(FeatureStack(features=blocks[:2]), stack, y, 0.5)
     with pytest.raises(DimensionMismatchError):
-        solve_task_l1(GroupedProblem(blocks + blocks[:1], y, 0.0), stack, y, 0.5)
+        solve_task_l1(FeatureStack(features=blocks + blocks[:1]), stack, y, 0.5)
 
 
 def test_l12_default_options_end_at_the_group_stationarity_gap():
