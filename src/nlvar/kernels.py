@@ -4,9 +4,10 @@ Each kernel operates on one input partition (the lagged past of a single
 series) or, for the unpartitioned variant, on the full input vector. The
 kernels of one partition are evaluated together, from one inner-product
 matrix and, when a Gaussian is among them, one squared-distance matrix.
-Training Grams (build_gram_stack) are rescaled to trace n and the factor is
-kept on the spec; cross_gram, the one cross-Gram builder, applies it to
-test-time blocks, for serving and for build_cross_stack alike. What a
+Training Grams (build_gram_stack) are held once each, as packed lower
+triangles, rescaled to trace n, and the factor is kept on the spec;
+cross_gram, the one cross-Gram builder, applies it to test-time blocks, for
+serving and for build_cross_stack alike. What a
 cross-Gram block needs of the training rows alone (the rows and their half
 squared norms) can be prepared once as TrainingRows, whose leading axis
 stacks partitions: one cross_gram call then evaluates every partition that
@@ -19,8 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import (
+    BadDataError,
     ConfigError,
     DegenerateKernelError,
     DimensionMismatchError,
@@ -92,29 +95,53 @@ class KernelSpec:
 
 @dataclass
 class GramStack:
-    """The l normalized training Gram matrices, one (l, n, n) array, with
-    their specs (a list of n x n matrices is stacked on construction).
+    """The l normalized training Gram matrices with their specs. Each Gram is
+    symmetric and held once, as its lower triangle in LAPACK packed order
+    (column by column, n(n+1)/2 entries): packed is one (l, n(n+1)/2) array,
+    half the bytes of the dense (l, n, n) stack. gram(d) unpacks one Gram;
+    GramStack.of packs dense ones.
 
     group_index[d] is kernel d's (group, position) pair, a partition's
     kernels forming one contiguous group (sizes: group_sizes). build_gram_stack
-    writes each group's Grams in place from its partition's shared products
-    and rescales them there, storing each spec's norm_factor.
+    writes each kernel's packed row from its partition's shared products and
+    rescales it there, storing each spec's norm_factor.
     """
 
-    grams: np.ndarray
+    packed: np.ndarray
     specs: list[KernelSpec]
     group_index: list[tuple[int, int]]
 
-    def __post_init__(self):
-        self.grams = np.asarray(self.grams, dtype=float)
+    @classmethod
+    def of(cls, grams, specs, group_index) -> GramStack:
+        """Pack dense n x n Grams, of which the lower triangles are read; a
+        ragged list or a non-square Gram raises DimensionMismatchError and a
+        non-finite entry BadDataError."""
+        try:
+            grams = [np.asarray(K, dtype=float) for K in grams]
+        except ValueError as exc:  # a ragged nested list, or an entry that is no number
+            raise DimensionMismatchError(f"Grams must be square matrices of numbers: {exc}")
+        n = grams[0].shape[0] if grams else 0
+        if not grams or any(K.shape != (n, n) for K in grams):
+            raise DimensionMismatchError(f"Grams of shapes {[K.shape for K in grams]} "
+                                         "are not one stack of square matrices")
+        if not all(np.isfinite(K).all() for K in grams):
+            raise BadDataError("a Gram matrix holds a non-finite entry")
+        return cls(np.stack([lapack.dtrttp(K, uplo="L")[0] for K in grams]), specs, group_index)
 
     @property
     def n_kernels(self) -> int:
-        return self.grams.shape[0]
+        return self.packed.shape[0]
 
     @property
     def n_train(self) -> int:
-        return self.grams[0].shape[0]
+        return (math.isqrt(8 * self.packed.shape[1] + 1) - 1) // 2
+
+    def gram(self, d: int) -> np.ndarray:
+        """Kernel d's Gram, unpacked into an exactly symmetric n x n array."""
+        n = self.n_train
+        K = lapack.dtpttr(n, self.packed[d], uplo="L")[0]
+        np.copyto(K, K.T, where=np.tri(n, k=-1, dtype=bool).T)  # mirror the lower triangle
+        return K
 
 
 @dataclass
@@ -217,41 +244,47 @@ def _inhomogeneous_power(G: np.ndarray, degree: int, out: np.ndarray, scratch) -
         squares *= squares
 
 
-def _partition_kernels(specs, slots, X: np.ndarray, Z: np.ndarray, x_half: np.ndarray) -> None:
-    """Raw kernel values slots[i][..., r, c] = k_i(Z[..., r, :], X[..., c, :])
-    for kernels that share one input partition, written in place: X (n, p)
-    and Z (r, p), or a leading axis of partitions that share the kernels'
-    (kind, param) layout. x_half holds X's half squared norms -||x||^2 / 2.
+def _shared_products(X: np.ndarray, Z: np.ndarray, x_half: np.ndarray, G: np.ndarray,
+                     half_sq: np.ndarray | None) -> None:
+    """What every kernel of one input partition is computed from, written in
+    place: G <- <u,v> between rows Z (r, p) and X (n, p), or a leading axis
+    of partitions that share a kernel layout, and half_sq <- -||u-v||^2 / 2
+    unless it is None. x_half holds X's half squared norms -||x||^2 / 2.
+    With Z is X both are exactly symmetric: <u,v> comes from one syrk and
+    the rest elementwise."""
+    np.matmul(Z, X.swapaxes(-1, -2), out=G)
+    if half_sq is not None:
+        # -||u-v||^2 / 2 = <u,v> - ||u||^2 / 2 - ||v||^2 / 2, clipped at 0
+        z_half = x_half if Z is X else -0.5 * np.sum(Z * Z, axis=-1)
+        np.add(z_half[..., :, None], x_half[..., None, :], out=half_sq)
+        half_sq += G
+        np.minimum(half_sq, 0.0, out=half_sq)
 
-    All of them come from one product <u,v>, held in the first linear
-    kernel's slot, and the Gaussians from one -||u-v||^2 / 2, held in the last
-    Gaussian's slot until that slot is exponentiated; the first Gaussian's
-    slot is the polynomials' scratch until then. With Z is X every slot is
-    exactly symmetric: <u,v> comes from one syrk and the rest elementwise.
+
+def _kernel_values(specs, slots, G: np.ndarray, half_sq: np.ndarray | None) -> None:
+    """Raw kernel values slots[i] <- k_i for kernels that share one input
+    partition, elementwise from its shared products G = <u,v> and half_sq =
+    -||u-v||^2 / 2 (None without a Gaussian), dense blocks or packed rows.
+
+    G may be the first linear kernel's slot, and half_sq the last
+    Gaussian's, which is then exponentiated last; until then any other
+    Gaussian's slot is the polynomials' scratch.
     """
     by_kind = {"linear": [], "polynomial": [], "gaussian": []}
     for spec, K in zip(specs, slots):
         by_kind[spec.kind].append((spec.param, K))
     linear, polynomials, gaussians = by_kind.values()
-    G = linear[0][1] if linear else np.empty(slots[0].shape)
-    np.matmul(Z, X.swapaxes(-1, -2), out=G)
-    for _, K in linear[1:]:
-        np.copyto(K, G)
-    scratch = gaussians[0][1] if gaussians else None
+    for _, K in linear:
+        if K is not G:
+            np.copyto(K, G)
+    scratch = next((K for _, K in gaussians if K is not half_sq), None)
     for degree, K in polynomials:
         if scratch is None and degree & (degree - 1):
             scratch = np.empty_like(G)
         _inhomogeneous_power(G, degree, K, scratch)
-    if gaussians:
-        # -||u-v||^2 / 2 = <u,v> - ||u||^2 / 2 - ||v||^2 / 2, clipped at 0
-        half_sq = gaussians[-1][1]
-        z_half = x_half if Z is X else -0.5 * np.sum(Z * Z, axis=-1)
-        np.add(z_half[..., :, None], x_half[..., None, :], out=half_sq)
-        half_sq += G
-        np.minimum(half_sq, 0.0, out=half_sq)
-        for width, K in gaussians:  # half_sq's own slot comes last
-            np.divide(half_sq, width**2, out=K)
-            np.exp(K, out=K)
+    for width, K in gaussians:
+        np.divide(half_sq, width**2, out=K)
+        np.exp(K, out=K)
 
 
 def cross_gram(specs, train, test_rows) -> np.ndarray:
@@ -291,7 +324,15 @@ def cross_gram(specs, train, test_rows) -> np.ndarray:
                     f"{spec.label()}: build_gram_stack must run on training data first"
                 )
     blocks = np.empty((len(layout), P, Z.shape[1], n))
-    _partition_kernels(specs[0], list(blocks), train.rows, Z, train.half_sq)
+    # <u,v> is held in the first linear kernel's block and -||u-v||^2 / 2 in
+    # the last Gaussian's, until each is written over by its own kernel
+    slots = list(blocks)
+    linear = [K for (kind, _), K in zip(layout, slots) if kind == "linear"]
+    gaussians = [K for (kind, _), K in zip(layout, slots) if kind == "gaussian"]
+    G = linear[0] if linear else np.empty(blocks.shape[1:])
+    half_sq = gaussians[-1] if gaussians else None
+    _shared_products(train.rows, Z, train.half_sq, G, half_sq)
+    _kernel_values(specs[0], slots, G, half_sq)
     blocks *= np.array([[spec.norm_factor for spec in part] for part in specs]).T[:, :, None, None]
     return blocks
 
@@ -317,28 +358,41 @@ def empirical_features(K: np.ndarray) -> np.ndarray:
 def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTIONARY,
                      partitions=None) -> GramStack:
     """Normalized Gram matrices for every dictionary kernel on every partition,
-    each partition's written in place from its shared products and rescaled
-    there to trace n; stores the factors on the specs.
+    rescaled to trace n, as one packed GramStack; stores the factors on the
+    specs.
 
-    `partitions` defaults to one partition per series; pass [None] for the
-    unpartitioned full-input variant, whose rows are a view of `inputs`.
+    Each partition's dense <u,v> and, when a Gaussian is among its kernels,
+    -||u-v||^2 / 2 are made once and packed (lapack.dtrttp); every kernel of
+    the partition is then written elementwise straight into its packed row,
+    so no dense Gram is ever made. Each trace is read off the packed
+    diagonal. `partitions` defaults to one partition per series; pass [None]
+    for the unpartitioned full-input variant, whose rows are a view of
+    `inputs`.
     """
     if partitions is None:
         partitions = list(range(len(partition_map)))
     specs = make_specs(partitions, dictionary)
     n = inputs.shape[0]
-    stack = GramStack(grams=np.empty((len(specs), n, n)), specs=specs,
+    stack = GramStack(packed=np.empty((len(specs), n * (n + 1) // 2)), specs=specs,
                       group_index=group_index_of(specs))
+    j = np.arange(n)
+    diagonal = j * n - j * (j - 1) // 2  # packed index of entry (j, j)
     bounds = np.cumsum([0, *group_sizes(stack.group_index)])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         X, _ = _row_sets(inputs[:, partition_columns(specs[lo], partition_map)], None)
+        G = np.empty((n, n))
+        half_sq = np.empty((n, n)) if any(s.kind == "gaussian" for s in specs[lo:hi]) else None
         # an overflowing entry overflows a diagonal one too (Cauchy-Schwarz), so
         # the trace check below reports it as a DegenerateKernelError
         with np.errstate(over="ignore"):
-            _partition_kernels(specs[lo:hi], list(stack.grams[lo:hi]), X, X,
-                               -0.5 * np.sum(X * X, axis=-1))
-        for spec, K in zip(specs[lo:hi], stack.grams[lo:hi]):
-            tr = float(np.trace(K))
+            _shared_products(X, X, -0.5 * np.sum(X * X, axis=-1), G, half_sq)
+            # both are exactly symmetric: their transposes, Fortran-ordered
+            # views, pack without a copy
+            G, half_sq = [None if P is None else lapack.dtrttp(P.T, uplo="L")[0]
+                          for P in (G, half_sq)]
+            _kernel_values(specs[lo:hi], list(stack.packed[lo:hi]), G, half_sq)
+        for spec, K in zip(specs[lo:hi], stack.packed[lo:hi]):
+            tr = float(K[diagonal].sum())
             if not (np.isfinite(tr) and tr >= 1e-12):  # inf: the kernel overflowed
                 raise DegenerateKernelError(f"{spec.label()}: Gram trace {tr:.3e}")
             spec.norm_factor = n / tr
@@ -347,7 +401,8 @@ def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTI
 
 
 def build_feature_stack(stack: GramStack) -> FeatureStack:
-    return FeatureStack(features=[empirical_features(K) for K in stack.grams])
+    return FeatureStack(features=[empirical_features(stack.gram(d))
+                                  for d in range(stack.n_kernels)])
 
 
 def build_cross_stack(specs, train_inputs: np.ndarray, new_inputs: np.ndarray,

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import (ConfigError, DimensionMismatchError, NonFiniteObjectiveError,
-                     SingularSystemError, UnsupportedKindError, finite_array)
+from .errors import (BadDataError, ConfigError, DimensionMismatchError,
+                     NonFiniteObjectiveError, SingularSystemError, UnsupportedKindError,
+                     finite_array)
 from .grouplasso import (
     GroupedProblem,
     SolverOptions,
@@ -158,20 +159,21 @@ class AdjacencyMatrix:
 
 # The dense algebra below stays on scipy's BLAS/LAPACK: numpy and scipy each load
 # their own OpenBLAS thread pool, and every switch between the two waits on the
-# other pool. Fortran-ordered views of the stack reach f2py without a copy.
+# other pool. The packed stack's transpose reaches f2py without a copy, and
+# every n x n system is held and read as its lower triangle.
 def _stack_times(grams: GramStack, c) -> np.ndarray:
-    """U = [K^d c], row d, by one dgemv over the stack."""
-    l, n, _ = grams.grams.shape
-    return blas.dgemv(1.0, grams.grams.reshape(l * n, n).T, c, trans=1).reshape(l, n)
+    """U = [K^d c], row d, by one dspmv per packed Gram."""
+    n = grams.n_train
+    return np.array([blas.dspmv(n, 1.0, K, c, lower=1) for K in grams.packed])
 
 
 def _gram_sum(grams: GramStack, a) -> np.ndarray:
-    """sum_d a_d K^d, Fortran-ordered, by one dgemv over the stack."""
-    l, n, _ = grams.grams.shape
-    if a.shape != (l,):
-        raise DimensionMismatchError(f"{a.shape[0]} weights for {l} kernels")
-    # this reads the sum as its transpose, which is the sum
-    return blas.dgemv(1.0, grams.grams.reshape(l, n * n).T, a).reshape(n, n, order="F")
+    """sum_d a_d K^d as a Fortran-ordered lower triangle (zero above it):
+    one dgemv over the packed stack, unpacked by dtpttr."""
+    if a.shape != (grams.n_kernels,):
+        raise DimensionMismatchError(f"{a.shape[0]} weights for {grams.n_kernels} kernels")
+    packed_sum = blas.dgemv(1.0, grams.packed.T, a)
+    return lapack.dtpttr(grams.n_train, packed_sum, uplo="L")[0]
 
 
 def _cholesky(M, overwrite: bool = False):
@@ -183,7 +185,8 @@ def _cholesky(M, overwrite: bool = False):
 
 
 def _factor_system(grams: GramStack, a, lam: float):
-    """M = sum_d a_d K^d + lam I (Fortran-ordered) and its lower Cholesky factor."""
+    """M = sum_d a_d K^d + lam I (a Fortran-ordered lower triangle) and its
+    lower Cholesky factor."""
     M = _gram_sum(grams, a)
     M.ravel(order="F")[::M.shape[0] + 1] += lam
     return M, _cholesky(M)
@@ -194,16 +197,29 @@ def _cho_solve(factor, b) -> np.ndarray:
     return lapack.dpotrs(factor, b, lower=1)[0]
 
 
+def _target(grams: GramStack, y) -> np.ndarray:
+    """One task's target as a float vector of the stack's n entries; another
+    length raises DimensionMismatchError and a non-finite entry BadDataError."""
+    y = np.asarray(y, dtype=float).ravel()
+    if y.shape != (grams.n_train,):
+        raise DimensionMismatchError(f"target of {y.size} entries for {grams.n_train} rows")
+    if not np.isfinite(y).all():
+        raise BadDataError("the target holds a non-finite entry")
+    return y
+
+
 def solve_coefficients(grams: GramStack, a, y, lam: float) -> np.ndarray:
     """Expansion coefficients c from the positive definite system
-    (sum_d a_d K^d + lam I) c = y, by Cholesky with one refinement pass."""
+    (sum_d a_d K^d + lam I) c = y, by Cholesky with one refinement pass; a
+    y of another length than the stack's n raises DimensionMismatchError and
+    a non-finite y BadDataError."""
     if lam <= 0.0:
         raise ConfigError(f"lam must be positive, got {lam}")
     a = np.asarray(a, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    y = _target(grams, y)
     M, factor = _factor_system(grams, a, lam)
     c = _cho_solve(factor, y)
-    c += _cho_solve(factor, blas.dsymv(-1.0, M, c, beta=1.0, y=y))
+    c += _cho_solve(factor, blas.dsymv(-1.0, M, c, beta=1.0, y=y, lower=1))
     return c
 
 
@@ -251,7 +267,7 @@ def l1_design(method: str, train: SupervisedSet,
 
     Each input partition's Grams are built, factored into their features and
     dropped before the next partition's are built, so the route never holds
-    the whole (l, n, n) stack; build_gram_stack builds every partition alone,
+    the whole stack; build_gram_stack builds every partition alone,
     so the features are those of the full stack bit for bit. The design's
     target is a placeholder (the first output): each task sets its own.
     """
@@ -316,7 +332,7 @@ def _ray_start(grams: GramStack, y, lam: float, starts) -> np.ndarray:
     M = np.empty_like(Kbar)
     s, c, factor = 0.0, y / lam, None
     for _ in range(_RAY_STEPS_MAX):
-        v = blas.dsymv(1.0, Kbar, c)
+        v = blas.dsymv(1.0, Kbar, c, lower=1)
         g = lam * float(c @ v)
         if g <= (1.0 + _RAY_TOL) * P:
             break
@@ -346,11 +362,12 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
     Without a warm start the solve starts at the best point on the ray of
     uniform weights (_ray_start), which halves the Newton steps of a cold
     fit against a start at a = 1/l. With numpy's warnings off, an overflow
-    ends as a non-finite objective or Hessian (NonFiniteObjectiveError).
+    ends as a non-finite objective or Hessian (NonFiniteObjectiveError). y
+    is checked as solve_coefficients checks it.
     """
     if lam <= 0.0:
         raise ConfigError(f"lam must be positive, got {lam}")
-    y = np.asarray(y, dtype=float).ravel()
+    y = _target(grams, y)
     l = grams.n_kernels
     if len(group_index) != l:
         raise DimensionMismatchError("group index does not match the gram stack")

@@ -3,7 +3,10 @@
 task_objective is the definition of a per-output task's penalized objective,
 evaluated term by term from the Gram matrices; the solvers report the same
 value from quantities their solves already hold. kernel_eval evaluates one
-kernel on one pair of vectors, against which the vectorized Grams are checked.
+kernel on one pair of vectors, against which the vectorized Grams are checked;
+elementwise_grams evaluates each kernel alone over whole dense matrices, in
+the package's own operations, the bitwise reference for the packed stack.
+dense_l12_fit runs nvarl12's Newton steps over a dense copy of the stack.
 predict_per_kernel sums a kernel model's forecast one kernel at a time, the
 reference for the partition-wise serving path. full_stack_l1_fit fits the
 l1 route over the whole Gram stack, the reference for the fit that builds
@@ -17,10 +20,14 @@ Newton), and ends with Newton polishing on the active set. Objective
 convention matches the package: ||y - sum B_g w_g||^2 + kappa * sum ||w_g||.
 """
 
+from unittest import mock
+
 import numpy as np
 import scipy.optimize
 import scipy.sparse.linalg
+from scipy.linalg import blas
 
+from nlvar import solver
 from nlvar.errors import DimensionMismatchError
 from nlvar.kernels import build_feature_stack, build_gram_stack, cross_gram
 from nlvar.solver import solve_task_l1
@@ -38,6 +45,69 @@ def kernel_eval(spec, u, v) -> float:
         return float((1.0 + u @ v) ** spec.param)
     diff = u - v
     return float(np.exp(-(diff @ diff) / (2.0 * spec.param**2)))
+
+
+def dense_grams(stack) -> np.ndarray:
+    """The stack's Grams unpacked, one dense (l, n, n) array."""
+    return np.stack([stack.gram(d) for d in range(stack.n_kernels)])
+
+
+def _square_and_multiply(base, degree):
+    """base ** degree as the product of base's repeated squares, lowest first."""
+    result = None
+    while True:
+        if degree & 1:
+            result = base if result is None else result * base
+        degree >>= 1
+        if not degree:
+            return result
+        base = base * base
+
+
+def elementwise_grams(inputs, partition_map, dictionary, partitions=None):
+    """(dense (l, n, n) Grams, norm factors) of build_gram_stack's kernels,
+    each evaluated alone over whole n x n matrices by the operations the
+    package uses, in its order: <u,v> = X X^T, the polynomials by
+    square-and-multiply, the Gaussians from <u,v> - ||u||^2/2 - ||v||^2/2
+    clipped at 0, and the factor n / np.trace of the raw Gram."""
+    grams, factors = [], []
+    for part in range(len(partition_map)) if partitions is None else partitions:
+        X = inputs[:, slice(None) if part is None else partition_map[part]]
+        G = X @ X.T
+        x_half = -0.5 * np.sum(X * X, axis=-1)
+        for kind, param in dictionary:
+            if kind == "linear":
+                K = G
+            elif kind == "polynomial":
+                K = _square_and_multiply(G + 1.0, int(param))
+            else:
+                K = np.exp(np.minimum(x_half[:, None] + x_half[None, :] + G, 0.0)
+                           / float(param) ** 2)
+            factors.append(X.shape[0] / float(np.trace(K)))
+            grams.append(K * factors[-1])
+    return np.stack(grams), factors
+
+
+def dense_l12_fit(train, lam, opts):
+    """(A, C, outer iterations per task) of an nvarl12 fit whose Newton steps
+    read a dense (l, n, n) copy of the Gram stack: the solver's two stack
+    products are swapped for one dgemv over the dense stack each."""
+    grams = build_gram_stack(train.inputs, train.partition_map)
+    dense = dense_grams(grams)
+    l, n, _ = dense.shape
+
+    def gram_sum(_, a):
+        return blas.dgemv(1.0, dense.reshape(l, n * n).T, a).reshape(n, n, order="F")
+
+    def stack_times(_, c):
+        return blas.dgemv(1.0, dense.reshape(l * n, n).T, c, trans=1).reshape(l, n)
+
+    with mock.patch.object(solver, "_gram_sum", gram_sum), \
+            mock.patch.object(solver, "_stack_times", stack_times):
+        tasks = [solver.solve_task_l12(grams, grams.group_index, y, lam, opts=opts)
+                 for y in train.outputs.T]
+    return (np.column_stack([t.a for t in tasks]), np.column_stack([t.c for t in tasks]),
+            [len(t.objective_trace) for t in tasks])
 
 
 def predict_per_kernel(model, new_inputs) -> np.ndarray:
@@ -74,10 +144,11 @@ def task_objective(stack, y, a, c, lam, method):
     penalty is sum_d a_d for "l1" and sum_g ||a_g||_2 over the partition
     groups of stack.group_index for "l12"."""
     y, a, c = (np.asarray(v, dtype=float).ravel() for v in (y, a, c))
-    if a.shape[0] != len(stack.grams):
-        raise DimensionMismatchError(f"{a.shape[0]} weights for {len(stack.grams)} kernels")
-    pred = sum(a_d * (K @ c) for a_d, K in zip(a, stack.grams))
-    quad = sum(a_d * float(c @ K @ c) for a_d, K in zip(a, stack.grams))
+    if a.shape[0] != stack.n_kernels:
+        raise DimensionMismatchError(f"{a.shape[0]} weights for {stack.n_kernels} kernels")
+    grams = dense_grams(stack)
+    pred = sum(a_d * (K @ c) for a_d, K in zip(a, grams))
+    quad = sum(a_d * float(c @ K @ c) for a_d, K in zip(a, grams))
     if method == "l1":
         penalty = float(a.sum())
     elif method == "l12":

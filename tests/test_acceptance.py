@@ -40,7 +40,7 @@ def _random_gram_stack(rng, n, l):
         grams.append(K)
         specs.append(KernelSpec("gaussian", 1.0, partition=d, norm_factor=1.0))
         gidx.append((d, 0))
-    return GramStack(grams=grams, specs=specs, group_index=gidx)
+    return GramStack.of(grams, specs, gidx)
 
 
 def test_c1_group_lasso_matches_coordinate_descent_oracle():
@@ -88,7 +88,7 @@ def test_c2_closed_form_weights_and_representer_equivalence():
             for d in range(l)
         )
         feat_pred = sum(phi @ z for phi, z in zip(feats.features, task.z_blocks))
-        kern_pred = sum(task.a[d] * stack.grams[d] @ task.c for d in range(l))
+        kern_pred = sum(task.a[d] * stack.gram(d) @ task.c for d in range(l))
         rep = float(np.linalg.norm(feat_pred - kern_pred) / np.linalg.norm(y))
         worst_cf = max(worst_cf, cf)
         worst_rep = max(worst_rep, rep)
@@ -114,7 +114,7 @@ def test_c3_coefficient_system_residual_and_cg_cross_check():
         y = rng.standard_normal(n)
         lam = float(rng.uniform(0.01, 2.0))
         c = solve_coefficients(stack, a, y, lam)
-        M = lam * np.eye(n) + sum(a[d] * stack.grams[d] for d in range(l))
+        M = lam * np.eye(n) + sum(a[d] * stack.gram(d) for d in range(l))
         worst_resid = max(worst_resid, float(np.linalg.norm(M @ c - y) / np.linalg.norm(y)))
         worst_cg = max(worst_cg, float(np.max(np.abs(c - cg_solve(M, y)))))
     ok = worst_resid <= 1e-8 and worst_cg <= 1e-8

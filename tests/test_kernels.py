@@ -1,10 +1,12 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from oracles import kernel_eval
+from oracles import elementwise_grams, kernel_eval
 
 from nlvar.errors import (
+    BadDataError,
     ConfigError,
     DegenerateKernelError,
     DimensionMismatchError,
@@ -13,6 +15,7 @@ from nlvar.errors import (
 )
 from nlvar.kernels import (
     DEFAULT_DICTIONARY,
+    GramStack,
     KernelSpec,
     TrainingRows,
     build_cross_stack,
@@ -61,7 +64,7 @@ def _gram(kind, param, rows):
     """One kernel's training Gram on the full rows, and its spec, which
     holds the norm factor."""
     stack = build_gram_stack(rows, [], [(kind, param)], [None])
-    return stack.grams[0], stack.specs[0]
+    return stack.gram(0), stack.specs[0]
 
 
 def test_gram_trace_equals_sample_size():
@@ -188,7 +191,8 @@ def test_stack_layout_and_factor_fidelity():
         (0, i) for i in range(len(DEFAULT_DICTIONARY))
     ]
     feats = build_feature_stack(stack)
-    for K, phi in zip(stack.grams, feats.features):
+    for d, phi in enumerate(feats.features):
+        K = stack.gram(d)
         assert np.linalg.norm(phi @ phi.T - K) < 1e-8 * np.linalg.norm(K)
 
 
@@ -202,8 +206,8 @@ def test_partition_isolation():
     stack2 = build_gram_stack(perturbed, partition_map)
     nk = len(DEFAULT_DICTIONARY)
     for d in range(nk):  # partition 0 untouched -> bit-identical grams
-        assert np.array_equal(stack.grams[d], stack2.grams[d])
-    assert not np.array_equal(stack.grams[nk], stack2.grams[nk])
+        assert np.array_equal(stack.gram(d), stack2.gram(d))
+    assert not np.array_equal(stack.gram(nk), stack2.gram(nk))
 
 
 def test_full_partition_specs():
@@ -249,7 +253,7 @@ def test_stack_equals_per_spec_grams(dictionary, partitions):
     rng = np.random.default_rng(10)
     inputs, partition_map = _embedded(rng)
     stack = build_gram_stack(inputs, partition_map, dictionary, partitions)
-    for spec, K in zip(stack.specs, stack.grams):
+    for spec, K in zip(stack.specs, map(stack.gram, range(stack.n_kernels))):
         rows = inputs[:, slice(None) if spec.partition is None else partition_map[spec.partition]]
         G, alone = _gram(spec.kind, spec.param, rows)
         rho = alone.norm_factor
@@ -264,8 +268,54 @@ def test_stacked_grams_are_exactly_symmetric(dictionary, partitions):
     rng = np.random.default_rng(11)
     inputs, partition_map = _embedded(rng, n=40)
     stack = build_gram_stack(inputs, partition_map, dictionary, partitions)
-    for spec, K in zip(stack.specs, stack.grams):
+    for spec, K in zip(stack.specs, map(stack.gram, range(stack.n_kernels))):
         assert np.array_equal(K, K.T), spec.label()
+
+
+@pytest.mark.parametrize("dictionary, partitions", STACK_CASES.values(), ids=STACK_CASES)
+def test_packed_stack_equals_the_elementwise_oracle_bit_for_bit(dictionary, partitions):
+    # each kernel is written into its packed row elementwise from its
+    # partition's packed products, so nothing may move by a bit
+    rng = np.random.default_rng(18)
+    inputs, partition_map = _embedded(rng, n=40)
+    stack = build_gram_stack(inputs, partition_map, dictionary, partitions)
+    grams, factors = elementwise_grams(inputs, partition_map, dictionary, partitions)
+    assert [spec.norm_factor for spec in stack.specs] == factors
+    lower_by_column = np.triu_indices(40)  # of the transpose: LAPACK's packed order
+    assert stack.packed.shape == (len(grams), 40 * 41 // 2)
+    for d, (spec, K) in enumerate(zip(stack.specs, grams)):
+        assert np.array_equal(stack.packed[d], K.T[lower_by_column]), spec.label()
+        assert np.array_equal(stack.gram(d), K), spec.label()
+
+
+def test_building_the_stack_never_holds_a_dense_stack():
+    # the packed rows are half the dense stack's bytes, and each partition's
+    # dense products are dropped before the next partition's are made
+    rng = np.random.default_rng(19)
+    inputs, partition_map = _embedded(rng, n=300, m=5, p=5)
+    tracemalloc.start()
+    try:
+        stack = build_gram_stack(inputs, partition_map)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.n_kernels == 30
+    assert peak < stack.n_kernels * 300**2 * 8, peak
+
+
+def test_packing_dense_grams_rejects_ragged_non_square_and_non_finite_input():
+    specs = [KernelSpec("linear", partition=0, norm_factor=1.0)] * 2
+    gidx = [(0, 0), (0, 1)]
+    for grams in ([np.eye(3), np.eye(4)], [np.ones((3, 2))] * 2,
+                  [[[1.0, 0.0], [0.0]], np.eye(2)], []):
+        with pytest.raises(DimensionMismatchError):
+            GramStack.of(grams, specs[:len(grams)], gidx[:len(grams)])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(BadDataError):
+            GramStack.of([np.eye(2), np.diag([1.0, bad])], specs, gidx)
+    stack = GramStack.of([np.eye(3), 2.0 * np.ones((3, 3))], specs, gidx)
+    assert (stack.n_kernels, stack.n_train) == (2, 3)
+    assert np.array_equal(stack.gram(1), 2.0 * np.ones((3, 3)))
 
 
 @pytest.mark.parametrize("dictionary, partitions", STACK_CASES.values(), ids=STACK_CASES)

@@ -3,12 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import (alternating_l1_oracle, cg_solve, full_stack_l1_fit, predict_per_kernel,
-                     task_objective)
+from oracles import (alternating_l1_oracle, cg_solve, dense_grams, dense_l12_fit,
+                     full_stack_l1_fit, predict_per_kernel, task_objective)
 
 from nlvar import solver
-from nlvar.errors import (ConfigError, DimensionMismatchError, SingularSystemError,
-                          UnsupportedKindError)
+from nlvar.errors import (BadDataError, ConfigError, DimensionMismatchError,
+                          SingularSystemError, UnsupportedKindError)
 from nlvar.grouplasso import GroupedProblem, SolverOptions, kkt_tolerance
 from nlvar.harness import SyntheticSpec, generate_synthetic, split_experiment_data
 from nlvar.kernels import (
@@ -38,7 +38,7 @@ TIGHT = SolverOptions(max_iter=200000, rel_tol=1e-13)
 
 def _identity_stack(n):
     spec = KernelSpec("linear", partition=0, norm_factor=1.0)
-    return GramStack(grams=[np.eye(n)], specs=[spec], group_index=[(0, 0)])
+    return GramStack.of([np.eye(n)], [spec], [(0, 0)])
 
 
 def _random_stack(rng, n, parts=3, per_part=1):
@@ -52,7 +52,7 @@ def _random_stack(rng, n, parts=3, per_part=1):
             grams.append(K)
             specs.append(KernelSpec("gaussian", 1.0, partition=j, norm_factor=1.0))
             gidx.append((j, i))
-    return GramStack(grams=grams, specs=specs, group_index=gidx)
+    return GramStack.of(grams, specs, gidx)
 
 
 def test_objective_all_zero_weights():
@@ -77,8 +77,8 @@ def test_objective_matches_direct_formula():
     c = rng.standard_normal(7)
     a = rng.uniform(0.0, 1.0, 4)
     lam = 0.7
-    pred = sum(a[d] * stack.grams[d] @ c for d in range(4))
-    quad = sum(a[d] * c @ stack.grams[d] @ c for d in range(4))
+    pred = sum(a[d] * stack.gram(d) @ c for d in range(4))
+    quad = sum(a[d] * c @ stack.gram(d) @ c for d in range(4))
     expect_l1 = np.sum((y - pred) ** 2) + lam * quad + a.sum()
     expect_l12 = (
         np.sum((y - pred) ** 2)
@@ -113,14 +113,14 @@ def test_coefficients_residual_and_cg_oracle():
         y = rng.standard_normal(n)
         lam = float(rng.uniform(0.05, 2.0))
         c = solve_coefficients(stack, a, y, lam)
-        M = lam * np.eye(n) + sum(a[d] * stack.grams[d] for d in range(3))
+        M = lam * np.eye(n) + sum(a[d] * stack.gram(d) for d in range(3))
         assert np.linalg.norm(M @ c - y) <= 1e-8 * np.linalg.norm(y)
         np.testing.assert_allclose(c, cg_solve(M, y), atol=1e-9, rtol=1e-9)
 
 
 def test_non_positive_definite_system_is_rejected():
     spec = KernelSpec("linear", partition=0, norm_factor=1.0)
-    stack = GramStack(grams=[-2.0 * np.eye(3)], specs=[spec], group_index=[(0, 0)])
+    stack = GramStack.of([-2.0 * np.eye(3)], [spec], [(0, 0)])
     y = np.array([1.0, 2.0, 3.0])  # M = -2 I + I = -I
     with pytest.raises(SingularSystemError):
         solve_coefficients(stack, np.ones(1), y, 1.0)
@@ -133,9 +133,11 @@ def test_stack_products_match_tensordot():
     for l, n in [(1, 1), (1, 7), (4, 1), (6, 9), (30, 12)]:
         stack = _random_stack(rng, n, parts=l)
         a, c, lam = rng.uniform(0.0, 2.0, l), rng.standard_normal(n), 0.3
+        dense = dense_grams(stack)
+        # M is held as its lower triangle
         for got, ref in [(solver._factor_system(stack, a, lam)[0],
-                          np.tensordot(a, stack.grams, axes=1) + lam * np.eye(n)),
-                         (solver._stack_times(stack, c), np.tensordot(stack.grams, c, axes=1))]:
+                          np.tril(np.tensordot(a, dense, axes=1) + lam * np.eye(n))),
+                         (solver._stack_times(stack, c), np.tensordot(dense, c, axes=1))]:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -144,7 +146,7 @@ def test_solves_make_no_copy_of_the_gram_stack():
     # stack would cost l n^2 doubles per call
     train = _toy_train(np.random.default_rng(27), n_total=300, m=5)
     grams = build_gram_stack(train.inputs, train.partition_map)
-    l, n, _ = grams.grams.shape
+    l, n = grams.n_kernels, grams.n_train
     assert l == 30
     a, y = np.full(l, 1.0 / l), train.outputs[:, 0]
     for call in (lambda: solve_coefficients(grams, a, y, 1.0),
@@ -158,6 +160,36 @@ def test_solves_make_no_copy_of_the_gram_stack():
             tracemalloc.stop()
         # M and its factor, or the cold start's Kbar and its work matrix
         assert peak < 2.5 * n * n * 8
+
+
+def test_solves_reject_a_target_of_another_length_or_a_non_finite_one():
+    stack = _random_stack(np.random.default_rng(28), 5)
+    a = np.ones(3)
+    for y, error in [(np.ones(4), DimensionMismatchError), (np.ones(6), DimensionMismatchError),
+                     (np.array([1.0, np.nan, 0.0, 0.0, 0.0]), BadDataError),
+                     (np.array([1.0, 0.0, -np.inf, 0.0, 0.0]), BadDataError)]:
+        with pytest.raises(error):
+            solve_coefficients(stack, a, y, 1.0)
+        with pytest.raises(error):
+            solve_task_l12(stack, stack.group_index, y, 1.0)
+        with pytest.raises(error):
+            solve_task_l12(stack, stack.group_index, y, 1.0, warm=a)
+
+
+def test_nvarl12_fit_matches_the_dense_stack_oracle():
+    # the packed stack changes only how each Newton step reads the Grams:
+    # the same steps, to rounding
+    series = generate_synthetic(SyntheticSpec(length=260, seed=20))
+    _, train, _ = split_experiment_data(series, train=200, holdout=60, lag=3)
+    model = fit("nvarl12", train, 300.0)
+    A, C, iterations = dense_l12_fit(train, 300.0, SolverOptions())
+    grams = build_gram_stack(train.inputs, train.partition_map)
+    tasks = [solve_task_l12(grams, grams.group_index, y, 300.0) for y in train.outputs.T]
+    assert [len(task.objective_trace) for task in tasks] == iterations
+    assert all(task.converged for task in tasks)
+    assert (A > 0.0).any() and (A == 0.0).any()
+    for got, ref in [(model.A, A), (model.C, C)]:
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("method", ["nvarl1", "nvar"])
@@ -179,7 +211,8 @@ def test_l1_fit_never_holds_the_whole_gram_stack():
     series = generate_synthetic(SyntheticSpec(length=400, seed=20))
     _, train, _ = split_experiment_data(series, train=300, holdout=100, lag=5)
     grams = build_gram_stack(train.inputs, train.partition_map)
-    bound = grams.grams.nbytes + train.n_pairs * sum(build_feature_stack(grams).ranks) * 8
+    bound = (grams.n_kernels * grams.n_train**2 * 8  # the dense (l, n, n) stack
+             + train.n_pairs * sum(build_feature_stack(grams).ranks) * 8)
     del grams
     tracemalloc.start()
     try:
@@ -224,7 +257,7 @@ def test_l1_closed_form_weights_and_representer():
         for d, z in enumerate(task.z_blocks):
             assert abs(task.a[d] - np.sqrt(lam) * np.linalg.norm(z)) <= 1e-10
         feat_pred = sum(phi @ z for phi, z in zip(feats.features, task.z_blocks))
-        kern_pred = sum(task.a[d] * stack.grams[d] @ task.c for d in range(3))
+        kern_pred = sum(task.a[d] * stack.gram(d) @ task.c for d in range(3))
         assert np.linalg.norm(feat_pred - kern_pred) <= 1e-6 * np.linalg.norm(y)
 
 
@@ -299,7 +332,7 @@ def test_l1_objective_matches_restart_oracle():
     feats = build_feature_stack(stack)
     y = rng.standard_normal(n)
     task = solve_task_l1(feats, stack, y, lam, opts=TIGHT)
-    ref = alternating_l1_oracle(stack.grams, y, lam)
+    ref = alternating_l1_oracle(dense_grams(stack), y, lam)
     assert task.objective == pytest.approx(ref, rel=1e-5)
 
 
@@ -340,7 +373,7 @@ def _l12_instances(seed, count=30):
 def _l12_gap(stack, a, c, lam):
     """Group stationarity gap of an l1/l2 task at (a, c), from the Grams alone:
     |q_d - a_d/||a_g||| on a group with a_g != 0, (||q_g|| - 1)+ on a zero one."""
-    q = np.array([lam * c @ K @ c for K in stack.grams])
+    q = np.array([lam * c @ K @ c for K in dense_grams(stack)])
     gap = 0.0
     for g in {j for j, _ in stack.group_index}:
         rows = [d for d, (j, _) in enumerate(stack.group_index) if j == g]
@@ -427,7 +460,7 @@ def test_l12_cold_start_is_the_best_point_on_the_uniform_ray(monkeypatch):
         groups = [[d for d, (j, _) in enumerate(stack.group_index) if j == g]
                   for g in sorted({j for j, _ in stack.group_index})]
         P = sum(np.sqrt(len(rows)) / l for rows in groups)
-        Kbar = stack.grams.mean(axis=0)
+        Kbar = dense_grams(stack).mean(axis=0)
         mu, Q = np.linalg.eigh(Kbar)
         s = np.concatenate([[0.0], np.logspace(-4, 5, 2000)])
         phi = lam * ((Q.T @ y) ** 2 / (np.outer(s, mu) + lam)).sum(axis=1) + s * P
@@ -448,7 +481,7 @@ def _assert_unconverged_stop(stack, y, lam, task, opts):
     trace = np.array(task.objective_trace)
     assert np.all(trace[1:] <= trace[:-1] + 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
     assert task.a.min() >= 0.0
-    M = np.tensordot(task.a, stack.grams, axes=1) + lam * np.eye(len(y))
+    M = np.tensordot(task.a, dense_grams(stack), axes=1) + lam * np.eye(len(y))
     np.testing.assert_allclose(M @ task.c, y, rtol=0.0, atol=1e-10 * np.linalg.norm(y))
 
 
@@ -620,7 +653,7 @@ def test_predict_on_training_inputs_matches_fitted_values():
     expected = np.zeros_like(preds)
     for s in range(3):
         for d in range(grams.n_kernels):
-            expected[:, s] += model.A[d, s] * (grams.grams[d] @ model.C[:, s])
+            expected[:, s] += model.A[d, s] * (grams.gram(d) @ model.C[:, s])
     np.testing.assert_allclose(preds, expected, atol=1e-10)
 
 
