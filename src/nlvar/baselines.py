@@ -23,30 +23,31 @@ from .solver import AdjacencyMatrix, normalize_adjacency
 BASELINE_METHODS = ("mean", "lar", "lvarl2", "lvarl1")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BaselineFit:
     """A fitted baseline; all methods but mean must carry a dense (m*p x m)
     coefficient matrix (rows ordered like the embedded input columns),
     checked on construction as a ModelFit is, for the m series of coef or
-    else of the norm stats (a mean model may have neither)."""
+    else of the norm stats (a mean model may have neither), and frozen like a
+    ModelFit: coef is a read-only copy."""
 
     method: str
     lag: int
     coef: np.ndarray | None = None
     norm_stats: NormStats | None = None
     lam: float | None = None
-    names: list[str] | None = None
+    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         m = None if self.norm_stats is None else self.norm_stats.mean.shape[0]
         if self.coef is not None or self.method != "mean":
-            self.coef = finite_array(self.coef, 2, "coef")
+            object.__setattr__(self, "coef", finite_array(self.coef, 2, "coef"))
             m = self.coef.shape[1]
         if self.lam is not None:
-            self.lam = real_number(self.lam, "lambda")
+            object.__setattr__(self, "lam", real_number(self.lam, "lambda"))
             if self.lam < 0.0:
                 raise ConfigError(f"lambda {self.lam:g} is not >= 0")
-        self.lag, self.names = model_series(self.lag, self.names, self.norm_stats, m)
+        model_series(self, m)
         if self.coef is not None and self.coef.shape[0] != m * self.lag:
             raise ConfigError(f"coef is {self.coef.shape}, expected {(m * self.lag, m)}")
 

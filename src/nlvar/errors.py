@@ -92,15 +92,17 @@ def real_number(value, what: str) -> float:
 
 
 def finite_array(doc, ndim: int, what: str) -> np.ndarray:
-    """A finite ndim-d (1 or 2) float array; a wrong shape, a non-finite
-    entry or a boolean entry raises ConfigError instead of being converted.
-    A float array comes back as itself."""
-    arr = np.asarray(doc, dtype=float)
+    """A finite ndim-d (1 or 2) float array, as the read-only copy a frozen
+    type holds (the caller's own array stays writable); a wrong shape, a
+    non-finite entry or a boolean entry raises ConfigError instead of being
+    converted."""
+    arr = np.array(doc, dtype=float)
     if not (arr.ndim == ndim and np.all(np.isfinite(arr))):
         raise ConfigError(f"{what} must be a finite {ndim}-d array")
     # the float conversion reads a JSON true as 1.0: one pass over the types
-    # of a JSON value's entries (a float array holds no bool)
+    # of a JSON value's entries (an array holds no bool)
     entries = doc if ndim == 1 else itertools.chain.from_iterable(doc)
-    if arr is not doc and bool in map(type, entries):
+    if not isinstance(doc, np.ndarray) and bool in map(type, entries):
         raise ConfigError(f"{what} must hold numbers, not booleans")
+    arr.flags.writeable = False
     return arr

@@ -186,7 +186,7 @@ def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
             warm = [task.a for task in tasks]
             A, C = np.column_stack(warm), np.column_stack([task.c for task in tasks])
         else:
-            kappa = 2.0 * math.sqrt(lam)
+            kappa = solver.l1_penalty(lam)
             warm = [_solve_stacked(design.B, design.starts, design.sizes, Y[:, s], kappa,
                                    options, design.majorizer, warm[s])[0] for s in range(m)]
             A, C = solver.l1_solution(design, np.column_stack(warm), Y, lam)

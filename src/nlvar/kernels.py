@@ -17,7 +17,7 @@ shares a kernel layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -47,7 +47,7 @@ DEFAULT_DICTIONARY = (
 RANK_TOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelSpec:
     """One dictionary entry bound to an input partition.
 
@@ -55,9 +55,10 @@ class KernelSpec:
     inhomogeneous (1 + <u,v>)^degree) or 'gaussian' (param = width w, with w
     and w^2 positive floats, exp(-||u-v||^2/(2 w^2))).
     partition is the source-series index, or None for the full input vector.
-    norm_factor, the training Gram's scale to trace n, is stored by
-    build_gram_stack and rescales every cross-Gram block. A wrongly typed
-    value raises ConfigError.
+    norm_factor, the training Gram's scale to trace n, is given to the spec
+    build_gram_stack makes with that Gram and rescales every cross-Gram
+    block. A wrongly typed value raises ConfigError. A spec is frozen:
+    dataclasses.replace makes a changed copy, checked again.
     """
 
     kind: str
@@ -70,19 +71,20 @@ class KernelSpec:
             if self.param is not None:
                 raise ConfigError(f"a linear kernel takes no parameter, got {self.param!r}")
         elif self.kind in ("polynomial", "gaussian"):
-            self.param = real_number(self.param, "kernel parameter")
+            object.__setattr__(self, "param", real_number(self.param, "kernel parameter"))
             if self.kind == "polynomial":
                 if int(self.param) != self.param or self.param < 2:
                     raise ConfigError(f"polynomial degree {self.param} is not an integer >= 2")
-                self.param = int(self.param)
+                object.__setattr__(self, "param", int(self.param))
             elif not (self.param > 0.0 and 0.0 < self.param * self.param < math.inf):
                 raise ConfigError(f"gaussian width {self.param}: it and its square must be > 0")
         else:
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
         if self.partition is not None:
-            self.partition = whole_number(self.partition, "kernel partition")
+            object.__setattr__(self, "partition", whole_number(self.partition, "kernel partition"))
         if self.norm_factor is not None:
-            self.norm_factor = real_number(self.norm_factor, "kernel norm_factor")
+            object.__setattr__(self, "norm_factor",
+                               real_number(self.norm_factor, "kernel norm_factor"))
             if not self.norm_factor > 0:
                 raise ConfigError(f"{self.label()}: norm_factor {self.norm_factor} is not > 0")
 
@@ -104,7 +106,7 @@ class GramStack:
     group_index[d] is kernel d's (group, position) pair, a partition's
     kernels forming one contiguous group (sizes: group_sizes). build_gram_stack
     writes each kernel's packed row from its partition's shared products and
-    rescales it there, storing each spec's norm_factor.
+    rescales it there, making each spec with its norm_factor.
     """
 
     packed: np.ndarray
@@ -158,8 +160,7 @@ class FeatureStack:
 @dataclass(frozen=True)
 class TrainingRows:
     """Training rows of P input partitions, prepared for cross-Gram blocks:
-    rows (P, n, p) and their half squared norms -||x||^2 / 2, (P, n).
-    Indexing with a slice or a list of partitions selects those partitions."""
+    rows (P, n, p) and their half squared norms -||x||^2 / 2, (P, n)."""
 
     rows: np.ndarray
     half_sq: np.ndarray
@@ -168,9 +169,6 @@ class TrainingRows:
     def of(cls, rows: np.ndarray) -> TrainingRows:
         """Prepare the (P, n, p) float rows of P partitions."""
         return cls(rows, -0.5 * np.sum(rows * rows, axis=-1))
-
-    def __getitem__(self, partitions) -> TrainingRows:
-        return TrainingRows(self.rows[partitions], self.half_sq[partitions])
 
 
 def make_specs(partitions, dictionary=DEFAULT_DICTIONARY) -> list[KernelSpec]:
@@ -358,8 +356,8 @@ def empirical_features(K: np.ndarray) -> np.ndarray:
 def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTIONARY,
                      partitions=None) -> GramStack:
     """Normalized Gram matrices for every dictionary kernel on every partition,
-    rescaled to trace n, as one packed GramStack; stores the factors on the
-    specs.
+    rescaled to trace n, as one packed GramStack whose specs are made with
+    their factors.
 
     Each partition's dense <u,v> and, when a Gaussian is among its kernels,
     -||u-v||^2 / 2 are made once and packed (lapack.dtrttp); every kernel of
@@ -373,11 +371,10 @@ def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTI
         partitions = list(range(len(partition_map)))
     specs = make_specs(partitions, dictionary)
     n = inputs.shape[0]
-    stack = GramStack(packed=np.empty((len(specs), n * (n + 1) // 2)), specs=specs,
-                      group_index=group_index_of(specs))
+    packed, group_index = np.empty((len(specs), n * (n + 1) // 2)), group_index_of(specs)
     j = np.arange(n)
     diagonal = j * n - j * (j - 1) // 2  # packed index of entry (j, j)
-    bounds = np.cumsum([0, *group_sizes(stack.group_index)])
+    bounds = np.cumsum([0, *group_sizes(group_index)])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         X, _ = _row_sets(inputs[:, partition_columns(specs[lo], partition_map)], None)
         G = np.empty((n, n))
@@ -390,14 +387,14 @@ def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTI
             # views, pack without a copy
             G, half_sq = [None if P is None else lapack.dtrttp(P.T, uplo="L")[0]
                           for P in (G, half_sq)]
-            _kernel_values(specs[lo:hi], list(stack.packed[lo:hi]), G, half_sq)
-        for spec, K in zip(specs[lo:hi], stack.packed[lo:hi]):
-            tr = float(K[diagonal].sum())
+            _kernel_values(specs[lo:hi], list(packed[lo:hi]), G, half_sq)
+        for d in range(lo, hi):
+            tr = float(packed[d, diagonal].sum())
             if not (np.isfinite(tr) and tr >= 1e-12):  # inf: the kernel overflowed
-                raise DegenerateKernelError(f"{spec.label()}: Gram trace {tr:.3e}")
-            spec.norm_factor = n / tr
-            K *= spec.norm_factor
-    return stack
+                raise DegenerateKernelError(f"{specs[d].label()}: Gram trace {tr:.3e}")
+            specs[d] = replace(specs[d], norm_factor=n / tr)
+            packed[d] *= specs[d].norm_factor
+    return GramStack(packed=packed, specs=specs, group_index=group_index)
 
 
 def build_feature_stack(stack: GramStack) -> FeatureStack:

@@ -49,16 +49,17 @@ class MultivariateSeries:
         return self.values.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NormStats:
-    """Per-series location/scale computed on a training window (finite, 1-d)."""
+    """Per-series location/scale computed on a training window (finite, 1-d),
+    frozen with read-only copies of its arrays like the model that holds it."""
 
     mean: np.ndarray
     std: np.ndarray
 
     def __post_init__(self):
-        self.mean = finite_array(self.mean, 1, "norm_stats mean")
-        self.std = finite_array(self.std, 1, "norm_stats std")
+        object.__setattr__(self, "mean", finite_array(self.mean, 1, "norm_stats mean"))
+        object.__setattr__(self, "std", finite_array(self.std, 1, "norm_stats std"))
         if self.mean.shape != self.std.shape:
             raise DimensionMismatchError("mean and std must be equally long")
         if np.any(self.std <= 0):
@@ -69,18 +70,20 @@ def _strings(names) -> bool:
     return isinstance(names, (list, tuple)) and all(isinstance(name, str) for name in names)
 
 
-def model_series(lag, names, norm_stats: NormStats | None, m: int | None):
-    """A fitted model's (lag, names), read with its norm stats for its m
-    series (None: not counted): a lag >= 1, names None or m strings, and norm
-    stats None or of m series. A value that breaks this raises ConfigError."""
-    lag = whole_number(lag, "model lag")
+def model_series(model, m: int | None) -> None:
+    """Check a fitted model's lag, names and norm stats for its m series
+    (None: not counted), and set its lag and names as read: a lag >= 1, names
+    None or a tuple of m strings, and norm stats None or of m series. A value
+    that breaks this raises ConfigError."""
+    lag, names, stats = whole_number(model.lag, "model lag"), model.names, model.norm_stats
     if lag < 1:
         raise ConfigError(f"model lag must be at least 1, got {lag}")
     if names is not None and not (_strings(names) and m in (None, len(names))):
         raise ConfigError("model names must be null or a list of strings, one per series")
-    if norm_stats is not None and m not in (None, norm_stats.mean.shape[0]):
-        raise ConfigError(f"model norm_stats cover {norm_stats.mean.shape[0]} series, not {m}")
-    return lag, None if names is None else list(names)
+    if stats is not None and m not in (None, stats.mean.shape[0]):
+        raise ConfigError(f"model norm_stats cover {stats.mean.shape[0]} series, not {m}")
+    object.__setattr__(model, "lag", lag)
+    object.__setattr__(model, "names", None if names is None else tuple(names))
 
 
 @dataclass

@@ -80,7 +80,30 @@ class TaskSolution:
         return self.objective_trace[-1]
 
 
-@dataclass
+def _serving_plan(A, specs, X, columns) -> tuple:
+    """(grid, weights, rows, columns) of each (kind, param) layout that the
+    active kernels of P slots (rows of `columns`) share: each slot's k specs,
+    their (k, P, m) rows of A, the slots' TrainingRows and (P, p) columns."""
+    # grouped by slot, not by group_sizes: a model document may list a
+    # partition's kernels apart
+    kernels_of: dict = {}
+    for d in np.flatnonzero(A.any(axis=1)).tolist():
+        kernels_of.setdefault(specs[d].partition or 0, []).append(d)
+    layouts: dict = {}
+    for slot, kernels in kernels_of.items():
+        layouts.setdefault(tuple((specs[d].kind, specs[d].param) for d in kernels), []).append(slot)
+    plan = []
+    for slots in layouts.values():
+        kernels = [kernels_of[slot] for slot in slots]
+        weights, cols = A[np.transpose(kernels)], columns[slots]
+        train = TrainingRows.of(np.stack([X[:, c] for c in cols]))
+        for arr in (weights, cols, train.rows, train.half_sq):
+            arr.flags.writeable = False
+        plan.append((tuple(tuple(specs[d] for d in k) for k in kernels), weights, train, cols))
+    return tuple(plan)
+
+
+@dataclass(frozen=True, eq=False)
 class ModelFit:
     """A fitted forecaster: weight matrix A (l x m), coefficients C (n x m),
     the kernel specs with their training normalization, and everything needed
@@ -88,36 +111,36 @@ class ModelFit:
 
     Loaded, fitted or built by hand, a model is read and checked on
     construction (the lag, names and norm stats by series.model_series); a
-    value or shape the forecasts cannot use raises ConfigError.
+    value or shape the forecasts cannot use raises ConfigError. A model is a
+    frozen value: its arrays are read-only copies, specs and names tuples,
+    and dataclasses.replace makes a changed copy, checked again.
 
-    training_inputs is held as a read-only copy, and what cross-Gram blocks
-    need of it alone is prepared once on construction: serving_rows, the
-    training rows of each input slot with their half squared norms, one slot
-    per input series or one of the full row when no spec has a partition
-    (specs may not mix the two), and serving_columns, each slot's columns.
-    A, C and the specs' norm factors are read afresh by every predict call.
+    With its inputs fixed, construction also builds the plan predict serves
+    from (_serving_plan), over one input slot per series, or one of the
+    full row when no spec has a partition (specs may not mix the two).
     """
 
     method: str
     A: np.ndarray
     C: np.ndarray
-    specs: list[KernelSpec]
-    group_index: list[tuple[int, int]]
+    specs: tuple[KernelSpec, ...]
+    group_index: tuple[tuple[int, int], ...]
     training_inputs: np.ndarray
     norm_stats: NormStats | None
     lag: int
     lam: np.ndarray
-    names: list[str] | None = None
-    serving_rows: TrainingRows = field(init=False, repr=False, compare=False)
-    serving_columns: np.ndarray = field(init=False, repr=False, compare=False)
+    names: tuple[str, ...] | None = None
+    plan: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.A = finite_array(self.A, 2, "weights A")
+        for name, ndim, what in (("A", 2, "weights A"), ("C", 2, "coefficients C"),
+                                 ("lam", 1, "lambda"), ("training_inputs", 2, "training_inputs")):
+            object.__setattr__(self, name, finite_array(getattr(self, name), ndim, what))
         l, m = self.A.shape
-        self.lag, self.names = model_series(self.lag, self.names, self.norm_stats, m)
-        X = np.array(finite_array(self.training_inputs, 2, "training_inputs"))
-        self.C = finite_array(self.C, 2, "coefficients C")
-        self.lam = finite_array(self.lam, 1, "lambda")
+        model_series(self, m)
+        object.__setattr__(self, "specs", tuple(self.specs))
+        object.__setattr__(self, "group_index", tuple(self.group_index))
+        X = self.training_inputs
         if l != len(self.specs):
             raise ConfigError(f"weights A have {l} rows for {len(self.specs)} kernel specs")
         if self.C.shape != (X.shape[0], m):
@@ -138,10 +161,8 @@ class ModelFit:
         full = [spec.partition is None for spec in self.specs]
         if any(full) and not all(full):
             raise ConfigError("kernel specs mix full-input and partitioned kernels")
-        X.flags.writeable = False
-        self.training_inputs = X
-        self.serving_columns = np.arange(X.shape[1]).reshape(1 if any(full) else m, -1)
-        self.serving_rows = TrainingRows.of(np.stack([X[:, cols] for cols in self.serving_columns]))
+        columns = np.arange(X.shape[1]).reshape(1 if any(full) else m, -1)
+        object.__setattr__(self, "plan", _serving_plan(self.A, self.specs, X, columns))
 
     @property
     def n_outputs(self) -> int:
@@ -223,12 +244,22 @@ def solve_coefficients(grams: GramStack, a, y, lam: float) -> np.ndarray:
     return c
 
 
+def l1_penalty(lam: float) -> float:
+    """kappa = 2 sqrt(lam), the group-lasso penalty of an l1-route task at
+    lam, in final fits and along the CV path alike; a lam that is not > 0
+    raises ConfigError."""
+    if not lam > 0.0:
+        raise ConfigError(f"lam must be positive, got {lam}")
+    return 2.0 * math.sqrt(lam)
+
+
 def l1_solution(problem: GroupedProblem, W, Y, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """(A, C) of the l1 route from group-lasso weights W on `problem`'s
-    design: kernel weights a_d = sqrt(lam) * ||w_d||_2 and coefficients
-    c = (y - B w) / lam, the residual over lam. W and Y hold one task's
-    vectors, or one column per task."""
-    A = math.sqrt(lam) * np.sqrt(np.add.reduceat(W * W, problem.starts, axis=0))
+    design: kernel weights a_d = kappa / 2 * ||w_d||_2 = sqrt(lam) * ||w_d||_2
+    (kappa = l1_penalty(lam)) and coefficients c = (y - B w) / lam, the
+    residual over lam. W and Y hold one task's vectors, or one column per
+    task."""
+    A = 0.5 * l1_penalty(lam) * np.sqrt(np.add.reduceat(W * W, problem.starts, axis=0))
     return A, (Y - problem.B @ W) / lam
 
 
@@ -237,7 +268,7 @@ def solve_task_l1(features: FeatureStack, grams: GramStack, y, lam: float,
     """One output task under the entrywise-l1 weight penalty.
 
     The task is solved globally as a group lasso over the empirical features
-    with penalty 2*sqrt(lam); the kernel weights follow in closed form as
+    with penalty l1_penalty(lam); the kernel weights follow in closed form as
     a_d = sqrt(lam) * ||z_d||_2, and c = (y - sum_d Phi_d z_d) / lam, the
     residual over lam, solves (sum_d a_d K^d + lam I) c = y at the optimum.
     """
@@ -251,9 +282,7 @@ def solve_task_l1(features: FeatureStack, grams: GramStack, y, lam: float,
 
 def _solve_l1(design: GroupedProblem, y, lam: float, warm, opts: SolverOptions) -> TaskSolution:
     """One l1-route task on the stacked design of its kernels' features."""
-    if lam <= 0.0:
-        raise ConfigError(f"lam must be positive, got {lam}")
-    problem = design.with_target(y, 2.0 * math.sqrt(lam))
+    problem = design.with_target(y, l1_penalty(lam))
     sol = solve_group_lasso(problem, warm_start=warm, opts=opts)
     a, c = l1_solution(problem, np.concatenate(sol.weights), y, lam)
     return TaskSolution(a=a, c=c, z_blocks=sol.weights, converged=sol.converged,
@@ -473,37 +502,24 @@ def predict(fit_result: ModelFit, new_inputs) -> np.ndarray:
     a non-finite input, or finite inputs that overflow to a non-finite
     forecast, raise BadDataError.
 
-    The model's serving slots whose kernels of nonzero weight share one
-    (kind, param) layout are served together from its serving rows: P such
-    slots make one cross_gram call per block of max(1, _PREDICT_BLOCK_ROWS
-    // P) rows, and expand contracts the blocks with C and the kernel
-    weights. A one-row call whose slots share one layout is one call.
+    Each layout of the model's plan serves its P slots together: one
+    cross_gram call per block of max(1, _PREDICT_BLOCK_ROWS // P) rows, and
+    expand contracts the blocks with C and the layout's weights. A one-row
+    call whose slots share one layout is one call. Nothing is grouped or
+    gathered per call: the plan is built with the model.
     """
     X, width = input_rows(new_inputs), fit_result.training_inputs.shape[1]
     if X.shape[1] != width:
         raise DimensionMismatchError(f"inputs have {X.shape[1]} columns, model expects {width}")
-    A, C, specs = fit_result.A, fit_result.C, fit_result.specs
-    # grouped by slot, not by group_sizes: a model document may list a
-    # partition's kernels apart
-    kernels_of: dict = {}
-    for d in np.flatnonzero(A.any(axis=1)).tolist():
-        kernels_of.setdefault(specs[d].partition or 0, []).append(d)
-    layouts: dict = {}
-    for slot, kernels in kernels_of.items():
-        layouts.setdefault(tuple((specs[d].kind, specs[d].param) for d in kernels), []).append(slot)
 
     def serve():
-        preds = np.zeros((X.shape[0], C.shape[1]))
-        for slots in layouts.values():
-            kernels = [kernels_of[slot] for slot in slots]
-            lo, P = slots[0], len(slots)
-            run = slots == list(range(lo, lo + P))  # a slice is a view
-            grid, weights = [[specs[d] for d in k] for k in kernels], A[np.transpose(kernels)]
-            train = fit_result.serving_rows[slice(lo, lo + P) if run else slots]
-            cols, step = fit_result.serving_columns[slots], max(1, _PREDICT_BLOCK_ROWS // P)
+        preds = np.zeros((X.shape[0], fit_result.n_outputs))
+        for grid, weights, train, cols in fit_result.plan:
+            step = max(1, _PREDICT_BLOCK_ROWS // len(grid))
             for start in range(0, X.shape[0], step):
                 rows = X[start:start + step, cols].swapaxes(0, 1)
-                preds[start:start + step] += expand(cross_gram(grid, train, rows), weights, C)
+                preds[start:start + step] += expand(cross_gram(grid, train, rows), weights,
+                                                    fit_result.C)
         return preds
 
     return finite_forecasts(serve)

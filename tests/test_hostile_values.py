@@ -1,10 +1,11 @@
 """Both JSON readers, the config reader and the model reader, meet a hostile
 value at every position of a valid document: each reading returns, or raises
 an NlvarError, with numpy's warnings turned into errors. Never another
-exception, and never a warning. A model document that loads also serves
-three rows of its width under the same rule."""
+exception, and never a warning. A model document that loads yields a
+frozen model, and serves three rows of its width under the same rule."""
 
 import copy
+import dataclasses
 import warnings
 
 import numpy as np
@@ -41,9 +42,25 @@ def _model_docs() -> list[dict]:
     return [model_to_dict(model) for model in models]
 
 
+def _assert_frozen(model):
+    """A loaded model, its norm stats and its kernel specs take no field
+    assignment, and none of their arrays can be written."""
+    for value in filter(None, (model, model.norm_stats, *getattr(model, "specs", ()))):
+        for f in dataclasses.fields(value):
+            held = getattr(value, f.name)
+            assert not (isinstance(held, np.ndarray) and held.flags.writeable), f.name
+            try:
+                setattr(value, f.name, held)
+            except dataclasses.FrozenInstanceError:
+                continue
+            raise AssertionError(f"{type(value).__name__}.{f.name} takes an assignment")
+
+
 def _load_and_serve(doc):
     rows = np.random.default_rng(1).standard_normal((3, 4))  # 2 series, lag 2
-    return predict_model(model_from_dict(doc), rows)
+    model = model_from_dict(doc)
+    _assert_frozen(model)
+    return predict_model(model, rows)
 
 
 def _positions(node, path=()):

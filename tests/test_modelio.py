@@ -7,7 +7,7 @@ import pytest
 
 import nlvar
 from nlvar.baselines import BaselineFit, fit_baseline, predict_baseline
-from nlvar.errors import BadDataError, ConfigError
+from nlvar.errors import BadDataError, ConfigError, ConstantSeriesError
 from nlvar.modelio import (
     load_model,
     model_adjacency,
@@ -16,7 +16,8 @@ from nlvar.modelio import (
     predict_model,
     save_model,
 )
-from nlvar.series import MultivariateSeries, lag_embed, standardize_apply, standardize_fit
+from nlvar.series import (MultivariateSeries, NormStats, lag_embed, standardize_apply,
+                          standardize_fit)
 from nlvar.solver import ModelFit, fit, predict
 
 
@@ -37,7 +38,7 @@ def test_kernel_model_round_trip(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.method == "nvarl1"
-    assert loaded.names == ["s0", "s1"]
+    assert loaded.names == ("s0", "s1")
     assert np.array_equal(loaded.A, model.A)
     assert np.array_equal(loaded.C, model.C)
     assert np.array_equal(loaded.training_inputs, model.training_inputs)
@@ -274,7 +275,7 @@ def test_models_built_in_code_check_their_shapes_on_construction():
                             ({"lam": np.array([1.0, 0.0])}, "not > 0")):
         with pytest.raises(ConfigError, match=message):
             ModelFit(**{**model, **change})
-    assert ModelFit(**model).names == ["s0", "s1"]
+    assert ModelFit(**model).names == ("s0", "s1")
     baseline = _fields(fit_baseline("lvarl2", train, 1.0, norm_stats=stats))
     for change, message in (({"coef": baseline["coef"][:-1]}, "coef is"),
                             ({"lam": True}, "lambda must be a finite number"),
@@ -285,6 +286,79 @@ def test_models_built_in_code_check_their_shapes_on_construction():
     with pytest.raises(ConfigError, match="norm_stats cover 2 series"):
         BaselineFit(method="lvarl2", lag=1, coef=np.zeros((3, 3)), norm_stats=stats)
     BaselineFit(method="mean", lag=3, names=["any", "number", "of", "names"])
+
+
+def _fitted_and_loaded(tmp_path):
+    """An nvarl1 and an lvarl1 model, each fitted and loaded back."""
+    stats, train = _fixture(np.random.default_rng(10))
+    models = [fit("nvarl1", train, 1.0, norm_stats=stats, names=["s0", "s1"]),
+              fit_baseline("lvarl1", train, 1.0, norm_stats=stats, names=["s0", "s1"])]
+    for model in list(models):
+        save_model(model, tmp_path / "model.json")
+        models.append(load_model(tmp_path / "model.json"))
+    return models
+
+
+def test_fitted_and_loaded_models_reject_in_place_writes(tmp_path):
+    # a weight written in place served, then saved a document that its own
+    # loader rejected; every array of a model is read-only
+    for model in _fitted_and_loaded(tmp_path):
+        arrays = [model.norm_stats.mean, model.norm_stats.std]
+        if isinstance(model, ModelFit):
+            arrays += [model.A, model.C, model.lam, model.training_inputs]
+        else:
+            arrays.append(model.coef)
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = -1.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2.0
+
+
+def test_model_types_reject_field_assignment(tmp_path):
+    kernel, baseline, *_ = _fitted_and_loaded(tmp_path)
+    for value in (kernel, baseline, kernel.specs[1], kernel.norm_stats):
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+
+
+def test_a_change_is_a_copy_checked_again(tmp_path):
+    # the two ways past the gate at construction, a negative weight written
+    # in place and a norm factor assigned to a spec, are closed: a changed
+    # copy is the only change, and it is checked again
+    kernel, baseline, *_ = _fitted_and_loaded(tmp_path)
+    with pytest.raises(ValueError, match="read-only"):
+        kernel.A[0, 0] = -1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kernel.specs[1].norm_factor = -3.0
+    A = kernel.A.copy()
+    A[0, 0] = -1.0
+    with pytest.raises(ConfigError, match="negative entry"):
+        dataclasses.replace(kernel, A=A)
+    for factor in (-3.0, 0.0):
+        with pytest.raises(ConfigError, match="norm_factor"):
+            dataclasses.replace(kernel.specs[1], norm_factor=factor)
+    with pytest.raises(ConfigError, match="lambda"):
+        dataclasses.replace(baseline, lam=-1.0)
+    with pytest.raises(ConstantSeriesError):
+        dataclasses.replace(kernel.norm_stats, std=np.zeros(2))
+
+
+def test_the_callers_arrays_stay_writable():
+    stats, train = _fixture(np.random.default_rng(11))
+    fitted = _fields(fit("nvarl1", train, 1.0, norm_stats=stats))
+    given = {name: np.array(fitted[name]) for name in ("A", "C", "lam", "training_inputs")}
+    model = ModelFit(**{**fitted, **given})
+    coef = np.array(fit_baseline("lvarl2", train, 1.0).coef)
+    baseline = BaselineFit(method="lvarl2", lag=train.lag, coef=coef)
+    mean, std = np.array(stats.mean), np.array(stats.std)
+    held = NormStats(mean=mean, std=std)
+    for arr, copy in [*((given[name], getattr(model, name)) for name in given),
+                      (coef, baseline.coef), (mean, held.mean), (std, held.std)]:
+        assert arr.flags.writeable and not copy.flags.writeable
+        arr *= 2.0
+        assert not np.shares_memory(arr, copy) and np.array_equal(arr, 2.0 * copy)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -323,7 +397,8 @@ def test_each_family_predict_rejects_a_forecast_that_overflows():
     X[1, 2] = 1e120
     kernel = fit("nvarl1", train, 1.0)
     ridge = fit_baseline("lvarl2", train, 1.0)
-    ridge.coef *= 1e4  # a model document may hold any finite coefficients
+    # a model document may hold any finite coefficients
+    ridge = dataclasses.replace(ridge, coef=ridge.coef * 1e4)
     Y = X.copy()
     Y[1] = np.copysign(1e306, ridge.coef[:, 0])  # sums past the largest float
     with warnings.catch_warnings():

@@ -139,7 +139,9 @@ def test_traced_predict_serves_each_partition_through_one_solver_cross_gram(tmp_
     workloads = importlib.import_module("workloads")
     workload = dataclasses.replace(workloads.WORKLOADS["predict"], n_train=60, rows=30)
     model = load_model(workload.build(20, tmp_path)[0])
-    model.A[6:12] = 0.0  # partition 1 serves nothing
+    A = model.A.copy()
+    A[6:12] = 0.0  # partition 1 serves nothing
+    model = dataclasses.replace(model, A=A)
     rows = np.random.default_rng(3).standard_normal((2 * _PREDICT_BLOCK_ROWS + 1,
                                                      model.training_inputs.shape[1]))
     tracer = _tracing().Tracer()

@@ -677,8 +677,9 @@ def test_adjacency_zero_and_single_entry():
     adj = adjacency(model)
     np.testing.assert_array_equal(adj.values, np.zeros((3, 3)))
 
-    model.A[7, 1] = 0.42  # kernel 7 belongs to partition 1 (6 kernels per series)
-    adj = adjacency(model)
+    A = model.A.copy()
+    A[7, 1] = 0.42  # kernel 7 belongs to partition 1 (6 kernels per series)
+    adj = adjacency(dataclasses.replace(model, A=A))
     expected = np.zeros((3, 3))
     expected[1, 1] = 1.0
     np.testing.assert_array_equal(adj.values, expected)
@@ -688,11 +689,12 @@ def test_adjacency_sums_within_partitions_and_rescales():
     rng = np.random.default_rng(20)
     train = _toy_train(rng)
     model = fit("nvarl1", train, 1e9)
-    model.A[0, 0] = 1.0   # partition 0 -> output 0
-    model.A[1, 0] = 3.0   # same partition, same output
-    model.A[12, 2] = 2.0  # partition 2 -> output 2
-    model.A[13, 2] = 1e-12  # dust swallowed by the relative threshold
-    adj = adjacency(model)
+    A = model.A.copy()
+    A[0, 0] = 1.0   # partition 0 -> output 0
+    A[1, 0] = 3.0   # same partition, same output
+    A[12, 2] = 2.0  # partition 2 -> output 2
+    A[13, 2] = 1e-12  # dust swallowed by the relative threshold
+    adj = adjacency(dataclasses.replace(model, A=A))
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0
     expected[2, 2] = 0.5
@@ -734,11 +736,12 @@ def _sparse_model(method):
     when partitioned, one input partition whose kernels are all zero."""
     rng = np.random.default_rng(24)
     model = fit(method, _toy_train(rng), 0.5)
-    model.A[[0, 3]] = 0.0
+    A = model.A.copy()
+    A[[0, 3]] = 0.0
     if method != "nvar":
-        model.A[6:12] = 0.0  # partition 1
-    model.A[model.A.any(axis=1)] += 0.25  # the rest all active
-    return model
+        A[6:12] = 0.0  # partition 1
+    A[A.any(axis=1)] += 0.25  # the rest all active
+    return dataclasses.replace(model, A=A)
 
 
 @pytest.mark.parametrize("method", ["nvarl1", "nvarl12", "nvar"])
@@ -782,9 +785,9 @@ def _two_layout_model(rng):
     """nvarl1 on 5 series: partitions 0, 1 and 3 keep all six kernels, 2 and
     4 lose two of theirs."""
     model = fit("nvarl1", _toy_train(rng, m=5), 0.5)
-    model.A[:] = rng.uniform(0.5, 1.5, model.A.shape)
-    model.A[[12, 17, 24, 29]] = 0.0
-    return model
+    A = rng.uniform(0.5, 1.5, model.A.shape)
+    A[[12, 17, 24, 29]] = 0.0
+    return dataclasses.replace(model, A=A)
 
 
 @pytest.mark.parametrize("n_rows, calls", [(1, 2), (2, 2), (17, 4), (40, 7)])
@@ -820,25 +823,26 @@ def test_every_cross_gram_block_holds_at_most_the_block_rows(monkeypatch, model,
 
 
 @pytest.mark.parametrize("method", ["nvarl1", "nvar"])
-def test_predict_follows_weights_changed_in_place(method):
-    # the prepared training rows hold nothing of A, C or the norm factors
+def test_replacing_the_weights_serves_as_a_model_built_fresh(method):
+    # the serving plan is built on construction: a changed copy must serve
+    # from its own weights, bit for bit as a model built with them
     model = _sparse_model(method)
+    A2 = model.A.copy()
+    A2[slice(12, 18) if method == "nvarl1" else slice(4, 6)] = 0.0
+    A2[1] *= 3.0
+    changed = dataclasses.replace(model, A=A2)
+    fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model) if f.init}
+    fresh = solver.ModelFit(**{**fields, "A": A2})
     rows = np.random.default_rng(27).standard_normal((3, model.training_inputs.shape[1]))
-    served = []
-    for change in range(3):
-        expected = predict_per_kernel(model, rows)
-        served.append(predict(model, rows))
-        np.testing.assert_allclose(served[-1], expected, rtol=1e-12,
-                                   atol=1e-12 * np.abs(expected).max())
-        np.testing.assert_allclose(predict(model, rows[0]), expected[:1], rtol=1e-12,
-                                   atol=1e-12 * np.abs(expected[0]).max())
-        if change == 0:
-            # all of partition 2, or nvar's last two kernels, and one more weight
-            model.A[slice(12, 18) if method == "nvarl1" else slice(4, 6)] = 0.0
-            model.A[1] *= 3.0
-        else:
-            model.specs[np.flatnonzero(model.A.any(axis=1))[0]].norm_factor *= 2.0
-    assert not np.allclose(served[0], served[1]) and not np.allclose(served[1], served[2])
+    served = predict(changed, rows)
+    for one in (rows, rows[0]):
+        assert np.array_equal(predict(changed, one), predict(fresh, one))
+        assert not np.allclose(predict(changed, one), predict(model, one))
+    expected = predict_per_kernel(fresh, rows)
+    np.testing.assert_allclose(served, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    A2[:] = 0.0  # the caller's array, of which both models hold their own copy
+    assert np.array_equal(predict(changed, rows), served)
+    assert np.array_equal(predict(fresh, rows), served)
 
 
 def test_training_inputs_are_a_read_only_copy():
