@@ -68,10 +68,13 @@ def fit_baseline(method: str, train: SupervisedSet, lam: float = 0.0,
     """Fit one baseline method at a fixed regularization value.
 
     `warm` is a fit of the same method on the same rows at another value;
-    lvarl1 starts its solves from it, the closed-form methods ignore it.
+    lvarl1 starts its solves from it, the closed-form methods ignore it. For
+    every method, mean included, a lam that is not a finite number (a bool
+    or a string included) or is negative raises ConfigError.
     """
     if method not in BASELINE_METHODS:
         raise UnsupportedKindError(f"unknown baseline method {method!r}")
+    lam = real_number(lam, "lam")
     if lam < 0.0:
         raise ConfigError(f"lam must be nonnegative, got {lam}")
     X, Y = train.inputs, train.outputs

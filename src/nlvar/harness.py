@@ -203,12 +203,15 @@ def cv_select(train: SupervisedSet, method: str, grid: GridSpec = GridSpec(),
     The winner is the largest grid value whose mean validation MSE is within
     one standard error (over folds, at the minimizing value) of the minimum:
     differences below fold noise count as ties and break toward the larger
-    penalty. The fits run with `options`, the budget of a final fit.
-    Validation errors, or their noise, too large to be finite raise
-    BadDataError. Returns (lam_star, mean validation MSE per ascending value).
+    penalty. The fits run with `options`, the budget of a final fit. A
+    `folds` that is not a whole number raises ConfigError, and fewer than 2
+    FoldTooSmallError. Validation errors, or their noise, too large to be
+    finite raise BadDataError. Returns (lam_star, mean validation MSE per
+    ascending value).
     """
     if method not in ALL_METHODS:
         raise ConfigError(f"unknown method {method!r}")
+    folds = whole_number(folds, "folds")
     if folds < 2:
         raise FoldTooSmallError("need at least 2 folds")
     if method in solver.KERNEL_METHODS:  # an empty dictionary fails even on a one-point grid

@@ -17,7 +17,7 @@ shares a kernel layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -103,21 +103,22 @@ class GramStack:
     half the bytes of the dense (l, n, n) stack. gram(d) unpacks one Gram;
     GramStack.of packs dense ones.
 
-    group_index[d] is kernel d's (group, position) pair, a partition's
-    kernels forming one contiguous group (sizes: group_sizes). build_gram_stack
-    writes each kernel's packed row from its partition's shared products and
-    rescales it there, making each spec with its norm_factor.
+    group_index[d], kernel d's (group, position) pair, is derived from the
+    specs (group_index_of), a partition's kernels forming one contiguous
+    group (sizes: group_sizes). build_gram_stack writes each kernel's packed
+    row from its partition's shared products and rescales it there, making
+    each spec with its norm_factor.
     """
 
     packed: np.ndarray
     specs: list[KernelSpec]
-    group_index: list[tuple[int, int]]
 
     @classmethod
     def of(cls, grams, specs, group_index) -> GramStack:
         """Pack dense n x n Grams, of which the lower triangles are read; a
-        ragged list or a non-square Gram raises DimensionMismatchError and a
-        non-finite entry BadDataError."""
+        ragged list, a non-square Gram or a group index other than the specs'
+        own raises DimensionMismatchError and a non-finite entry
+        BadDataError."""
         try:
             grams = [np.asarray(K, dtype=float) for K in grams]
         except ValueError as exc:  # a ragged nested list, or an entry that is no number
@@ -128,7 +129,13 @@ class GramStack:
                                          "are not one stack of square matrices")
         if not all(np.isfinite(K).all() for K in grams):
             raise BadDataError("a Gram matrix holds a non-finite entry")
-        return cls(np.stack([lapack.dtrttp(K, uplo="L")[0] for K in grams]), specs, group_index)
+        if list(map(tuple, group_index)) != group_index_of(specs):
+            raise DimensionMismatchError("the group index is not the one of the specs")
+        return cls(np.stack([lapack.dtrttp(K, uplo="L")[0] for K in grams]), specs)
+
+    @property
+    def group_index(self) -> list[tuple[int, int]]:
+        return group_index_of(self.specs)
 
     @property
     def n_kernels(self) -> int:
@@ -159,16 +166,15 @@ class FeatureStack:
 
 @dataclass(frozen=True)
 class TrainingRows:
-    """Training rows of P input partitions, prepared for cross-Gram blocks:
-    rows (P, n, p) and their half squared norms -||x||^2 / 2, (P, n)."""
+    """The (P, n, p) float training rows of P input partitions, prepared for
+    cross-Gram blocks: their half squared norms -||x||^2 / 2, (P, n), are
+    derived from them on construction."""
 
     rows: np.ndarray
-    half_sq: np.ndarray
+    half_sq: np.ndarray = field(init=False, repr=False)
 
-    @classmethod
-    def of(cls, rows: np.ndarray) -> TrainingRows:
-        """Prepare the (P, n, p) float rows of P partitions."""
-        return cls(rows, -0.5 * np.sum(rows * rows, axis=-1))
+    def __post_init__(self):
+        object.__setattr__(self, "half_sq", -0.5 * np.sum(self.rows * self.rows, axis=-1))
 
 
 def make_specs(partitions, dictionary=DEFAULT_DICTIONARY) -> list[KernelSpec]:
@@ -305,7 +311,7 @@ def cross_gram(specs, train, test_rows) -> np.ndarray:
     if not isinstance(train, TrainingRows):
         X, Z = _row_sets(train, test_rows)
         one = isinstance(specs, KernelSpec)
-        blocks = cross_gram([[specs] if one else list(specs)], TrainingRows.of(X[None]), Z[None])
+        blocks = cross_gram([[specs] if one else list(specs)], TrainingRows(X[None]), Z[None])
         return blocks[0, 0] if one else blocks[:, 0]
     Z = np.asarray(test_rows, dtype=float)
     P, n, p = train.rows.shape
@@ -371,10 +377,10 @@ def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTI
         partitions = list(range(len(partition_map)))
     specs = make_specs(partitions, dictionary)
     n = inputs.shape[0]
-    packed, group_index = np.empty((len(specs), n * (n + 1) // 2)), group_index_of(specs)
+    packed = np.empty((len(specs), n * (n + 1) // 2))
     j = np.arange(n)
     diagonal = j * n - j * (j - 1) // 2  # packed index of entry (j, j)
-    bounds = np.cumsum([0, *group_sizes(group_index)])
+    bounds = np.cumsum([0, *group_sizes(group_index_of(specs))])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         X, _ = _row_sets(inputs[:, partition_columns(specs[lo], partition_map)], None)
         G = np.empty((n, n))
@@ -394,7 +400,7 @@ def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTI
                 raise DegenerateKernelError(f"{specs[d].label()}: Gram trace {tr:.3e}")
             specs[d] = replace(specs[d], norm_factor=n / tr)
             packed[d] *= specs[d].norm_factor
-    return GramStack(packed=packed, specs=specs, group_index=group_index)
+    return GramStack(packed=packed, specs=specs)
 
 
 def build_feature_stack(stack: GramStack) -> FeatureStack:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import baselines, solver
 from .errors import MALFORMED_VALUE_ERRORS, ConfigError, UnsupportedKindError
-from .kernels import KernelSpec, group_index_of
+from .kernels import KernelSpec
 from .series import NormStats
 
 FORMAT_NAME = "nlvar-model"
@@ -81,7 +81,6 @@ def _model_from_dict(doc: dict):
         specs = [KernelSpec(kind=k["kind"], param=k["param"], partition=k["partition"],
                             norm_factor=k["norm_factor"]) for k in doc["kernels"]]
         return solver.ModelFit(A=doc["weights_a"], C=doc["coefficients"], specs=specs,
-                               group_index=group_index_of(specs),
                                training_inputs=doc["training_inputs"], **fields)
     if kind in baselines.BASELINE_METHODS:
         return baselines.BaselineFit(coef=doc.get("coef"), **fields)

@@ -12,14 +12,14 @@ task; the fitted weights stack into the matrix read out as a Granger graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import (BadDataError, ConfigError, DimensionMismatchError,
                      NonFiniteObjectiveError, SingularSystemError, UnsupportedKindError,
-                     finite_array)
+                     finite_array, real_number)
 from .grouplasso import (
     GroupedProblem,
     SolverOptions,
@@ -96,7 +96,7 @@ def _serving_plan(A, specs, X, columns) -> tuple:
     for slots in layouts.values():
         kernels = [kernels_of[slot] for slot in slots]
         weights, cols = A[np.transpose(kernels)], columns[slots]
-        train = TrainingRows.of(np.stack([X[:, c] for c in cols]))
+        train = TrainingRows(np.stack([X[:, c] for c in cols]))
         for arr in (weights, cols, train.rows, train.half_sq):
             arr.flags.writeable = False
         plan.append((tuple(tuple(specs[d] for d in k) for k in kernels), weights, train, cols))
@@ -113,7 +113,9 @@ class ModelFit:
     construction (the lag, names and norm stats by series.model_series); a
     value or shape the forecasts cannot use raises ConfigError. A model is a
     frozen value: its arrays are read-only copies, specs and names tuples,
-    and dataclasses.replace makes a changed copy, checked again.
+    and dataclasses.replace makes a changed copy, checked again. Its group
+    index is the specs' own (kernels.group_index_of) and is not held: the
+    init-only keyword group_index, when given, must equal it.
 
     With its inputs fixed, construction also builds the plan predict serves
     from (_serving_plan), over one input slot per series, or one of the
@@ -124,22 +126,21 @@ class ModelFit:
     A: np.ndarray
     C: np.ndarray
     specs: tuple[KernelSpec, ...]
-    group_index: tuple[tuple[int, int], ...]
     training_inputs: np.ndarray
     norm_stats: NormStats | None
     lag: int
     lam: np.ndarray
     names: tuple[str, ...] | None = None
     plan: tuple = field(init=False, repr=False)
+    group_index: InitVar[list | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, group_index):
         for name, ndim, what in (("A", 2, "weights A"), ("C", 2, "coefficients C"),
                                  ("lam", 1, "lambda"), ("training_inputs", 2, "training_inputs")):
             object.__setattr__(self, name, finite_array(getattr(self, name), ndim, what))
         l, m = self.A.shape
         model_series(self, m)
         object.__setattr__(self, "specs", tuple(self.specs))
-        object.__setattr__(self, "group_index", tuple(self.group_index))
         X = self.training_inputs
         if l != len(self.specs):
             raise ConfigError(f"weights A have {l} rows for {len(self.specs)} kernel specs")
@@ -158,6 +159,8 @@ class ModelFit:
                 raise ConfigError(f"spec {spec.label()} has no norm_factor")
             if spec.partition is not None and not 0 <= spec.partition < m:
                 raise ConfigError(f"spec {spec.label()} names a partition outside 0..{m - 1}")
+        if group_index is not None and list(map(tuple, group_index)) != group_index_of(self.specs):
+            raise ConfigError("group_index is not the one of the kernel specs")
         full = [spec.partition is None for spec in self.specs]
         if any(full) and not all(full):
             raise ConfigError("kernel specs mix full-input and partitioned kernels")
@@ -229,14 +232,26 @@ def _target(grams: GramStack, y) -> np.ndarray:
     return y
 
 
+def _positive_lam(lam) -> float:
+    """The penalty lam of a kernel solve as a float; a lam that is not a
+    finite number (a bool or a string included) or not > 0 raises
+    ConfigError."""
+    lam = real_number(lam, "lam")
+    if not lam > 0.0:
+        raise ConfigError(f"lam must be positive, got {lam}")
+    return lam
+
+
 def solve_coefficients(grams: GramStack, a, y, lam: float) -> np.ndarray:
     """Expansion coefficients c from the positive definite system
-    (sum_d a_d K^d + lam I) c = y, by Cholesky with one refinement pass; a
-    y of another length than the stack's n raises DimensionMismatchError and
-    a non-finite y BadDataError."""
-    if lam <= 0.0:
-        raise ConfigError(f"lam must be positive, got {lam}")
+    (sum_d a_d K^d + lam I) c = y, by Cholesky with one refinement pass. A
+    lam that is not a finite number > 0 (a bool or a string included) raises
+    ConfigError, a y of another length than the stack's n
+    DimensionMismatchError, and a non-finite y or weight a BadDataError."""
+    lam = _positive_lam(lam)
     a = np.asarray(a, dtype=float).ravel()
+    if not np.isfinite(a).all():
+        raise BadDataError("the kernel weights hold a non-finite entry")
     y = _target(grams, y)
     M, factor = _factor_system(grams, a, lam)
     c = _cho_solve(factor, y)
@@ -246,11 +261,9 @@ def solve_coefficients(grams: GramStack, a, y, lam: float) -> np.ndarray:
 
 def l1_penalty(lam: float) -> float:
     """kappa = 2 sqrt(lam), the group-lasso penalty of an l1-route task at
-    lam, in final fits and along the CV path alike; a lam that is not > 0
-    raises ConfigError."""
-    if not lam > 0.0:
-        raise ConfigError(f"lam must be positive, got {lam}")
-    return 2.0 * math.sqrt(lam)
+    lam, in final fits and along the CV path alike; lam is checked as
+    solve_coefficients checks it."""
+    return 2.0 * math.sqrt(_positive_lam(lam))
 
 
 def l1_solution(problem: GroupedProblem, W, Y, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -271,8 +284,9 @@ def solve_task_l1(features: FeatureStack, grams: GramStack, y, lam: float,
     with penalty l1_penalty(lam); the kernel weights follow in closed form as
     a_d = sqrt(lam) * ||z_d||_2, and c = (y - sum_d Phi_d z_d) / lam, the
     residual over lam, solves (sum_d a_d K^d + lam I) c = y at the optimum.
+    y is checked as solve_coefficients checks it.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    y = _target(grams, y)
     if len(features.features) != grams.n_kernels:
         raise DimensionMismatchError(
             f"{len(features.features)} feature blocks for {grams.n_kernels} kernels"
@@ -392,10 +406,9 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
     uniform weights (_ray_start), which halves the Newton steps of a cold
     fit against a start at a = 1/l. With numpy's warnings off, an overflow
     ends as a non-finite objective or Hessian (NonFiniteObjectiveError). y
-    is checked as solve_coefficients checks it.
+    and lam are checked as solve_coefficients checks them.
     """
-    if lam <= 0.0:
-        raise ConfigError(f"lam must be positive, got {lam}")
+    lam = _positive_lam(lam)
     y = _target(grams, y)
     l = grams.n_kernels
     if len(group_index) != l:
@@ -479,7 +492,7 @@ def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions = 
     """
     if method not in KERNEL_METHODS:
         raise ConfigError(f"method must be one of {KERNEL_METHODS}, got {method!r}")
-    lam = float(lam)
+    lam = _positive_lam(lam)
     m = train.n_series
     if method == "nvarl12":
         grams = build_gram_stack(train.inputs, train.partition_map, dictionary)
@@ -493,8 +506,8 @@ def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions = 
 
     return ModelFit(method=method, A=np.column_stack([t.a for t in tasks]),
                     C=np.column_stack([t.c for t in tasks]), specs=specs,
-                    group_index=group_index_of(specs), training_inputs=train.inputs,
-                    norm_stats=norm_stats, lag=train.lag, lam=np.full(m, lam), names=names)
+                    training_inputs=train.inputs, norm_stats=norm_stats, lag=train.lag,
+                    lam=np.full(m, lam), names=names)
 
 
 def predict(fit_result: ModelFit, new_inputs) -> np.ndarray:

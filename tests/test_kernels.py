@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -364,7 +365,7 @@ def test_stacked_cross_gram_equals_each_partitions_blocks(n_new):
     stack = build_gram_stack(inputs, partition_map)
     parts = [0, 2, 3]
     grid = [[spec for spec in stack.specs if spec.partition == j] for j in parts]
-    train = TrainingRows.of(np.stack([inputs[:, partition_map[j]] for j in parts]))
+    train = TrainingRows(np.stack([inputs[:, partition_map[j]] for j in parts]))
     Z = np.stack([new_inputs[:, partition_map[j]] for j in parts])
     blocks = cross_gram(grid, train, Z)
     assert blocks.shape == (len(DEFAULT_DICTIONARY), len(parts), n_new, inputs.shape[0])
@@ -375,11 +376,29 @@ def test_stacked_cross_gram_equals_each_partitions_blocks(n_new):
             assert np.array_equal(blocks[i, j], alone), spec.label()
 
 
+def test_a_stacks_group_index_and_half_squared_norms_are_derived_from_their_source():
+    # a GramStack held any group index beside its specs, and TrainingRows any
+    # half squared norms beside its rows
+    specs = [KernelSpec("linear", partition=0, norm_factor=1.0),
+             KernelSpec("linear", partition=1, norm_factor=1.0)]
+    for gidx in ([(0, 0), (0, 1)], [(0, 0)], [(7, 7), (1, 0)]):
+        with pytest.raises(DimensionMismatchError, match="group index"):
+            GramStack.of([np.eye(2)] * 2, specs, gidx)
+    stack = GramStack.of([np.eye(2)] * 2, specs, [(0, 0), (1, 0)])
+    assert "group_index" not in {f.name for f in dataclasses.fields(GramStack)}
+    assert stack.group_index == group_index_of(stack.specs) == [(0, 0), (1, 0)]
+    rows = np.random.default_rng(18).standard_normal((2, 5, 3))
+    assert [f.name for f in dataclasses.fields(TrainingRows) if f.init] == ["rows"]
+    assert np.array_equal(TrainingRows(rows).half_sq, -np.sum(rows * rows, axis=-1) / 2)
+    with pytest.raises(TypeError):
+        TrainingRows(rows, np.zeros((2, 5)))
+
+
 def test_stacked_cross_gram_rejects_mixed_layouts_and_unnormalized_kernels():
     rng = np.random.default_rng(17)
     inputs, partition_map = _embedded(rng)
     stack = build_gram_stack(inputs, partition_map)
-    train = TrainingRows.of(np.stack([inputs[:, partition_map[j]] for j in (0, 1)]))
+    train = TrainingRows(np.stack([inputs[:, partition_map[j]] for j in (0, 1)]))
     Z = train.rows[:, :3]
     grid = [stack.specs[:6], stack.specs[6:12]]
     with pytest.raises(DimensionMismatchError, match="layout"):

@@ -19,6 +19,7 @@ from nlvar.kernels import (
     build_feature_stack,
     build_gram_stack,
     cross_gram,
+    group_index_of,
     partition_columns,
 )
 from nlvar.modelio import load_model, model_from_dict, model_to_dict, save_model
@@ -822,6 +823,19 @@ def test_every_cross_gram_block_holds_at_most_the_block_rows(monkeypatch, model,
     assert sum(P * r for P, r in shapes) == n_rows * len(active)
 
 
+def test_a_models_group_index_is_its_specs_own():
+    # ModelFit held any group_index it was given, unread and unchecked:
+    # [(7, 7)] was accepted and the model served
+    model = _sparse_model("nvarl1")
+    assert "group_index" not in {f.name for f in dataclasses.fields(model)}
+    for gidx in ([(7, 7)], group_index_of(model.specs)[::-1]):
+        with pytest.raises(ConfigError, match="group_index"):
+            dataclasses.replace(model, group_index=gidx)
+    same = dataclasses.replace(model, group_index=group_index_of(model.specs))
+    rows = np.random.default_rng(28).standard_normal((3, model.training_inputs.shape[1]))
+    assert np.array_equal(predict(same, rows), predict(model, rows))
+
+
 @pytest.mark.parametrize("method", ["nvarl1", "nvar"])
 def test_replacing_the_weights_serves_as_a_model_built_fresh(method):
     # the serving plan is built on construction: a changed copy must serve
@@ -889,7 +903,7 @@ def test_fit_takes_one_kernel_method_and_one_scalar_lambda():
     train = _toy_train(rng)
     with pytest.raises(ConfigError):
         fit("lvarl2", train, 1.0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ConfigError, match="lam must be a finite number"):
         fit("nvarl1", train, [1.0, 2.0, 3.0])
     model = fit("nvarl1", train, 1.0)
     assert np.array_equal(model.lam, np.full(3, 1.0))
