@@ -68,9 +68,10 @@ def fit_baseline(method: str, train: SupervisedSet, lam: float = 0.0,
     """Fit one baseline method at a fixed regularization value.
 
     `warm` is a fit of the same method on the same rows at another value;
-    lvarl1 starts its solves from it, the closed-form methods ignore it. For
-    every method, mean included, a lam that is not a finite number (a bool
-    or a string included) or is negative raises ConfigError.
+    lvarl1 starts its solves from it (another method raises ConfigError, a
+    coef shape other than (m*p, m) DimensionMismatchError), the closed-form
+    methods ignore it. For every method, mean included, a lam that is not a
+    finite number (a bool or a string included) or is negative raises ConfigError.
     """
     if method not in BASELINE_METHODS:
         raise UnsupportedKindError(f"unknown baseline method {method!r}")
@@ -90,6 +91,10 @@ def fit_baseline(method: str, train: SupervisedSet, lam: float = 0.0,
     elif method == "lvarl2":
         coef = _ridge_solve(X.T @ X, X.T @ Y, lam)
     else:  # lvarl1: the m outputs share one design
+        if warm is not None and not (isinstance(warm, BaselineFit) and warm.method == method):
+            raise ConfigError(f"warm must be an {method} fit")
+        if warm is not None and warm.coef.shape != (m * p, m):
+            raise DimensionMismatchError(f"warm coef is {warm.coef.shape}, expected {(m * p, m)}")
         design = GroupedProblem([X[:, cols] for cols in train.partition_map], Y[:, 0], lam)
         coef = np.zeros((m * p, m))
         for s in range(m):

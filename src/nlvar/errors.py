@@ -1,6 +1,6 @@
-"""Exception types raised across the package, and the readers each type
-holding a config or model value calls on construction: a bool, a fraction or
-a non-finite value raises ConfigError instead of being converted."""
+"""Exception types raised across the package, and the readers of the values
+that config and model types and the solvers take: a bool, a fraction or a
+non-finite value raises a typed error instead of being converted."""
 
 import itertools
 import math
@@ -89,6 +89,21 @@ def real_number(value, what: str) -> float:
     except OverflowError:
         pass
     raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
+def data_vector(value, n: int, what: str) -> np.ndarray:
+    """A float copy of the n entries of `value`, raveled; another count
+    raises DimensionMismatchError, and an entry that is no number (a bool or
+    a string included) or is not finite BadDataError."""
+    try:
+        raw = np.asarray(value)
+    except ValueError:  # a ragged nested list
+        raw = None
+    if raw is None or raw.dtype.kind not in "iuf" or not np.isfinite(raw).all():
+        raise BadDataError(f"{what} must hold finite numbers only")
+    if raw.size != n:
+        raise DimensionMismatchError(f"{what} has {raw.size} entries, expected {n}")
+    return raw.astype(float).ravel()
 
 
 def finite_array(doc, ndim: int, what: str) -> np.ndarray:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionMismatchError, NonFiniteObjectiveError, real_number,
-                     whole_number)
+from .errors import (ConfigError, DimensionMismatchError, NonFiniteObjectiveError, data_vector,
+                     real_number, whole_number)
 
 #: KKT tolerance relative to the penalty: a solve is converged only once the
 #: largest per-group optimality violation is below this times kappa.
@@ -73,7 +73,7 @@ class SolverOptions:
 
 @dataclass
 class GroupedProblem:
-    """Design blocks B_g (n x r_g each), a length-n target, penalty kappa >= 0.
+    """Design blocks B_g (n x r_g each, at least one), a length-n target, penalty kappa >= 0.
 
     The design is built once, on construction: the blocks are copied into
     the stacked design B (design_blocks then holds views of B), with the
@@ -86,33 +86,28 @@ class GroupedProblem:
     penalty: float
 
     def __post_init__(self):
-        self.target = np.asarray(self.target, dtype=float).ravel()
-        n = self.target.shape[0]
         blocks = [np.asarray(b, dtype=float) for b in self.design_blocks]
-        for g, block in enumerate(blocks):
-            if block.ndim != 2 or block.shape[0] != n:
-                raise DimensionMismatchError(
-                    f"block {g} has shape {block.shape}, expected ({n}, r_g)"
-                )
-        if self.penalty < 0.0:
-            raise ConfigError("penalty must be nonnegative")
+        if not blocks or any(b.ndim != 2 or b.shape[0] != blocks[0].shape[0] for b in blocks):
+            raise DimensionMismatchError(f"blocks {[b.shape for b in blocks]} are not (n, r_g)")
         self.sizes = np.array([b.shape[1] for b in blocks])
         self.starts = group_starts(self.sizes)
         self.B = np.hstack(blocks)
         self.design_blocks = [self.B[:, lo:lo + size] for lo, size in zip(self.starts, self.sizes)]
         self.majorizer = block_majorizer(self.B, self.starts, self.sizes)
+        self._read(self.target, self.penalty)
+
+    def _read(self, target, penalty) -> None:
+        """Set the target, a float copy of n finite numbers (errors.data_vector),
+        and the penalty, a finite number >= 0 (else ConfigError)."""
+        self.target = data_vector(target, self.B.shape[0], "target")
+        self.penalty = real_number(penalty, "penalty")
+        if self.penalty < 0.0:
+            raise ConfigError("penalty must be nonnegative")
 
     def with_target(self, target, penalty: float) -> "GroupedProblem":
-        """The same design with a new target and penalty."""
+        """The same design with a new target and penalty, read as on construction."""
         other = copy.copy(self)
-        other.target = np.asarray(target, dtype=float).ravel()
-        other.penalty = penalty
-        if other.target.shape != self.target.shape:
-            raise DimensionMismatchError(
-                f"target has {other.target.shape[0]} rows, expected {self.target.shape[0]}"
-            )
-        if penalty < 0.0:
-            raise ConfigError("penalty must be nonnegative")
+        other._read(target, penalty)
         return other
 
 
@@ -259,10 +254,7 @@ def _solve_stacked(B, starts, sizes, y, kappa, opts, majorizer, w0=None):
     is orders of magnitude below the KKT tolerance. With numpy's warnings
     off, an overflow ends as a non-finite objective (NonFiniteObjectiveError).
     """
-    total = B.shape[1]
-    w = np.zeros(total) if w0 is None else np.array(w0, dtype=float)
-    if w.shape != (total,):
-        raise DimensionMismatchError(f"warm start has size {w.shape}, expected {total}")
+    w = np.zeros(B.shape[1]) if w0 is None else np.array(w0, dtype=float)
 
     r = (y - B @ w) if w.any() else y.copy()
     trace = [float(r @ r) + kappa * group_penalty(w, starts)]
@@ -318,6 +310,16 @@ def _solve_stacked(B, starts, sizes, y, kappa, opts, majorizer, w0=None):
     return w, trace, sweeps, converged
 
 
+def _stacked(problem: GroupedProblem, parts, what: str) -> np.ndarray:
+    """A list (or tuple) of one vector per design block, each read by
+    errors.data_vector at its block's size, stacked into one; another count
+    of vectors raises DimensionMismatchError."""
+    if not isinstance(parts, (list, tuple)) or len(parts) != len(problem.sizes):
+        raise DimensionMismatchError(f"{what} must be a list of one vector per design block")
+    return np.concatenate([data_vector(part, size, f"{what} block {g}")
+                           for g, (part, size) in enumerate(zip(parts, problem.sizes))])
+
+
 def solve_group_lasso(problem: GroupedProblem, warm_start=None,
                       opts: SolverOptions = SolverOptions()) -> GroupedSolution:
     """Solve the grouped problem to the KKT tolerance (global optimum; convex).
@@ -326,13 +328,9 @@ def solve_group_lasso(problem: GroupedProblem, warm_start=None,
     (relative) AND the largest per-group KKT violation is at most
     kkt_tolerance(opts)*kappa (for kappa > 0), or when max_iter sweeps are
     done (converged=False, last iterate kept; the objective never rises).
+    A warm start holds one vector per design block, read by _stacked.
     """
-    w0 = None
-    if warm_start is not None:
-        parts = [np.asarray(p, dtype=float).ravel() for p in warm_start]
-        if [p.shape[0] for p in parts] != list(problem.sizes):
-            raise DimensionMismatchError("warm start block sizes do not match the design")
-        w0 = np.concatenate(parts)
+    w0 = None if warm_start is None else _stacked(problem, warm_start, "warm start")
     w, trace, _, converged = _solve_stacked(
         problem.B, problem.starts, problem.sizes, problem.target, problem.penalty, opts,
         problem.majorizer, w0
@@ -345,10 +343,8 @@ def solve_group_lasso(problem: GroupedProblem, warm_start=None,
 
 
 def optimality_gap(problem: GroupedProblem, weights) -> float:
-    """Largest per-group KKT violation of the given weights (0 at an optimum)."""
+    """Largest per-group KKT violation of weights read as a warm start (0 at an optimum)."""
     B = problem.B
-    w = np.concatenate([np.asarray(p, dtype=float).ravel() for p in weights])
-    if w.shape[0] != B.shape[1]:
-        raise DimensionMismatchError("weights do not match the design blocks")
+    w = _stacked(problem, weights, "weights")
     grad = 2.0 * (B.T @ (B @ w - problem.target))
     return _gap_from_gradient(w, grad, problem.penalty, problem.starts, problem.sizes)

@@ -395,12 +395,14 @@ def split_experiment_data(series: MultivariateSeries, train: int, holdout: int,
     The training set embeds only the first `train` raw rows; the hold-out
     pairs are the `holdout` pairs whose outputs immediately follow them (the
     first few look back across the boundary, as a live forecaster would).
+    train, holdout and lag are read by errors.whole_number, and a split the
+    series cannot give (holdout < 0, train <= lag, too few steps) BadRangeError.
     """
+    train, holdout, lag = map(whole_number, (train, holdout, lag), ("train", "holdout", "lag"))
     needed = train + holdout
-    if series.n_steps < needed:
-        raise BadRangeError(
-            f"series has {series.n_steps} steps, need train+holdout={needed}"
-        )
+    if holdout < 0 or train <= lag or series.n_steps < needed:
+        raise BadRangeError(f"a series of {series.n_steps} steps does not split into "
+                            f"train={train} > lag={lag} and holdout={holdout} >= 0 steps")
     stats = standardize_fit(series, train)
     window = MultivariateSeries(values=series.values[:needed].copy(), names=list(series.names))
     std = standardize_apply(window, stats, "forward")

@@ -114,23 +114,20 @@ class GramStack:
     specs: list[KernelSpec]
 
     @classmethod
-    def of(cls, grams, specs, group_index) -> GramStack:
-        """Pack dense n x n Grams, of which the lower triangles are read; a
-        ragged list, a non-square Gram or a group index other than the specs'
-        own raises DimensionMismatchError and a non-finite entry
-        BadDataError."""
+    def of(cls, grams, specs) -> GramStack:
+        """Pack dense n x n Grams, one per spec, of which the lower triangles
+        are read; a ragged list, a non-square Gram or another count of specs
+        raises DimensionMismatchError and a non-finite entry BadDataError."""
         try:
             grams = [np.asarray(K, dtype=float) for K in grams]
         except ValueError as exc:  # a ragged nested list, or an entry that is no number
             raise DimensionMismatchError(f"Grams must be square matrices of numbers: {exc}")
         n = grams[0].shape[0] if grams else 0
-        if not grams or any(K.shape != (n, n) for K in grams):
-            raise DimensionMismatchError(f"Grams of shapes {[K.shape for K in grams]} "
-                                         "are not one stack of square matrices")
+        if not grams or len(grams) != len(specs) or any(K.shape != (n, n) for K in grams):
+            raise DimensionMismatchError(f"Grams of shapes {[K.shape for K in grams]} are not "
+                                         f"one stack of square matrices for {len(specs)} specs")
         if not all(np.isfinite(K).all() for K in grams):
             raise BadDataError("a Gram matrix holds a non-finite entry")
-        if list(map(tuple, group_index)) != group_index_of(specs):
-            raise DimensionMismatchError("the group index is not the one of the specs")
         return cls(np.stack([lapack.dtrttp(K, uplo="L")[0] for K in grams]), specs)
 
     @property

@@ -133,10 +133,11 @@ class SupervisedSet:
 def standardize_fit(series: MultivariateSeries, train_len: int) -> NormStats:
     """Compute per-series mean/std over the first ``train_len`` rows.
 
-    Std uses the unbiased (n-1) divisor. Raises ConstantSeriesError when a
-    column is (numerically) constant over the window, and BadDataError when
-    finite values overflow a mean or std to infinity.
+    Std uses the unbiased (n-1) divisor. A train_len that is no whole number
+    raises ConfigError, a column (numerically) constant over the window
+    ConstantSeriesError, and finite values that overflow a mean or std BadDataError.
     """
+    train_len = whole_number(train_len, "train_len")
     if not 2 <= train_len <= series.n_steps:
         raise BadRangeError(
             f"train_len must be in [2, {series.n_steps}], got {train_len}"
@@ -213,8 +214,9 @@ def lag_embed(series: MultivariateSeries, p: int) -> SupervisedSet:
 
     Pair t (t = 0..n_total-p-1) has output ``series[t+p]`` and inputs holding,
     for each series j, the values at times t+p-1, t+p-2, ..., t (most recent
-    first), in columns ``j*p .. j*p+p-1``.
+    first), in columns ``j*p .. j*p+p-1``; ``p`` is read by whole_number.
     """
+    p = whole_number(p, "lag")
     if p < 1:
         raise BadRangeError(f"lag must be positive, got {p}")
     n_total, m = series.values.shape

@@ -17,9 +17,9 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import (BadDataError, ConfigError, DimensionMismatchError,
-                     NonFiniteObjectiveError, SingularSystemError, UnsupportedKindError,
-                     finite_array, real_number)
+from .errors import (ConfigError, DimensionMismatchError, NonFiniteObjectiveError,
+                     SingularSystemError, UnsupportedKindError, data_vector, finite_array,
+                     real_number)
 from .grouplasso import (
     GroupedProblem,
     SolverOptions,
@@ -194,8 +194,6 @@ def _stack_times(grams: GramStack, c) -> np.ndarray:
 def _gram_sum(grams: GramStack, a) -> np.ndarray:
     """sum_d a_d K^d as a Fortran-ordered lower triangle (zero above it):
     one dgemv over the packed stack, unpacked by dtpttr."""
-    if a.shape != (grams.n_kernels,):
-        raise DimensionMismatchError(f"{a.shape[0]} weights for {grams.n_kernels} kernels")
     packed_sum = blas.dgemv(1.0, grams.packed.T, a)
     return lapack.dtpttr(grams.n_train, packed_sum, uplo="L")[0]
 
@@ -221,17 +219,6 @@ def _cho_solve(factor, b) -> np.ndarray:
     return lapack.dpotrs(factor, b, lower=1)[0]
 
 
-def _target(grams: GramStack, y) -> np.ndarray:
-    """One task's target as a float vector of the stack's n entries; another
-    length raises DimensionMismatchError and a non-finite entry BadDataError."""
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape != (grams.n_train,):
-        raise DimensionMismatchError(f"target of {y.size} entries for {grams.n_train} rows")
-    if not np.isfinite(y).all():
-        raise BadDataError("the target holds a non-finite entry")
-    return y
-
-
 def _positive_lam(lam) -> float:
     """The penalty lam of a kernel solve as a float; a lam that is not a
     finite number (a bool or a string included) or not > 0 raises
@@ -244,15 +231,11 @@ def _positive_lam(lam) -> float:
 
 def solve_coefficients(grams: GramStack, a, y, lam: float) -> np.ndarray:
     """Expansion coefficients c from the positive definite system
-    (sum_d a_d K^d + lam I) c = y, by Cholesky with one refinement pass. A
-    lam that is not a finite number > 0 (a bool or a string included) raises
-    ConfigError, a y of another length than the stack's n
-    DimensionMismatchError, and a non-finite y or weight a BadDataError."""
+    (sum_d a_d K^d + lam I) c = y, by Cholesky with one refinement pass; lam
+    is read by _positive_lam, the l weights a and n targets y by data_vector."""
     lam = _positive_lam(lam)
-    a = np.asarray(a, dtype=float).ravel()
-    if not np.isfinite(a).all():
-        raise BadDataError("the kernel weights hold a non-finite entry")
-    y = _target(grams, y)
+    a = data_vector(a, grams.n_kernels, "kernel weights")
+    y = data_vector(y, grams.n_train, "target")
     M, factor = _factor_system(grams, a, lam)
     c = _cho_solve(factor, y)
     c += _cho_solve(factor, blas.dsymv(-1.0, M, c, beta=1.0, y=y, lower=1))
@@ -284,9 +267,8 @@ def solve_task_l1(features: FeatureStack, grams: GramStack, y, lam: float,
     with penalty l1_penalty(lam); the kernel weights follow in closed form as
     a_d = sqrt(lam) * ||z_d||_2, and c = (y - sum_d Phi_d z_d) / lam, the
     residual over lam, solves (sum_d a_d K^d + lam I) c = y at the optimum.
-    y is checked as solve_coefficients checks it.
+    y and warm are read as GroupedProblem and solve_group_lasso read them.
     """
-    y = _target(grams, y)
     if len(features.features) != grams.n_kernels:
         raise DimensionMismatchError(
             f"{len(features.features)} feature blocks for {grams.n_kernels} kernels"
@@ -298,7 +280,7 @@ def _solve_l1(design: GroupedProblem, y, lam: float, warm, opts: SolverOptions) 
     """One l1-route task on the stacked design of its kernels' features."""
     problem = design.with_target(y, l1_penalty(lam))
     sol = solve_group_lasso(problem, warm_start=warm, opts=opts)
-    a, c = l1_solution(problem, np.concatenate(sol.weights), y, lam)
+    a, c = l1_solution(problem, np.concatenate(sol.weights), problem.target, lam)
     return TaskSolution(a=a, c=c, z_blocks=sol.weights, converged=sol.converged,
                         objective_trace=sol.objective_trace)
 
@@ -405,20 +387,20 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
     Without a warm start the solve starts at the best point on the ray of
     uniform weights (_ray_start), which halves the Newton steps of a cold
     fit against a start at a = 1/l. With numpy's warnings off, an overflow
-    ends as a non-finite objective or Hessian (NonFiniteObjectiveError). y
-    and lam are checked as solve_coefficients checks them.
+    ends as a non-finite objective or Hessian (NonFiniteObjectiveError). y,
+    lam and warm (then >= 0) are read as solve_coefficients reads y, lam and a.
     """
     lam = _positive_lam(lam)
-    y = _target(grams, y)
+    y = data_vector(y, grams.n_train, "target")
     l = grams.n_kernels
     if len(group_index) != l:
         raise DimensionMismatchError("group index does not match the gram stack")
     sizes = group_sizes(group_index)
     starts = group_starts(sizes)
 
-    a = _ray_start(grams, y, lam, starts) if warm is None else np.array(warm, dtype=float).ravel()
-    if a.shape[0] != l or a.min(initial=0.0) < 0.0:
-        raise DimensionMismatchError("warm start must be a nonnegative length-l vector")
+    a = _ray_start(grams, y, lam, starts) if warm is None else data_vector(warm, l, "warm start")
+    if a.min() < 0.0:
+        raise DimensionMismatchError("warm start must be nonnegative")
 
     tol = kkt_tolerance(opts)
 

@@ -32,15 +32,14 @@ def _report(cid: str, ok: bool, detail: str):
 
 
 def _random_gram_stack(rng, n, l):
-    grams, specs, gidx = [], [], []
+    grams, specs = [], []
     for d in range(l):
         A = rng.standard_normal((n, n + 1))
         K = A @ A.T
         K *= n / np.trace(K)
         grams.append(K)
         specs.append(KernelSpec("gaussian", 1.0, partition=d, norm_factor=1.0))
-        gidx.append((d, 0))
-    return GramStack.of(grams, specs, gidx)
+    return GramStack.of(grams, specs)
 
 
 def test_c1_group_lasso_matches_coordinate_descent_oracle():

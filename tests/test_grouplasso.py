@@ -3,7 +3,7 @@ import pytest
 from oracles import _block_minimize, cd_group_lasso, gl_objective, random_grouped_instance
 
 from nlvar import grouplasso
-from nlvar.errors import ConfigError, DimensionMismatchError, NonFiniteObjectiveError
+from nlvar.errors import BadDataError, ConfigError, DimensionMismatchError
 from nlvar.grouplasso import (
     GroupedProblem,
     SolverOptions,
@@ -163,8 +163,8 @@ def test_target_and_penalty_scaling_scales_weights():
 def test_rejects_nan_target():
     blocks = [np.ones((3, 1))]
     y = np.array([1.0, np.nan, 0.0])
-    with pytest.raises(NonFiniteObjectiveError):
-        solve_group_lasso(GroupedProblem(blocks, y, 0.1))
+    with pytest.raises(BadDataError):
+        GroupedProblem(blocks, y, 0.1)
 
 
 def test_rejects_mismatched_warm_start():

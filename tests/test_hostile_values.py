@@ -3,8 +3,10 @@ value at every position of a valid document: each reading returns, or raises
 an NlvarError, with numpy's warnings turned into errors. Never another
 exception, and never a warning. A model document that loads yields a
 frozen model, and serves three rows of its width under the same rule. The
-library's solve entries meet hostile penalties, weights, targets and fold
-counts with the typed error of each."""
+library's solve entries meet hostile penalties, weights, targets, warm
+starts, lags, row counts and fold counts with the typed error of each, and
+every number or vector argument of them meets every hostile value with an
+NlvarError."""
 
 import copy
 import dataclasses
@@ -15,8 +17,10 @@ import numpy as np
 import pytest
 
 from nlvar.baselines import fit_baseline
-from nlvar.errors import BadDataError, ConfigError, DimensionMismatchError, NlvarError
-from nlvar.harness import GridSpec, cv_select, experiment_config_from_dict
+from nlvar.errors import (BadDataError, BadRangeError, ConfigError, DimensionMismatchError,
+                          NlvarError)
+from nlvar.grouplasso import GroupedProblem, optimality_gap, solve_group_lasso
+from nlvar.harness import GridSpec, cv_select, experiment_config_from_dict, split_experiment_data
 from nlvar.kernels import build_feature_stack, build_gram_stack
 from nlvar.modelio import model_from_dict, model_to_dict, predict_model
 from nlvar.series import MultivariateSeries, lag_embed, standardize_apply, standardize_fit
@@ -114,12 +118,23 @@ def test_both_readers_meet_every_hostile_value_with_an_nlvar_error():
 
 
 @functools.cache
+def _series():
+    """A 2-series 40-step series, raw and standardized."""
+    series = MultivariateSeries(np.random.default_rng(5).standard_normal((40, 2)), ["s0", "s1"])
+    return series, standardize_apply(series, standardize_fit(series, 40), "forward")
+
+
+@functools.cache
 def _library_inputs():
     """A 2-series lag-2 training set and its Gram stack."""
-    rng = np.random.default_rng(5)
-    series = MultivariateSeries(rng.standard_normal((40, 2)), ["s0", "s1"])
-    train = lag_embed(standardize_apply(series, standardize_fit(series, 40), "forward"), 2)
+    train = lag_embed(_series()[1], 2)
     return train, build_gram_stack(train.inputs, train.partition_map)
+
+
+def _problem(train):
+    """The lvarl1 design of a training set, with its first output as target."""
+    return GroupedProblem([train.inputs[:, cols] for cols in train.partition_map],
+                          train.outputs[:, 0], 1.0)
 
 
 def _coefficients(lam=1.0, a=1.0):
@@ -127,12 +142,30 @@ def _coefficients(lam=1.0, a=1.0):
                                                    train.outputs[:, 0], lam)
 
 
-def _l12(lam):
-    return lambda train, grams: solve_task_l12(grams, grams.group_index, train.outputs[:, 0], lam)
+def _l12(lam, warm=None):
+    return lambda train, grams: solve_task_l12(grams, grams.group_index, train.outputs[:, 0], lam,
+                                               warm=warm)
 
 
 def _l1(y):
     return lambda train, grams: solve_task_l1(build_feature_stack(grams), grams, y(train), 1.0)
+
+
+def _nan_blocks(problem):
+    return [np.full(size, float("nan")) for size in problem.sizes]
+
+
+def _warm_baseline(method, lag):
+    """fit_baseline('lvarl1') on the lag-2 set, warm from a `method` fit at `lag`."""
+    def call(train, grams):
+        warm = fit_baseline(method, lag_embed(_series()[1], lag), 1.0)
+        return fit_baseline("lvarl1", train, 1.0, warm=warm)
+    return call
+
+
+def _split(**changed):
+    args = {"train": 30, "holdout": 5, "lag": 2, **changed}
+    return lambda train, grams: split_experiment_data(_series()[0], **args)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -165,6 +198,40 @@ HOSTILE_CALLS = {
         lambda t, g, folds=folds: cv_select(t, "mean", GridSpec(count=3), folds=folds),
         ConfigError, "folds")
        for folds in (2.5, True)},
+    **{f"GroupedProblem penalty={penalty!r}": (
+        lambda t, g, penalty=penalty: dataclasses.replace(_problem(t), penalty=penalty),
+        ConfigError, "penalty")
+       for penalty in ("1", None, True, NAN, INF)},
+    "GroupedProblem string target": (
+        lambda t, g: dataclasses.replace(_problem(t), target="x"), BadDataError, "target"),
+    "with_target string target": (
+        lambda t, g: _problem(t).with_target("x", 1.0), BadDataError, "target"),
+    "GroupedProblem no blocks": (
+        lambda t, g: GroupedProblem([], t.outputs[:, 0], 1.0), DimensionMismatchError, "blocks"),
+    "solve_group_lasso nan warm start": (
+        lambda t, g: solve_group_lasso(_problem(t), _nan_blocks(_problem(t))),
+        BadDataError, "warm start"),
+    "optimality_gap nan weights": (
+        lambda t, g: optimality_gap(_problem(t), _nan_blocks(_problem(t))),
+        BadDataError, "weights"),
+    **{f"solve_task_l12 warm={value!r}": (
+        lambda t, g, value=value: _l12(1.0, np.full(g.n_kernels, value))(t, g),
+        BadDataError, "warm start")
+       for value in (NAN, INF)},
+    "fit_baseline lvarl1 warm from mean": (_warm_baseline("mean", 2), ConfigError, "warm"),
+    "fit_baseline lvarl1 warm from lvarl2": (_warm_baseline("lvarl2", 2), ConfigError, "warm"),
+    "fit_baseline lvarl1 warm at lag 3": (
+        _warm_baseline("lvarl1", 3), DimensionMismatchError, "warm"),
+    **{f"lag_embed p={p!r}": (lambda t, g, p=p: lag_embed(_series()[1], p), ConfigError, "lag")
+       for p in (2.5, "3", True)},
+    **{f"standardize_fit train_len={n!r}": (
+        lambda t, g, n=n: standardize_fit(_series()[0], n), ConfigError, "train_len")
+       for n in (2.5, "3", True)},
+    **{f"split_experiment_data {name}={value!r}": (_split(**{name: value}), ConfigError, name)
+       for name in ("train", "holdout", "lag") for value in (2.5, "3")},
+    "split_experiment_data holdout=-1": (_split(holdout=-1), BadRangeError, "holdout=-1"),
+    "split_experiment_data lag=train": (_split(train=12, holdout=20, lag=12), BadRangeError,
+                                        "train=12 > lag=12"),
 }
 
 
@@ -172,3 +239,50 @@ HOSTILE_CALLS = {
 def test_library_solves_meet_hostile_inputs_with_a_typed_error(call, error, message):
     with pytest.raises(error, match=message):
         call(*_library_inputs())
+
+
+def _solve_entries():
+    """(entry, its valid keyword arguments, the number or vector arguments
+    among them) of every library solve entry the sweep feeds."""
+    train, grams = _library_inputs()
+    series = _series()[0]
+    y = train.outputs[:, 0]
+    problem = _problem(train)
+    blocks = [np.zeros(size) for size in problem.sizes]
+    return [
+        (GroupedProblem, {"design_blocks": problem.design_blocks, "target": y, "penalty": 1.0},
+         ("target", "penalty")),
+        (problem.with_target, {"target": y, "penalty": 1.0}, ("target", "penalty")),
+        (solve_group_lasso, {"problem": problem, "warm_start": blocks}, ("warm_start",)),
+        (optimality_gap, {"problem": problem, "weights": blocks}, ("weights",)),
+        (solve_coefficients, {"grams": grams, "a": np.ones(grams.n_kernels), "y": y, "lam": 1.0},
+         ("a", "y", "lam")),
+        (solve_task_l1, {"features": build_feature_stack(grams), "grams": grams, "y": y,
+                         "lam": 1.0, "warm": None}, ("y", "lam", "warm")),
+        (solve_task_l12, {"grams": grams, "group_index": grams.group_index, "y": y, "lam": 1.0,
+                          "warm": None}, ("y", "lam", "warm")),
+        (fit_baseline, {"method": "lvarl1", "train": train, "lam": 1.0, "warm": None},
+         ("lam", "warm")),
+        (lag_embed, {"series": series, "p": 2}, ("p",)),
+        (standardize_fit, {"series": series, "train_len": 30}, ("train_len",)),
+        (split_experiment_data, {"series": series, "train": 30, "holdout": 5, "lag": 2},
+         ("train", "holdout", "lag")),
+    ]
+
+
+def test_library_solves_meet_every_hostile_value_with_an_nlvar_error():
+    failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry, kwargs, hostile_args in _solve_entries():
+            entry(**kwargs)
+            for name in hostile_args:
+                for value in HOSTILE:
+                    try:
+                        entry(**{**kwargs, name: value})
+                    except NlvarError:
+                        pass
+                    except Exception as exc:  # noqa: BLE001 - what the sweep looks for
+                        failures.append(f"{entry.__qualname__}({name}={value!r}): "
+                                        f"{type(exc).__name__}: {exc}")
+    assert not failures, "\n".join(failures)

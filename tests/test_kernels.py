@@ -306,15 +306,14 @@ def test_building_the_stack_never_holds_a_dense_stack():
 
 def test_packing_dense_grams_rejects_ragged_non_square_and_non_finite_input():
     specs = [KernelSpec("linear", partition=0, norm_factor=1.0)] * 2
-    gidx = [(0, 0), (0, 1)]
     for grams in ([np.eye(3), np.eye(4)], [np.ones((3, 2))] * 2,
                   [[[1.0, 0.0], [0.0]], np.eye(2)], []):
         with pytest.raises(DimensionMismatchError):
-            GramStack.of(grams, specs[:len(grams)], gidx[:len(grams)])
+            GramStack.of(grams, specs[:len(grams)])
     for bad in (np.nan, np.inf):
         with pytest.raises(BadDataError):
-            GramStack.of([np.eye(2), np.diag([1.0, bad])], specs, gidx)
-    stack = GramStack.of([np.eye(3), 2.0 * np.ones((3, 3))], specs, gidx)
+            GramStack.of([np.eye(2), np.diag([1.0, bad])], specs)
+    stack = GramStack.of([np.eye(3), 2.0 * np.ones((3, 3))], specs)
     assert (stack.n_kernels, stack.n_train) == (2, 3)
     assert np.array_equal(stack.gram(1), 2.0 * np.ones((3, 3)))
 
@@ -381,10 +380,7 @@ def test_a_stacks_group_index_and_half_squared_norms_are_derived_from_their_sour
     # half squared norms beside its rows
     specs = [KernelSpec("linear", partition=0, norm_factor=1.0),
              KernelSpec("linear", partition=1, norm_factor=1.0)]
-    for gidx in ([(0, 0), (0, 1)], [(0, 0)], [(7, 7), (1, 0)]):
-        with pytest.raises(DimensionMismatchError, match="group index"):
-            GramStack.of([np.eye(2)] * 2, specs, gidx)
-    stack = GramStack.of([np.eye(2)] * 2, specs, [(0, 0), (1, 0)])
+    stack = GramStack.of([np.eye(2)] * 2, specs)
     assert "group_index" not in {f.name for f in dataclasses.fields(GramStack)}
     assert stack.group_index == group_index_of(stack.specs) == [(0, 0), (1, 0)]
     rows = np.random.default_rng(18).standard_normal((2, 5, 3))

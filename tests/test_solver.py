@@ -39,21 +39,20 @@ TIGHT = SolverOptions(max_iter=200000, rel_tol=1e-13)
 
 def _identity_stack(n):
     spec = KernelSpec("linear", partition=0, norm_factor=1.0)
-    return GramStack.of([np.eye(n)], [spec], [(0, 0)])
+    return GramStack.of([np.eye(n)], [spec])
 
 
 def _random_stack(rng, n, parts=3, per_part=1):
     """Random PSD trace-normalized grams grouped into `parts` partitions."""
-    grams, specs, gidx = [], [], []
+    grams, specs = [], []
     for j in range(parts):
-        for i in range(per_part):
+        for _ in range(per_part):
             A = rng.standard_normal((n, n + 2))
             K = A @ A.T
             K *= n / np.trace(K)
             grams.append(K)
             specs.append(KernelSpec("gaussian", 1.0, partition=j, norm_factor=1.0))
-            gidx.append((j, i))
-    return GramStack.of(grams, specs, gidx)
+    return GramStack.of(grams, specs)
 
 
 def test_objective_all_zero_weights():
@@ -121,7 +120,7 @@ def test_coefficients_residual_and_cg_oracle():
 
 def test_non_positive_definite_system_is_rejected():
     spec = KernelSpec("linear", partition=0, norm_factor=1.0)
-    stack = GramStack.of([-2.0 * np.eye(3)], [spec], [(0, 0)])
+    stack = GramStack.of([-2.0 * np.eye(3)], [spec])
     y = np.array([1.0, 2.0, 3.0])  # M = -2 I + I = -I
     with pytest.raises(SingularSystemError):
         solve_coefficients(stack, np.ones(1), y, 1.0)
