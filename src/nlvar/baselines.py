@@ -64,15 +64,11 @@ def _ridge_solve(G: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
 
 def fit_baseline(method: str, train: SupervisedSet, lam: float = 0.0,
                  options: SolverOptions = SolverOptions(), norm_stats: NormStats | None = None,
-                 names: list[str] | None = None, warm: BaselineFit | None = None) -> BaselineFit:
-    """Fit one baseline method at a fixed regularization value.
-
-    `warm` is a fit of the same method on the same rows at another value;
-    lvarl1 starts its solves from it (another method raises ConfigError, a
-    coef shape other than (m*p, m) DimensionMismatchError), the closed-form
-    methods ignore it. For every method, mean included, a lam that is not a
-    finite number (a bool or a string included) or is negative raises ConfigError.
-    """
+                 names: list[str] | None = None) -> BaselineFit:
+    """Fit one baseline method at a fixed regularization value from a cold
+    start (lvarl1: its path at that one value). For every method, mean
+    included, a lam that is not a finite number (a bool or a string
+    included) or is negative raises ConfigError."""
     if method not in BASELINE_METHODS:
         raise UnsupportedKindError(f"unknown baseline method {method!r}")
     lam = real_number(lam, "lam")
@@ -90,21 +86,26 @@ def fit_baseline(method: str, train: SupervisedSet, lam: float = 0.0,
             coef[cols, j] = _ridge_solve(Xj.T @ Xj, Xj.T @ Y[:, j], lam)
     elif method == "lvarl2":
         coef = _ridge_solve(X.T @ X, X.T @ Y, lam)
-    else:  # lvarl1: the m outputs share one design
-        if warm is not None and not (isinstance(warm, BaselineFit) and warm.method == method):
-            raise ConfigError(f"warm must be an {method} fit")
-        if warm is not None and warm.coef.shape != (m * p, m):
-            raise DimensionMismatchError(f"warm coef is {warm.coef.shape}, expected {(m * p, m)}")
-        design = GroupedProblem([X[:, cols] for cols in train.partition_map], Y[:, 0], lam)
-        coef = np.zeros((m * p, m))
-        for s in range(m):
-            start = None if warm is None else [warm.coef[cols, s] for cols in train.partition_map]
-            sol = solve_group_lasso(design.with_target(Y[:, s], lam), warm_start=start,
-                                    opts=options)
-            for j, cols in enumerate(train.partition_map):
-                coef[cols, s] = sol.weights[j]
+    else:
+        coef = next(lvarl1_path(train, [lam], options)).coef
     return BaselineFit(method=method, lag=p, coef=coef, norm_stats=norm_stats,
                        lam=None if coef is None else lam, names=names)
+
+
+def lvarl1_path(train: SupervisedSet, lams, options: SolverOptions = SolverOptions()):
+    """One lvarl1 fit per penalty of `lams`, in order, on one design (the
+    inputs, grouped by series) built once for the m outputs: each output
+    starts from its weights at the previous penalty (the first from zero).
+    Each penalty is read, in its turn, as GroupedProblem reads one."""
+    design = GroupedProblem([train.inputs[:, cols] for cols in train.partition_map],
+                            train.outputs[:, 0], 0.0)
+    coef = np.zeros((design.B.shape[1], train.n_series))
+    for lam in lams:
+        for s, y in enumerate(train.outputs.T):
+            sol = solve_group_lasso(design.with_target(y, lam), opts=options,
+                                    warm_start=np.split(coef[:, s], design.starts[1:]))
+            coef[:, s] = np.concatenate(sol.weights)
+        yield BaselineFit(method="lvarl1", lag=train.lag, coef=coef, lam=lam)
 
 
 def predict_baseline(fit: BaselineFit, new_inputs) -> np.ndarray:

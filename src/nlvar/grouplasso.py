@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionMismatchError, NonFiniteObjectiveError, data_vector,
-                     real_number, whole_number)
+from .errors import (BadDataError, ConfigError, DimensionMismatchError, NonFiniteObjectiveError,
+                     data_vector, real_number, whole_number)
 
 #: KKT tolerance relative to the penalty: a solve is converged only once the
 #: largest per-group optimality violation is below this times kappa.
@@ -75,10 +75,11 @@ class SolverOptions:
 class GroupedProblem:
     """Design blocks B_g (n x r_g each, at least one), a length-n target, penalty kappa >= 0.
 
-    The design is built once, on construction: the blocks are copied into
-    the stacked design B (design_blocks then holds views of B), with the
-    group offsets `starts`, the group `sizes` and the block_majorizer of B.
-    Problems derived by with_target share all four by reference.
+    The blocks, 2-d numpy arrays in a list or tuple (else DimensionMismatchError)
+    of finite numbers (else BadDataError), are copied once, on construction, into
+    the stacked design B (design_blocks then holds views of B), with the group
+    offsets `starts`, the group `sizes` and the block_majorizer of B. Problems
+    derived by with_target share all four by reference.
     """
 
     design_blocks: list[np.ndarray]
@@ -86,12 +87,16 @@ class GroupedProblem:
     penalty: float
 
     def __post_init__(self):
-        blocks = [np.asarray(b, dtype=float) for b in self.design_blocks]
-        if not blocks or any(b.ndim != 2 or b.shape[0] != blocks[0].shape[0] for b in blocks):
-            raise DimensionMismatchError(f"blocks {[b.shape for b in blocks]} are not (n, r_g)")
+        blocks = self.design_blocks
+        if not (isinstance(blocks, (list, tuple)) and blocks and all(
+                isinstance(b, np.ndarray) and b.ndim == 2 and len(b) == len(blocks[0])
+                for b in blocks)):
+            raise DimensionMismatchError("design_blocks must be a list of (n, r_g) arrays")
+        if not all(b.dtype.kind in "iuf" and np.isfinite(b).all() for b in blocks):
+            raise BadDataError("design blocks must hold finite numbers only")
         self.sizes = np.array([b.shape[1] for b in blocks])
         self.starts = group_starts(self.sizes)
-        self.B = np.hstack(blocks)
+        self.B = np.hstack(blocks, dtype=float)
         self.design_blocks = [self.B[:, lo:lo + size] for lo, size in zip(self.starts, self.sizes)]
         self.majorizer = block_majorizer(self.B, self.starts, self.sizes)
         self._read(self.target, self.penalty)

@@ -154,43 +154,36 @@ def scale_count(method: str, m: int, dictionary=DEFAULT_DICTIONARY) -> int:
 
 
 def _baseline_path(method: str, sub: SupervisedSet, X_val, lams, options):
-    model = None
+    """lvarl1_path, or a cold fit_baseline per penalty for the other methods."""
+    fits = (baselines.lvarl1_path(sub, lams, options) if method == "lvarl1" else
+            (baselines.fit_baseline(method, sub, lam, options=options) for lam in lams))
+    return (baselines.predict_baseline(model, X_val) for model in fits)
+
+
+def _l1_path(design, Y, lams, options: SolverOptions):
+    """(A, C) of the l1 route at each penalty by this module's _solve_stacked, warm-started."""
+    W = [None] * Y.shape[1]
     for lam in lams:
-        model = baselines.fit_baseline(method, sub, lam, options=options, warm=model)
-        yield baselines.predict_baseline(model, X_val)
+        kappa = solver.l1_penalty(lam)
+        W = [_solve_stacked(design.B, design.starts, design.sizes, y, kappa, options,
+                            design.majorizer, w)[0] for y, w in zip(Y.T, W)]
+        yield solver.l1_solution(design, np.column_stack(W), Y, lam)
 
 
 def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
                  options: SolverOptions):
-    """nvarl1 / nvar (l1 route on empirical features) and nvarl12.
-
-    Unlike solver.fit this builds the kernels (the l1 route's design, as
-    solver.l1_design builds it, or nvarl12's Gram stack) and the cross-Gram
-    blocks once for the whole grid, and forecasts each grid point by one
-    solver.expand over the cross stack.
-    """
+    """_l1_path on solver.l1_design's design (nvarl1, nvar), or solver.l12_path
+    on the Gram stack built here (nvarl12); each grid point's forecasts are
+    one solver.expand over the cross-Gram blocks, built once for the grid."""
     if method == "nvarl12":
         grams = build_gram_stack(sub.inputs, sub.partition_map, dictionary)
-        specs = grams.specs
+        specs, fits = grams.specs, solver.l12_path(grams, sub.outputs, lams, options)
     else:
         specs, design = solver.l1_design(method, sub, dictionary)
+        fits = _l1_path(design, sub.outputs, lams, options)
     cross = build_cross_stack(specs, sub.inputs, np.asarray(X_val, dtype=float),
                               sub.partition_map)
-    Y = sub.outputs
-    m = Y.shape[1]
-    warm = [None] * m
-    for lam in lams:
-        if method == "nvarl12":
-            tasks = [solver.solve_task_l12(grams, grams.group_index, Y[:, s], lam,
-                                           warm=warm[s], opts=options) for s in range(m)]
-            warm = [task.a for task in tasks]
-            A, C = np.column_stack(warm), np.column_stack([task.c for task in tasks])
-        else:
-            kappa = solver.l1_penalty(lam)
-            warm = [_solve_stacked(design.B, design.starts, design.sizes, Y[:, s], kappa,
-                                   options, design.majorizer, warm[s])[0] for s in range(m)]
-            A, C = solver.l1_solution(design, np.column_stack(warm), Y, lam)
-        yield solver.expand(cross, A, C)
+    return (solver.expand(cross, A, C) for A, C in fits)
 
 
 def cv_select(train: SupervisedSet, method: str, grid: GridSpec = GridSpec(),
@@ -233,10 +226,9 @@ def cv_select(train: SupervisedSet, method: str, grid: GridSpec = GridSpec(),
     for f, val_rows in enumerate(blocks):
         sub = train.subset(np.setdiff1d(np.arange(n), val_rows))
         X_val, Y_val = train.inputs[val_rows], train.outputs[val_rows]
-        if method in solver.KERNEL_METHODS:
-            path = _kernel_path(method, sub, X_val, descending, dictionary, options)
-        else:
-            path = _baseline_path(method, sub, X_val, descending, options)
+        path = (_kernel_path(method, sub, X_val, descending, dictionary, options)
+                if method in solver.KERNEL_METHODS else
+                _baseline_path(method, sub, X_val, descending, options))
         for k, preds in zip(range(grid.count - 1, -1, -1), path):
             with np.errstate(over="ignore", invalid="ignore"):
                 errs[k, f] = float(np.mean((Y_val - preds) ** 2))

@@ -222,27 +222,25 @@ def _row_sets(rows, other) -> tuple[np.ndarray, np.ndarray]:
     return X, Z
 
 
-def _inhomogeneous_power(G: np.ndarray, degree: int, out: np.ndarray, scratch) -> None:
+def _inhomogeneous_power(G: np.ndarray, degree: int, out: np.ndarray) -> None:
     """out <- (1 + G) ** degree by square-and-multiply, not libm pow: degree 2
     is bitwise (1 + G) * (1 + G), each product moves the result by at most
     about one ulp, and a degree read from a config or model file costs
     log2(degree) products. A power of two is squared in `out` itself; any
-    other degree keeps the squares in `scratch`."""
-    squares = out if degree & (degree - 1) == 0 else scratch
+    other degree squares into its own temporary."""
+    low = degree & -degree  # the lowest set bit
+    squares = out if degree == low else np.empty_like(G)
     np.add(G, 1.0, out=squares)
-    first = True
-    while True:
-        if degree & 1:
-            if first:
-                if squares is not out:
-                    np.copyto(out, squares)
-                first = False
-            else:
-                out *= squares
-        degree >>= 1
-        if not degree:
-            return
+    for _ in range(low.bit_length() - 1):
         squares *= squares
+    if squares is not out:
+        np.copyto(out, squares)
+    degree >>= low.bit_length()
+    while degree:  # the bits above it
+        squares *= squares
+        if degree & 1:
+            out *= squares
+        degree >>= 1
 
 
 def _shared_products(X: np.ndarray, Z: np.ndarray, x_half: np.ndarray, G: np.ndarray,
@@ -263,29 +261,20 @@ def _shared_products(X: np.ndarray, Z: np.ndarray, x_half: np.ndarray, G: np.nda
 
 
 def _kernel_values(specs, slots, G: np.ndarray, half_sq: np.ndarray | None) -> None:
-    """Raw kernel values slots[i] <- k_i for kernels that share one input
-    partition, elementwise from its shared products G = <u,v> and half_sq =
-    -||u-v||^2 / 2 (None without a Gaussian), dense blocks or packed rows.
-
-    G may be the first linear kernel's slot, and half_sq the last
-    Gaussian's, which is then exponentiated last; until then any other
-    Gaussian's slot is the polynomials' scratch.
-    """
-    by_kind = {"linear": [], "polynomial": [], "gaussian": []}
+    """Raw kernel values slots[i] <- k_i, in spec order, of kernels sharing one
+    input partition: elementwise from its G = <u,v> and half_sq = -||u-v||^2 / 2
+    (None without a Gaussian), dense blocks or packed rows. G may be a linear
+    kernel's slot and half_sq the last Gaussian's: no kernel writes G, and
+    none reads half_sq after the last Gaussian writes it."""
     for spec, K in zip(specs, slots):
-        by_kind[spec.kind].append((spec.param, K))
-    linear, polynomials, gaussians = by_kind.values()
-    for _, K in linear:
-        if K is not G:
-            np.copyto(K, G)
-    scratch = next((K for _, K in gaussians if K is not half_sq), None)
-    for degree, K in polynomials:
-        if scratch is None and degree & (degree - 1):
-            scratch = np.empty_like(G)
-        _inhomogeneous_power(G, degree, K, scratch)
-    for width, K in gaussians:
-        np.divide(half_sq, width**2, out=K)
-        np.exp(K, out=K)
+        if spec.kind == "linear":
+            if K is not G:
+                np.copyto(K, G)
+        elif spec.kind == "polynomial":
+            _inhomogeneous_power(G, spec.param, K)
+        else:
+            np.divide(half_sq, spec.param**2, out=K)
+            np.exp(K, out=K)
 
 
 def cross_gram(specs, train, test_rows) -> np.ndarray:

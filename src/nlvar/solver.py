@@ -260,26 +260,26 @@ def l1_solution(problem: GroupedProblem, W, Y, lam: float) -> tuple[np.ndarray, 
 
 
 def solve_task_l1(features: FeatureStack, grams: GramStack, y, lam: float,
-                  warm=None, opts: SolverOptions = SolverOptions()) -> TaskSolution:
+                  opts: SolverOptions = SolverOptions()) -> TaskSolution:
     """One output task under the entrywise-l1 weight penalty.
 
     The task is solved globally as a group lasso over the empirical features
     with penalty l1_penalty(lam); the kernel weights follow in closed form as
     a_d = sqrt(lam) * ||z_d||_2, and c = (y - sum_d Phi_d z_d) / lam, the
     residual over lam, solves (sum_d a_d K^d + lam I) c = y at the optimum.
-    y and warm are read as GroupedProblem and solve_group_lasso read them.
+    y is read as GroupedProblem reads a target.
     """
     if len(features.features) != grams.n_kernels:
         raise DimensionMismatchError(
             f"{len(features.features)} feature blocks for {grams.n_kernels} kernels"
         )
-    return _solve_l1(GroupedProblem(features.features, y, 0.0), y, lam, warm, opts)
+    return _solve_l1(GroupedProblem(features.features, y, 0.0), y, lam, opts)
 
 
-def _solve_l1(design: GroupedProblem, y, lam: float, warm, opts: SolverOptions) -> TaskSolution:
-    """One l1-route task on the stacked design of its kernels' features."""
+def _solve_l1(design: GroupedProblem, y, lam: float, opts: SolverOptions) -> TaskSolution:
+    """One l1-route task on the stacked design of its kernels' features, from zero."""
     problem = design.with_target(y, l1_penalty(lam))
-    sol = solve_group_lasso(problem, warm_start=warm, opts=opts)
+    sol = solve_group_lasso(problem, opts=opts)
     a, c = l1_solution(problem, np.concatenate(sol.weights), problem.target, lam)
     return TaskSolution(a=a, c=c, z_blocks=sol.weights, converged=sol.converged,
                         objective_trace=sol.objective_trace)
@@ -462,12 +462,26 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
     return TaskSolution(a=a, c=c, z_blocks=None, converged=converged, objective_trace=trace)
 
 
+def l12_path(grams: GramStack, Y, lams, options: SolverOptions = SolverOptions()):
+    """nvarl12's (A, C) at each penalty of `lams`: solve_task_l12 on each
+    column of the (n, m) array Y (else DimensionMismatchError), from its own
+    weights at the previous penalty (the first from the ray start)."""
+    if not (isinstance(Y, np.ndarray) and Y.ndim == 2 and Y.shape[1]):
+        raise DimensionMismatchError("targets Y must be an (n, m) array of m >= 1 columns")
+    warm = [None] * Y.shape[1]
+    for lam in lams:
+        tasks = [solve_task_l12(grams, grams.group_index, y, lam, warm=a, opts=options)
+                 for y, a in zip(Y.T, warm)]
+        warm = [task.a for task in tasks]
+        yield np.column_stack(warm), np.column_stack([task.c for task in tasks])
+
+
 def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions = SolverOptions(),
         norm_stats: NormStats | None = None, names: list[str] | None = None, *,
         dictionary=DEFAULT_DICTIONARY) -> ModelFit:
     """Fit all m output tasks of a kernel method at penalty `lam` over
     kernels built once: the l1 route's stacked design (l1_design), or
-    nvarl12's whole Gram stack.
+    nvarl12's whole Gram stack, on which the fit is l12_path at one penalty.
 
     Tasks are independent: each sees the same kernels and its own output
     column, so the columns of A and C match per-task solves exactly.
@@ -475,21 +489,19 @@ def fit(method: str, train: SupervisedSet, lam: float, options: SolverOptions = 
     if method not in KERNEL_METHODS:
         raise ConfigError(f"method must be one of {KERNEL_METHODS}, got {method!r}")
     lam = _positive_lam(lam)
-    m = train.n_series
     if method == "nvarl12":
         grams = build_gram_stack(train.inputs, train.partition_map, dictionary)
         specs = grams.specs
-        tasks = [solve_task_l12(grams, grams.group_index, y, lam, opts=options)
-                 for y in train.outputs.T]
+        A, C = next(l12_path(grams, train.outputs, [lam], options))
     else:
         # the m tasks share the design and its majorizer
         specs, design = l1_design(method, train, dictionary)
-        tasks = [_solve_l1(design, y, lam, None, options) for y in train.outputs.T]
+        tasks = [_solve_l1(design, y, lam, options) for y in train.outputs.T]
+        A, C = np.column_stack([t.a for t in tasks]), np.column_stack([t.c for t in tasks])
 
-    return ModelFit(method=method, A=np.column_stack([t.a for t in tasks]),
-                    C=np.column_stack([t.c for t in tasks]), specs=specs,
-                    training_inputs=train.inputs, norm_stats=norm_stats, lag=train.lag,
-                    lam=np.full(m, lam), names=names)
+    return ModelFit(method=method, A=A, C=C, specs=specs, training_inputs=train.inputs,
+                    norm_stats=norm_stats, lag=train.lag, lam=np.full(train.n_series, lam),
+                    names=names)
 
 
 def predict(fit_result: ModelFit, new_inputs) -> np.ndarray:

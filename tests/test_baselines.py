@@ -5,6 +5,7 @@ from nlvar.baselines import (
     BaselineFit,
     baseline_adjacency,
     fit_baseline,
+    lvarl1_path,
     predict_baseline,
 )
 from nlvar.errors import ConfigError, DimensionMismatchError, UnsupportedKindError
@@ -117,8 +118,9 @@ def test_lvarl1_warm_start_reaches_the_cold_solution():
     train = _train(rng)
     opts = SolverOptions(max_iter=20000, rel_tol=1e-10)
     cold = fit_baseline("lvarl1", train, 5.0, options=opts)
-    warm = fit_baseline("lvarl1", train, 5.0, options=opts,
-                        warm=fit_baseline("lvarl1", train, 20.0, options=opts))
+    first, warm = lvarl1_path(train, [20.0, 5.0], opts)
+    # the path's first fit is the cold fit; its second starts from the first
+    assert np.array_equal(first.coef, fit_baseline("lvarl1", train, 20.0, options=opts).coef)
     np.testing.assert_allclose(warm.coef, cold.coef, atol=1e-6)
 
 

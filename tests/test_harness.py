@@ -24,7 +24,7 @@ from nlvar.harness import (
     scale_count,
     split_experiment_data,
 )
-from nlvar.harness import _kernel_path, select_lambda
+from nlvar.harness import _baseline_path, _kernel_path, select_lambda
 from nlvar.kernels import DEFAULT_DICTIONARY, KernelSpec, build_feature_stack, build_gram_stack
 from nlvar.series import MultivariateSeries, lag_embed, standardize_apply, standardize_fit
 from nlvar.solver import fit, predict, solve_task_l1
@@ -166,31 +166,53 @@ def test_cv_rejects_too_few_rows():
 
 
 def test_cv_warm_start_equivalence_on_l1_path():
+    # the CV path's second grid point starts from the first's weights and
+    # reaches the cold final fit's forecasts
     rng = np.random.default_rng(3)
     series = MultivariateSeries(rng.standard_normal((70, 2)), ["a", "b"])
     train = lag_embed(series, 3)
-    grams = build_gram_stack(train.inputs, train.partition_map)
-    feats = build_feature_stack(grams)
-    y = train.outputs[:, 0]
+    X_val = rng.standard_normal((10, train.inputs.shape[1]))
     opts = SolverOptions(max_iter=50000, rel_tol=1e-11)
-    hot_src = solve_task_l1(feats, grams, y, 5.0, opts=opts)
-    cold = solve_task_l1(feats, grams, y, 1.0, opts=opts)
-    warm = solve_task_l1(feats, grams, y, 1.0, warm=hot_src.z_blocks, opts=opts)
-    assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
+    _, warm = _kernel_path("nvarl1", train, X_val, [5.0, 1.0], DEFAULT_DICTIONARY, opts)
+    cold = predict(fit("nvarl1", train, 1.0, opts), X_val)
+    np.testing.assert_allclose(warm, cold, rtol=1e-6, atol=1e-6)
 
 
-@pytest.mark.parametrize("method", ["nvarl1", "nvar", "nvarl12"])
+@pytest.mark.parametrize("method", ["nvarl1", "nvar", "nvarl12", "lvarl1"])
 def test_cv_path_matches_the_final_fit(method):
     # at one penalty from a cold start the CV path's validation forecasts
-    # are those of solver.fit and solver.predict, up to rounding: the two
+    # are those of the final fit and its predict, up to rounding: the two
     # nvarl1 call sites of the stacked solver must not drift apart
     series = generate_synthetic(SyntheticSpec(length=100, seed=23))
     _, train, val = split_experiment_data(series, train=70, holdout=30, lag=3)
     options = SolverOptions(max_iter=300, rel_tol=1e-6)
-    path = _kernel_path(method, train, val.inputs, [2.0], DEFAULT_DICTIONARY, options)
-    model = fit(method, train, 2.0, options)
-    assert model.A.any()
-    np.testing.assert_allclose(next(path), predict(model, val.inputs), rtol=1e-9, atol=1e-9)
+    if method == "lvarl1":
+        path = _baseline_path(method, train, val.inputs, [2.0], options)
+        model = baselines.fit_baseline(method, train, 2.0, options)
+        assert model.coef.any()
+        expected = baselines.predict_baseline(model, val.inputs)
+    else:
+        path = _kernel_path(method, train, val.inputs, [2.0], DEFAULT_DICTIONARY, options)
+        model = fit(method, train, 2.0, options)
+        assert model.A.any()
+        expected = predict(model, val.inputs)
+    np.testing.assert_allclose(next(path), expected, rtol=1e-9, atol=1e-9)
+
+
+def test_lvarl1_cv_builds_one_design_per_fold(monkeypatch):
+    # lvarl1_path builds its fold's design once for the whole grid
+    built = []
+    read = grouplasso.GroupedProblem.__post_init__
+
+    def counting(problem):
+        built.append(1)
+        read(problem)
+
+    monkeypatch.setattr(grouplasso.GroupedProblem, "__post_init__", counting)
+    series = generate_synthetic(SyntheticSpec(length=100, seed=23))
+    _, train, _ = split_experiment_data(series, train=70, holdout=30, lag=3)
+    cv_select(train, "lvarl1", GridSpec(count=4), folds=2)
+    assert len(built) == 2
 
 
 def test_l1_route_makes_no_coefficient_solve(monkeypatch):

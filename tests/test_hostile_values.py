@@ -3,10 +3,10 @@ value at every position of a valid document: each reading returns, or raises
 an NlvarError, with numpy's warnings turned into errors. Never another
 exception, and never a warning. A model document that loads yields a
 frozen model, and serves three rows of its width under the same rule. The
-library's solve entries meet hostile penalties, weights, targets, warm
-starts, lags, row counts and fold counts with the typed error of each, and
-every number or vector argument of them meets every hostile value with an
-NlvarError."""
+library's solve entries meet hostile penalties, weights, targets, design
+blocks, warm starts, lags, row counts and fold counts with the typed error
+of each, and every number or vector argument of them, λ paths run to their
+end included, meets every hostile value with an NlvarError."""
 
 import copy
 import dataclasses
@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nlvar.baselines import fit_baseline
+from nlvar.baselines import fit_baseline, lvarl1_path
 from nlvar.errors import (BadDataError, BadRangeError, ConfigError, DimensionMismatchError,
                           NlvarError)
 from nlvar.grouplasso import GroupedProblem, optimality_gap, solve_group_lasso
@@ -24,7 +24,8 @@ from nlvar.harness import GridSpec, cv_select, experiment_config_from_dict, spli
 from nlvar.kernels import build_feature_stack, build_gram_stack
 from nlvar.modelio import model_from_dict, model_to_dict, predict_model
 from nlvar.series import MultivariateSeries, lag_embed, standardize_apply, standardize_fit
-from nlvar.solver import fit, l1_penalty, solve_coefficients, solve_task_l1, solve_task_l12
+from nlvar.solver import (fit, l12_path, l1_penalty, solve_coefficients, solve_task_l1,
+                          solve_task_l12)
 
 HOSTILE = [None, True, False, -1, 0, 0.5, float("inf"), float("-inf"), float("nan"), "x", [], {}]
 
@@ -155,14 +156,6 @@ def _nan_blocks(problem):
     return [np.full(size, float("nan")) for size in problem.sizes]
 
 
-def _warm_baseline(method, lag):
-    """fit_baseline('lvarl1') on the lag-2 set, warm from a `method` fit at `lag`."""
-    def call(train, grams):
-        warm = fit_baseline(method, lag_embed(_series()[1], lag), 1.0)
-        return fit_baseline("lvarl1", train, 1.0, warm=warm)
-    return call
-
-
 def _split(**changed):
     args = {"train": 30, "holdout": 5, "lag": 2, **changed}
     return lambda train, grams: split_experiment_data(_series()[0], **args)
@@ -208,6 +201,13 @@ HOSTILE_CALLS = {
         lambda t, g: _problem(t).with_target("x", 1.0), BadDataError, "target"),
     "GroupedProblem no blocks": (
         lambda t, g: GroupedProblem([], t.outputs[:, 0], 1.0), DimensionMismatchError, "blocks"),
+    "GroupedProblem blocks=None": (
+        lambda t, g: GroupedProblem(None, t.outputs[:, 0], 1.0), DimensionMismatchError, "blocks"),
+    **{f"GroupedProblem block holding {value!r}": (
+        lambda t, g, value=value: GroupedProblem([t.inputs, np.full((t.n_pairs, 2), value)],
+                                                 t.outputs[:, 0], 1.0),
+        BadDataError, "finite numbers")
+       for value in ("x", NAN)},
     "solve_group_lasso nan warm start": (
         lambda t, g: solve_group_lasso(_problem(t), _nan_blocks(_problem(t))),
         BadDataError, "warm start"),
@@ -218,10 +218,6 @@ HOSTILE_CALLS = {
         lambda t, g, value=value: _l12(1.0, np.full(g.n_kernels, value))(t, g),
         BadDataError, "warm start")
        for value in (NAN, INF)},
-    "fit_baseline lvarl1 warm from mean": (_warm_baseline("mean", 2), ConfigError, "warm"),
-    "fit_baseline lvarl1 warm from lvarl2": (_warm_baseline("lvarl2", 2), ConfigError, "warm"),
-    "fit_baseline lvarl1 warm at lag 3": (
-        _warm_baseline("lvarl1", 3), DimensionMismatchError, "warm"),
     **{f"lag_embed p={p!r}": (lambda t, g, p=p: lag_embed(_series()[1], p), ConfigError, "lag")
        for p in (2.5, "3", True)},
     **{f"standardize_fit train_len={n!r}": (
@@ -249,20 +245,37 @@ def _solve_entries():
     y = train.outputs[:, 0]
     problem = _problem(train)
     blocks = [np.zeros(size) for size in problem.sizes]
+
+    # each λ path runs to its end, and a swept penalty is its second point
+    def lvarl1_path_to_its_end(lam):
+        return list(lvarl1_path(train, [1.0, lam]))
+
+    def l12_path_to_its_end(lam, Y):
+        return list(l12_path(grams, Y, [1.0, lam]))
+
+    def l12_path_to_its_end_with_a_target_column(column):
+        # the valid column is a float vector; a swept value fills the first
+        # column of an object array of targets
+        Y = train.outputs.astype(column.dtype if isinstance(column, np.ndarray) else object)
+        Y[:, 0] = column if isinstance(column, np.ndarray) else [column] * len(Y)
+        return l12_path_to_its_end(1.0, Y)
+
     return [
         (GroupedProblem, {"design_blocks": problem.design_blocks, "target": y, "penalty": 1.0},
-         ("target", "penalty")),
+         ("design_blocks", "target", "penalty")),
         (problem.with_target, {"target": y, "penalty": 1.0}, ("target", "penalty")),
         (solve_group_lasso, {"problem": problem, "warm_start": blocks}, ("warm_start",)),
         (optimality_gap, {"problem": problem, "weights": blocks}, ("weights",)),
         (solve_coefficients, {"grams": grams, "a": np.ones(grams.n_kernels), "y": y, "lam": 1.0},
          ("a", "y", "lam")),
         (solve_task_l1, {"features": build_feature_stack(grams), "grams": grams, "y": y,
-                         "lam": 1.0, "warm": None}, ("y", "lam", "warm")),
+                         "lam": 1.0}, ("y", "lam")),
         (solve_task_l12, {"grams": grams, "group_index": grams.group_index, "y": y, "lam": 1.0,
                           "warm": None}, ("y", "lam", "warm")),
-        (fit_baseline, {"method": "lvarl1", "train": train, "lam": 1.0, "warm": None},
-         ("lam", "warm")),
+        (fit_baseline, {"method": "lvarl1", "train": train, "lam": 1.0}, ("lam",)),
+        (lvarl1_path_to_its_end, {"lam": 1.0}, ("lam",)),
+        (l12_path_to_its_end, {"lam": 1.0, "Y": train.outputs}, ("lam", "Y")),
+        (l12_path_to_its_end_with_a_target_column, {"column": y}, ("column",)),
         (lag_embed, {"series": series, "p": 2}, ("p",)),
         (standardize_fit, {"series": series, "train_len": 30}, ("train_len",)),
         (split_experiment_data, {"series": series, "train": 30, "holdout": 5, "lag": 2},

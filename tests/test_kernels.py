@@ -244,6 +244,8 @@ STACK_CASES = {
     "degrees 4 and 5": ((("linear", None), ("polynomial", 4), ("polynomial", 5)), None),
     "gaussians only": ((("gaussian", 0.5), ("gaussian", 2.0)), None),
     "repeated entry": (DEFAULT_DICTIONARY + (("linear", None), ("gaussian", 1.0)), None),
+    "kinds out of order": ((("gaussian", 0.5), ("polynomial", 3), ("linear", None),
+                            ("gaussian", 2.0)), None),
 }
 
 
