@@ -91,33 +91,47 @@ def real_number(value, what: str) -> float:
     raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
-def data_vector(value, n: int, what: str) -> np.ndarray:
-    """A float copy of the n entries of `value`, raveled; another count
-    raises DimensionMismatchError, and an entry that is no number (a bool or
-    a string included) or is not finite BadDataError."""
+def data_array(value, ndim: int | None, what: str) -> np.ndarray:
+    """`value` as a float array of ndim axes (None: any), itself when it is a
+    float array already: the one reader of numeric arrays. A ragged nesting or
+    another rank raises DimensionMismatchError; an entry that is a bool, a
+    string or another object, or is not finite, BadDataError."""
     try:
         raw = np.asarray(value)
-    except ValueError:  # a ragged nested list
-        raw = None
-    if raw is None or raw.dtype.kind not in "iuf" or not np.isfinite(raw).all():
+    except ValueError:  # numpy's inhomogeneous shape, or more than 64 axes
+        raise DimensionMismatchError(f"{what} is a ragged nesting, not an array") from None
+    if ndim is not None and raw.ndim != ndim:
+        raise DimensionMismatchError(f"{what} must be a finite {ndim}-d array, not {raw.ndim}-d")
+    kind = raw.dtype.kind
+    # a bool beside numbers reads as 1.0: one set of a list nesting's types, arrays not entered
+    if kind in "iuf" and isinstance(value, (list, tuple)) and not (
+            value and isinstance(value[0], np.ndarray)):
+        entries = value
+        for _ in range(raw.ndim - 1):
+            entries = itertools.chain.from_iterable(entries)
+        kind = "b" if bool in set(map(type, entries)) else kind
+    if kind == "b":
+        raise BadDataError(f"{what} must hold numbers, not booleans")
+    if kind not in "iuf" or not np.isfinite(raw).all():
         raise BadDataError(f"{what} must hold finite numbers only")
-    if raw.size != n:
-        raise DimensionMismatchError(f"{what} has {raw.size} entries, expected {n}")
-    return raw.astype(float).ravel()
+    return raw.astype(float, copy=False)
+
+
+def data_vector(value, n: int, what: str) -> np.ndarray:
+    """A float copy of the n entries of `value`, read by data_array and
+    raveled; another count raises DimensionMismatchError."""
+    arr = data_array(value, None, what)
+    if arr.size != n:
+        raise DimensionMismatchError(f"{what} has {arr.size} entries, expected {n}")
+    return arr.flatten()
 
 
 def finite_array(doc, ndim: int, what: str) -> np.ndarray:
-    """A finite ndim-d (1 or 2) float array, as the read-only copy a frozen
-    type holds (the caller's own array stays writable); a wrong shape, a
-    non-finite entry or a boolean entry raises ConfigError instead of being
-    converted."""
-    arr = np.array(doc, dtype=float)
-    if not (arr.ndim == ndim and np.all(np.isfinite(arr))):
-        raise ConfigError(f"{what} must be a finite {ndim}-d array")
-    # the float conversion reads a JSON true as 1.0: one pass over the types
-    # of a JSON value's entries (an array holds no bool)
-    entries = doc if ndim == 1 else itertools.chain.from_iterable(doc)
-    if not isinstance(doc, np.ndarray) and bool in map(type, entries):
-        raise ConfigError(f"{what} must hold numbers, not booleans")
+    """data_array's ndim-d array as the read-only copy a frozen type holds (the
+    caller's stays writable); what data_array rejects raises ConfigError."""
+    try:
+        arr = data_array(doc, ndim, what).copy()
+    except (BadDataError, DimensionMismatchError) as exc:
+        raise ConfigError(str(exc)) from None
     arr.flags.writeable = False
     return arr

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadDataError, ConfigError, DimensionMismatchError, NonFiniteObjectiveError,
+from .errors import (ConfigError, DimensionMismatchError, NonFiniteObjectiveError, data_array,
                      data_vector, real_number, whole_number)
 
 #: KKT tolerance relative to the penalty: a solve is converged only once the
@@ -76,7 +76,7 @@ class GroupedProblem:
     """Design blocks B_g (n x r_g each, at least one), a length-n target, penalty kappa >= 0.
 
     The blocks, 2-d numpy arrays in a list or tuple (else DimensionMismatchError)
-    of finite numbers (else BadDataError), are copied once, on construction, into
+    read by errors.data_array, are copied once, on construction, into
     the stacked design B (design_blocks then holds views of B), with the group
     offsets `starts`, the group `sizes` and the block_majorizer of B. Problems
     derived by with_target share all four by reference.
@@ -92,11 +92,10 @@ class GroupedProblem:
                 isinstance(b, np.ndarray) and b.ndim == 2 and len(b) == len(blocks[0])
                 for b in blocks)):
             raise DimensionMismatchError("design_blocks must be a list of (n, r_g) arrays")
-        if not all(b.dtype.kind in "iuf" and np.isfinite(b).all() for b in blocks):
-            raise BadDataError("design blocks must hold finite numbers only")
+        blocks = [data_array(b, 2, f"design block {g}") for g, b in enumerate(blocks)]
         self.sizes = np.array([b.shape[1] for b in blocks])
         self.starts = group_starts(self.sizes)
-        self.B = np.hstack(blocks, dtype=float)
+        self.B = np.hstack(blocks)
         self.design_blocks = [self.B[:, lo:lo + size] for lo, size in zip(self.starts, self.sizes)]
         self.majorizer = block_majorizer(self.B, self.starts, self.sizes)
         self._read(self.target, self.penalty)
@@ -259,7 +258,7 @@ def _solve_stacked(B, starts, sizes, y, kappa, opts, majorizer, w0=None):
     is orders of magnitude below the KKT tolerance. With numpy's warnings
     off, an overflow ends as a non-finite objective (NonFiniteObjectiveError).
     """
-    w = np.zeros(B.shape[1]) if w0 is None else np.array(w0, dtype=float)
+    w = np.zeros(B.shape[1]) if w0 is None else w0.copy()
 
     r = (y - B @ w) if w.any() else y.copy()
     trace = [float(r @ r) + kappa * group_penalty(w, starts)]

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     FoldTooSmallError,
     NlvarError,
+    data_array,
     finite_array,
     real_number,
     whole_number,
@@ -181,8 +182,7 @@ def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
     else:
         specs, design = solver.l1_design(method, sub, dictionary)
         fits = _l1_path(design, sub.outputs, lams, options)
-    cross = build_cross_stack(specs, sub.inputs, np.asarray(X_val, dtype=float),
-                              sub.partition_map)
+    cross = build_cross_stack(specs, sub.inputs, X_val, sub.partition_map)
     return (solver.expand(cross, A, C) for A, C in fits)
 
 
@@ -253,7 +253,7 @@ def evaluate_holdout(predict_fn, holdout: SupervisedSet) -> tuple[float, float]:
     """
     if holdout.n_pairs < 1:
         raise BadRangeError("holdout set is empty")
-    preds = np.asarray(predict_fn(holdout.inputs), dtype=float)
+    preds = data_array(predict_fn(holdout.inputs), 2, "predictions")
     if preds.shape != holdout.outputs.shape:
         raise DimensionMismatchError(
             f"predictions {preds.shape} vs outputs {holdout.outputs.shape}"
@@ -305,6 +305,8 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; valid: {list(ALL_METHODS)}")
+        if not self.methods or len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"methods must name one or more methods, each once: {self.methods}")
         object.__setattr__(self, "dictionary", tuple(
             (spec.kind, spec.param) for spec in make_specs([None], self.dictionary)))
         if (self.synthetic is None) == (self.csv_path is None):

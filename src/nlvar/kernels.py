@@ -23,12 +23,12 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import (
-    BadDataError,
     ConfigError,
     DegenerateKernelError,
     DimensionMismatchError,
     NormFactorMissingError,
     NotPSDError,
+    data_array,
     real_number,
     whole_number,
 )
@@ -115,19 +115,13 @@ class GramStack:
 
     @classmethod
     def of(cls, grams, specs) -> GramStack:
-        """Pack dense n x n Grams, one per spec, of which the lower triangles
-        are read; a ragged list, a non-square Gram or another count of specs
-        raises DimensionMismatchError and a non-finite entry BadDataError."""
-        try:
-            grams = [np.asarray(K, dtype=float) for K in grams]
-        except ValueError as exc:  # a ragged nested list, or an entry that is no number
-            raise DimensionMismatchError(f"Grams must be square matrices of numbers: {exc}")
-        n = grams[0].shape[0] if grams else 0
-        if not grams or len(grams) != len(specs) or any(K.shape != (n, n) for K in grams):
-            raise DimensionMismatchError(f"Grams of shapes {[K.shape for K in grams]} are not "
-                                         f"one stack of square matrices for {len(specs)} specs")
-        if not all(np.isfinite(K).all() for K in grams):
-            raise BadDataError("a Gram matrix holds a non-finite entry")
+        """Pack the lower triangles of dense n x n Grams, one per spec, read as
+        one (l, n, n) array by data_array; a non-square Gram or another count
+        of specs raises DimensionMismatchError."""
+        grams = data_array(grams, 3, "Grams")
+        if not 0 < len(grams) == len(specs) or grams.shape[1] != grams.shape[2]:
+            raise DimensionMismatchError(f"Grams of shape {grams.shape} are not one stack of "
+                                         f"square matrices for {len(specs)} specs")
         return cls(np.stack([lapack.dtrttp(K, uplo="L")[0] for K in grams]), specs)
 
     @property
@@ -212,16 +206,6 @@ def partition_columns(spec: KernelSpec, partition_map) -> list[int] | slice:
     return partition_map[spec.partition]
 
 
-def _row_sets(rows, other) -> tuple[np.ndarray, np.ndarray]:
-    """Two row sets that share their columns, as float arrays; `other`
-    defaults to `rows`."""
-    X = np.asarray(rows, dtype=float)
-    Z = X if other is None else np.asarray(other, dtype=float)
-    if X.ndim != 2 or Z.ndim != 2 or X.shape[1] != Z.shape[1]:
-        raise DimensionMismatchError(f"incompatible row sets {Z.shape} and {X.shape}")
-    return X, Z
-
-
 def _inhomogeneous_power(G: np.ndarray, degree: int, out: np.ndarray) -> None:
     """out <- (1 + G) ** degree by square-and-multiply, not libm pow: degree 2
     is bitwise (1 + G) * (1 + G), each product moves the result by at most
@@ -292,16 +276,18 @@ def cross_gram(specs, train, test_rows) -> np.ndarray:
     gives the (k, P, n_test, n_train) blocks of all P partitions, block
     [i, j] equal to cross_gram(specs[j][i], train.rows[j], test_rows[j]) bit
     for bit. Kernel-major, each kernel's blocks are one contiguous array for
-    the elementwise passes.
+    the elementwise passes. Test rows, and training rows not given as a
+    TrainingRows, are read by data_array.
     """
     if not isinstance(train, TrainingRows):
-        X, Z = _row_sets(train, test_rows)
+        X = data_array(train, 2, "training rows")
         one = isinstance(specs, KernelSpec)
-        blocks = cross_gram([[specs] if one else list(specs)], TrainingRows(X[None]), Z[None])
+        blocks = cross_gram([[specs] if one else list(specs)], TrainingRows(X[None]),
+                            data_array(test_rows, 2, "test rows")[None])
         return blocks[0, 0] if one else blocks[:, 0]
-    Z = np.asarray(test_rows, dtype=float)
+    Z = data_array(test_rows, 3, "test rows")
     P, n, p = train.rows.shape
-    if Z.ndim != 3 or Z.shape[0] != P or Z.shape[2] != p or len(specs) != P:
+    if Z.shape[0] != P or Z.shape[2] != p or len(specs) != P:
         raise DimensionMismatchError(f"test rows {Z.shape} and {len(specs)} spec lists "
                                      f"for training rows {train.rows.shape}")
     layout = [(spec.kind, spec.param) for spec in specs[0]]
@@ -334,7 +320,9 @@ def empirical_features(K: np.ndarray) -> np.ndarray:
     negative eigenvalues (numerical noise) are dropped, clearly negative
     ones raise NotPSDError.
     """
-    K = np.asarray(K, dtype=float)
+    K = data_array(K, 2, "matrix")
+    if not 0 < K.shape[0] == K.shape[1]:
+        raise DimensionMismatchError(f"a matrix of shape {K.shape} is not square")
     vals, vecs = np.linalg.eigh(0.5 * (K + K.T))
     top = float(vals[-1])
     if top <= 0.0:
@@ -359,6 +347,7 @@ def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTI
     for the unpartitioned full-input variant, whose rows are a view of
     `inputs`.
     """
+    inputs = data_array(inputs, 2, "inputs")
     if partitions is None:
         partitions = list(range(len(partition_map)))
     specs = make_specs(partitions, dictionary)
@@ -368,7 +357,7 @@ def build_gram_stack(inputs: np.ndarray, partition_map, dictionary=DEFAULT_DICTI
     diagonal = j * n - j * (j - 1) // 2  # packed index of entry (j, j)
     bounds = np.cumsum([0, *group_sizes(group_index_of(specs))])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        X, _ = _row_sets(inputs[:, partition_columns(specs[lo], partition_map)], None)
+        X = inputs[:, partition_columns(specs[lo], partition_map)]
         G = np.empty((n, n))
         half_sq = np.empty((n, n)) if any(s.kind == "gaussian" for s in specs[lo:hi]) else None
         # an overflowing entry overflows a diagonal one too (Cauchy-Schwarz), so
@@ -399,6 +388,8 @@ def build_cross_stack(specs, train_inputs: np.ndarray, new_inputs: np.ndarray,
     """Cross-Gram blocks (l, n_new, n_train) for every one of the l specs,
     whose norm factors were stored with their training Grams, filled one
     partition at a time by cross_gram; a partition's specs are contiguous."""
+    train_inputs = data_array(train_inputs, 2, "training inputs")
+    new_inputs = data_array(new_inputs, 2, "new inputs")
     out = np.empty((len(specs), new_inputs.shape[0], train_inputs.shape[0]))
     bounds = np.cumsum([0, *group_sizes(group_index_of(specs))])
     for lo, hi in zip(bounds[:-1], bounds[1:]):

@@ -99,7 +99,7 @@ def read_json(path) -> dict:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, an int too long, too deep
             raise ConfigError(f"{path}: not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: not a JSON object but {type(doc).__name__}")

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BadDataError, BadRangeError, ConfigError, ConstantSeriesError,
-                     DimensionMismatchError, SeriesTooShortError, finite_array, whole_number)
+                     DimensionMismatchError, SeriesTooShortError, data_array, finite_array,
+                     whole_number)
 
 STD_FLOOR = 1e-12
 
@@ -25,9 +26,7 @@ class MultivariateSeries:
     names: list[str]
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise DimensionMismatchError("series values must be a 2-d array")
+        self.values = data_array(self.values, 2, "series values")
         n, m = self.values.shape
         if n < 1 or m < 1:
             raise DimensionMismatchError("series needs at least one row and one column")
@@ -37,8 +36,6 @@ class MultivariateSeries:
             raise DimensionMismatchError(
                 f"series has {m} columns but {len(self.names)} names"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise BadDataError("series contains NaN or infinite values")
 
     @property
     def n_steps(self) -> int:
@@ -100,10 +97,8 @@ class SupervisedSet:
     lag: int
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=float)
-        self.outputs = np.asarray(self.outputs, dtype=float)
-        if self.inputs.ndim != 2 or self.outputs.ndim != 2:
-            raise DimensionMismatchError("inputs and outputs must be 2-d arrays")
+        self.inputs = data_array(self.inputs, 2, "inputs")
+        self.outputs = data_array(self.outputs, 2, "outputs")
         if self.inputs.shape[0] != self.outputs.shape[0]:
             raise DimensionMismatchError("inputs and outputs row counts differ")
         if self.inputs.shape[1] != self.n_series * self.lag:
@@ -182,13 +177,12 @@ def standardize_apply(
 
 
 def input_rows(new_inputs) -> np.ndarray:
-    """Lag-embedded input rows as a 2-d float array (one row may come as a
-    vector); a NaN or infinite entry raises BadDataError."""
-    X = np.asarray(new_inputs, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    if not np.all(np.isfinite(X)):
-        raise BadDataError("predict inputs contain NaN or infinite values")
+    """Lag-embedded input rows (data_array) as a 2-d float array; one row may
+    come as a vector, and more axes raise DimensionMismatchError."""
+    X = data_array(new_inputs, None, "predict inputs")
+    X = X[None, :] if X.ndim == 1 else X
+    if X.ndim != 2:
+        raise DimensionMismatchError(f"predict inputs must be one row or 2-d, not {X.ndim}-d")
     return X
 
 
@@ -237,30 +231,29 @@ def lag_embed(series: MultivariateSeries, p: int) -> SupervisedSet:
 def read_csv(path) -> MultivariateSeries:
     """Load a series from CSV: header row of names, one time step per row.
 
-    Missing or non-numeric values are an error; no imputation is attempted.
+    Missing or non-numeric values, bytes that do not decode and a field over
+    the csv module's limit are errors; no imputation is attempted.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            names = next(reader)
+            names = [name.strip() for name in next(reader)]
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(names):
+                    raise BadDataError(f"{path}:{lineno}: expected {len(names)} values, "
+                                       f"got {len(row)}")
+                try:
+                    rows.append([float(cell) for cell in row])
+                except ValueError:
+                    raise BadDataError(f"{path}:{lineno}: missing or non-numeric value") from None
         except StopIteration:
             raise BadDataError(f"{path}: empty file") from None
-        names = [name.strip() for name in names]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(names):
-                raise BadDataError(
-                    f"{path}:{lineno}: expected {len(names)} values, got {len(row)}"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise BadDataError(
-                    f"{path}:{lineno}: missing or non-numeric value"
-                ) from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise BadDataError(f"{path}: not a readable CSV file: {exc}") from None
     if not rows:
         raise BadDataError(f"{path}: no data rows")
-    return MultivariateSeries(values=np.array(rows, dtype=float), names=names)
+    return MultivariateSeries(values=rows, names=names)
 
 
 def write_csv(series: MultivariateSeries, path) -> None:

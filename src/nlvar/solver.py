@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import (ConfigError, DimensionMismatchError, NonFiniteObjectiveError,
-                     SingularSystemError, UnsupportedKindError, data_vector, finite_array,
-                     real_number)
+                     SingularSystemError, UnsupportedKindError, data_array, data_vector,
+                     finite_array, real_number)
 from .grouplasso import (
     GroupedProblem,
     SolverOptions,
@@ -545,7 +545,7 @@ def expand(blocks: np.ndarray, weights: np.ndarray, C: np.ndarray) -> np.ndarray
 
 def normalize_adjacency(raw: np.ndarray) -> np.ndarray:
     """Zero entries below ADJ_ZERO_TOL*max and rescale so the largest entry is 1."""
-    raw = np.asarray(raw, dtype=float)
+    raw = data_array(raw, 2, "raw adjacency")
     top = float(raw.max(initial=0.0))
     if top <= 0.0:
         return np.zeros_like(raw)

@@ -539,6 +539,45 @@ def test_predict_rejects_a_model_that_is_not_json(tmp_path, data_csv, capsys):
     assert not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    (b"a,b\n1.0,2.0\n\xff,3.0\n", "not a readable CSV file"),  # not UTF-8
+    (b"a,b\n1.0," + b"2" * 140_000 + b"\n", "field larger than field limit"),
+], ids=["not UTF-8", "a field over the csv limit"])
+def test_fit_rejects_a_csv_that_does_not_decode_or_split(tmp_path, capsys, text, message):
+    # each ended in a traceback: UnicodeDecodeError and csv.Error
+    data = tmp_path / "data.csv"
+    data.write_bytes(text)
+    capsys.readouterr()
+    assert main(["fit", "--data", str(data), "--method", "mean", "--train", "50",
+                 "--lambda", "0", "--out", str(tmp_path / "model.json")]) == 2
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "model.json").exists()
+
+
+_UNPARSABLE_JSON = {
+    "not UTF-8": b'{"train": 120\xff}',
+    "a 5000-digit integer": b'{"train": ' + b"1" * 5000 + b"}",
+    "100000-deep nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["benchmark", "predict"])
+@pytest.mark.parametrize("text", _UNPARSABLE_JSON.values(), ids=_UNPARSABLE_JSON)
+def test_a_config_or_model_json_can_fail_to_parse_only_with_exit_code_2(tmp_path, data_csv,
+                                                                       capsys, command, text):
+    # each ended in a traceback: UnicodeDecodeError, the integer digit
+    # limit's ValueError and RecursionError
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(text)
+    capsys.readouterr()
+    argv = (["benchmark", "--config", str(doc)] if command == "benchmark" else
+            ["predict", "--model", str(doc), "--data", str(data_csv),
+             "--out", str(tmp_path / "f.csv")])
+    assert main(argv) == 2
+    assert "not JSON" in _one_line_error(capsys)
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_predict_rejects_a_model_without_norm_stats(tmp_path, data_csv, capsys):
     model_path = tmp_path / "model.json"
     assert main(["fit", "--data", str(data_csv), "--method", "lvarl2", "--train", "150",

@@ -620,6 +620,9 @@ _BAD_VALUES = [(change, None) for change in [
     ({"kernels": [["linear", 3]]}, "linear kernel takes no parameter"),  # was dropped
     ({"lag": 0}, "lag must be at least 1"),
     ({"data": {"synthetic": {"seed": -1}}}, "seed must be at least 0"),  # numpy refuses it
+    # an empty list wrote an empty report, and a repeated method was fitted twice
+    ({"methods": []}, "methods must name one or more methods"),
+    ({"methods": ["mean", "nvarl1", "mean"]}, "each once"),
 ]
 
 

@@ -6,7 +6,9 @@ frozen model, and serves three rows of its width under the same rule. The
 library's solve entries meet hostile penalties, weights, targets, design
 blocks, warm starts, lags, row counts and fold counts with the typed error
 of each, and every number or vector argument of them, λ paths run to their
-end included, meets every hostile value with an NlvarError."""
+end included, meets every hostile value with an NlvarError. Every numeric
+array the library reads, from series values to predict rows, forecasts and
+Grams, meets five hostile kinds of array with an NlvarError."""
 
 import copy
 import dataclasses
@@ -16,14 +18,17 @@ import warnings
 import numpy as np
 import pytest
 
-from nlvar.baselines import fit_baseline, lvarl1_path
+from nlvar.baselines import BaselineFit, fit_baseline, lvarl1_path
 from nlvar.errors import (BadDataError, BadRangeError, ConfigError, DimensionMismatchError,
-                          NlvarError)
+                          NlvarError, data_array, data_vector)
 from nlvar.grouplasso import GroupedProblem, optimality_gap, solve_group_lasso
-from nlvar.harness import GridSpec, cv_select, experiment_config_from_dict, split_experiment_data
-from nlvar.kernels import build_feature_stack, build_gram_stack
+from nlvar.harness import (GridSpec, cv_select, evaluate_holdout, experiment_config_from_dict,
+                           split_experiment_data)
+from nlvar.kernels import (GramStack, build_feature_stack, build_gram_stack, cross_gram,
+                           empirical_features)
 from nlvar.modelio import model_from_dict, model_to_dict, predict_model
-from nlvar.series import MultivariateSeries, lag_embed, standardize_apply, standardize_fit
+from nlvar.series import (MultivariateSeries, NormStats, SupervisedSet, lag_embed,
+                          standardize_apply, standardize_fit)
 from nlvar.solver import (fit, l12_path, l1_penalty, solve_coefficients, solve_task_l1,
                           solve_task_l12)
 
@@ -298,4 +303,96 @@ def test_library_solves_meet_every_hostile_value_with_an_nlvar_error():
                     except Exception as exc:  # noqa: BLE001 - what the sweep looks for
                         failures.append(f"{entry.__qualname__}({name}={value!r}): "
                                         f"{type(exc).__name__}: {exc}")
+    assert not failures, "\n".join(failures)
+
+
+def test_data_array_is_the_one_rule():
+    floats = np.ones((2, 3))
+    assert data_array(floats, 2, "x") is floats  # read as it is, no copy
+    assert data_array([[1, 2]], None, "x").dtype == np.float64
+    for value, ndim, error in (([1.0, [2.0, 3.0]], 1, DimensionMismatchError),  # ragged
+                               ([[1.0], [2.0, 3.0]], None, DimensionMismatchError),
+                               (floats, 1, DimensionMismatchError),  # another rank
+                               ([1.0, True], 1, BadDataError),
+                               ([[1.0], [True]], 2, BadDataError),
+                               (np.array([True, False]), 1, BadDataError),
+                               ([1.0, "2"], 1, BadDataError),
+                               ([1.0, None], 1, BadDataError),
+                               ([10**30], 1, BadDataError),  # past int64: an object
+                               ([1.0, -INF], 1, BadDataError)):
+        with pytest.raises(error):
+            data_array(value, ndim, "x")
+    # a ragged vector is a shape error, as a ragged Gram stack always was
+    with pytest.raises(DimensionMismatchError, match="ragged"):
+        data_vector([1.0, [2.0, 3.0]], 3, "x")
+
+
+def _hostile_arrays(valid) -> dict:
+    """Five hostile kinds of array, shaped like the valid array `valid`."""
+    valid = np.asarray(valid)
+    mixed = valid.tolist()
+    node = mixed
+    while isinstance(node[0], list):
+        node = node[0]
+    node[0] = True  # float() reads it as 1.0
+    ragged = valid.tolist()
+    ragged[-1] = [ragged[-1]] * 2 if valid.ndim == 1 else ragged[-1][:-1]
+    return {"strings": np.full(valid.shape, "x").tolist(),
+            "None objects": np.full(valid.shape, None, dtype=object),
+            "True among floats": mixed,
+            "ragged": ragged,
+            "all NaN": np.full(valid.shape, NAN)}
+
+
+@functools.cache
+def _models():
+    """A kernel and a baseline model fitted on the training set."""
+    train = _library_inputs()[0]
+    return fit("nvarl1", train, 1.0), fit_baseline("lvarl2", train, 1.0)
+
+
+#: (read, valid array) of every library entry that reads a numeric array,
+#: given the training set and its stack: read(valid) returns
+ARRAY_READS = {
+    "predict_model kernel rows": lambda t, g: (
+        lambda X: predict_model(_models()[0], X), t.inputs[:3]),
+    "predict_model baseline rows": lambda t, g: (
+        lambda X: predict_model(_models()[1], X), t.inputs[:3]),
+    "MultivariateSeries values": lambda t, g: (
+        lambda v: MultivariateSeries(v, ["s0", "s1"]), _series()[0].values),
+    "SupervisedSet inputs": lambda t, g: (
+        lambda v: SupervisedSet(v, t.outputs, t.lag), t.inputs),
+    "NormStats mean": lambda t, g: (lambda v: NormStats(v, [1.0, 1.0]), [0.5, -0.5]),
+    "BaselineFit coef": lambda t, g: (
+        lambda v: BaselineFit("lvarl2", t.lag, coef=v), _models()[1].coef),
+    "build_gram_stack inputs": lambda t, g: (
+        lambda v: build_gram_stack(v, t.partition_map), t.inputs),
+    "cross_gram test rows": lambda t, g: (
+        lambda v: cross_gram(g.specs[0], t.inputs[:, :2], v), t.inputs[:3, :2]),
+    "GramStack.of Grams": lambda t, g: (
+        lambda v: GramStack.of(v, g.specs[:2]), np.stack([g.gram(0), g.gram(1)])),
+    "empirical_features matrix": lambda t, g: (empirical_features, g.gram(0)),
+    "solve_coefficients weights": lambda t, g: (
+        lambda v: solve_coefficients(g, v, t.outputs[:, 0], 1.0), np.ones(g.n_kernels)),
+    "evaluate_holdout predictions": lambda t, g: (
+        lambda v: evaluate_holdout(lambda X: v, t), t.outputs),
+}
+
+
+@pytest.mark.parametrize("entry", ARRAY_READS.values(), ids=ARRAY_READS)
+def test_every_array_reader_meets_hostile_arrays_with_an_nlvar_error(entry):
+    read, valid = entry(*_library_inputs())
+    read(valid)
+    failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, value in _hostile_arrays(valid).items():
+            try:
+                read(value)
+            except NlvarError:
+                continue
+            except Exception as exc:  # noqa: BLE001 - what the sweep looks for
+                failures.append(f"{kind}: {type(exc).__name__}: {exc}")
+            else:
+                failures.append(f"{kind}: accepted")
     assert not failures, "\n".join(failures)

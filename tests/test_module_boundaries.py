@@ -89,3 +89,31 @@ def test_no_module_imports_a_name_it_never_reads():
         if path.stem != "__init__":  # the package's imports are its public names
             found |= _unread_imports(path.stem, path.read_text())
     assert found - UNREAD_ALLOWED == set()
+
+
+def _float_conversions(source: str) -> list[int]:
+    """Lines of every np.asarray or np.array call in `source` that converts
+    to float (dtype=float, by keyword or position)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")
+                and node.func.attr in ("asarray", "array")):
+            dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[1:2]
+            if any(isinstance(dtype, ast.Name) and dtype.id == "float" for dtype in dtypes):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_checker_sees_float_conversions():
+    source = ("import numpy as np\nnp.asarray(x, dtype=float)\nnp.array(x, float)\n"
+              "np.asarray(x)\nnp.array(x, dtype=int)\nnp.zeros(3, dtype=float)\n")
+    assert _float_conversions(source) == [2, 3]
+
+
+def test_only_errors_converts_arrays_to_float():
+    # errors.data_array is the one reader of numeric arrays: a conversion
+    # elsewhere would read past its finite-numbers rule
+    found = {path.stem: lines for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "errors" and (lines := _float_conversions(path.read_text()))}
+    assert found == {}
