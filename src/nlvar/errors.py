@@ -126,12 +126,18 @@ def data_vector(value, n: int, what: str) -> np.ndarray:
     return arr.flatten()
 
 
-def finite_array(doc, ndim: int, what: str) -> np.ndarray:
+def frozen_array(value, ndim: int, what: str) -> np.ndarray:
     """data_array's ndim-d array as the read-only copy a frozen type holds (the
-    caller's stays writable); what data_array rejects raises ConfigError."""
-    try:
-        arr = data_array(doc, ndim, what).copy()
-    except (BadDataError, DimensionMismatchError) as exc:
-        raise ConfigError(str(exc)) from None
+    caller's stays writable)."""
+    arr = data_array(value, ndim, what).copy()
     arr.flags.writeable = False
     return arr
+
+
+def finite_array(doc, ndim: int, what: str) -> np.ndarray:
+    """frozen_array of a config or model value; what data_array rejects raises
+    ConfigError."""
+    try:
+        return frozen_array(doc, ndim, what)
+    except (BadDataError, DimensionMismatchError) as exc:
+        raise ConfigError(str(exc)) from None

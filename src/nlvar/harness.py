@@ -174,14 +174,15 @@ def _l1_path(design, Y, lams, options: SolverOptions):
 def _kernel_path(method: str, sub: SupervisedSet, X_val, lams, dictionary,
                  options: SolverOptions):
     """_l1_path on solver.l1_design's design (nvarl1, nvar), or solver.l12_path
-    on the Gram stack built here (nvarl12); each grid point's forecasts are
-    one solver.expand over the cross-Gram blocks, built once for the grid."""
+    on the Gram stack built here (nvarl12), solved over the whole grid first,
+    so nvarl12's scipy solves never wait on numpy's BLAS pool between
+    penalties; then one solver.expand per grid point over cross-Gram blocks."""
     if method == "nvarl12":
         grams = build_gram_stack(sub.inputs, sub.partition_map, dictionary)
-        specs, fits = grams.specs, solver.l12_path(grams, sub.outputs, lams, options)
+        specs, fits = grams.specs, list(solver.l12_path(grams, sub.outputs, lams, options))
     else:
         specs, design = solver.l1_design(method, sub, dictionary)
-        fits = _l1_path(design, sub.outputs, lams, options)
+        fits = list(_l1_path(design, sub.outputs, lams, options))
     cross = build_cross_stack(specs, sub.inputs, X_val, sub.partition_map)
     return (solver.expand(cross, A, C) for A, C in fits)
 
@@ -398,7 +399,7 @@ def split_experiment_data(series: MultivariateSeries, train: int, holdout: int,
         raise BadRangeError(f"a series of {series.n_steps} steps does not split into "
                             f"train={train} > lag={lag} and holdout={holdout} >= 0 steps")
     stats = standardize_fit(series, train)
-    window = MultivariateSeries(values=series.values[:needed].copy(), names=list(series.names))
+    window = MultivariateSeries(values=series.values[:needed], names=list(series.names))
     std = standardize_apply(window, stats, "forward")
     sup = lag_embed(std, lag)
     train_set = sup.subset(np.arange(0, train - lag))

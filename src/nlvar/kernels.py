@@ -157,14 +157,15 @@ class FeatureStack:
 
 @dataclass(frozen=True)
 class TrainingRows:
-    """The (P, n, p) float training rows of P input partitions, prepared for
-    cross-Gram blocks: their half squared norms -||x||^2 / 2, (P, n), are
-    derived from them on construction."""
+    """The (P, n, p) float training rows of P input partitions (read by
+    data_array), prepared for cross-Gram blocks: their half squared norms
+    -||x||^2 / 2, (P, n), are derived from them on construction."""
 
     rows: np.ndarray
     half_sq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", data_array(self.rows, 3, "training rows"))
         object.__setattr__(self, "half_sq", -0.5 * np.sum(self.rows * self.rows, axis=-1))
 
 

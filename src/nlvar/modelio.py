@@ -89,7 +89,7 @@ def _model_from_dict(doc: dict):
 
 def save_model(model, path) -> None:
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh)
+        fh.write(json.dumps(model_to_dict(model)))  # C encoder; json.dump runs the Python one
 
 
 def read_json(path) -> dict:

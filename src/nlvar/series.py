@@ -1,7 +1,7 @@
 """Raw series handling: standardization, lag embedding, CSV ingestion.
 
-All operations are pure value transformations; inputs are never mutated and
-returned objects own their arrays.
+All operations are pure value transformations; series and supervised sets
+are frozen values holding read-only copies of their arrays.
 """
 
 from __future__ import annotations
@@ -13,20 +13,21 @@ import numpy as np
 
 from .errors import (BadDataError, BadRangeError, ConfigError, ConstantSeriesError,
                      DimensionMismatchError, SeriesTooShortError, data_array, finite_array,
-                     whole_number)
+                     frozen_array, whole_number)
 
 STD_FLOOR = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MultivariateSeries:
-    """An m-dimensional series: rows are time steps, columns scalar series."""
+    """An m-dimensional series: rows are time steps, columns scalar series;
+    a frozen value whose values are a read-only copy."""
 
     values: np.ndarray
     names: list[str]
 
     def __post_init__(self):
-        self.values = data_array(self.values, 2, "series values")
+        object.__setattr__(self, "values", frozen_array(self.values, 2, "series values"))
         n, m = self.values.shape
         if n < 1 or m < 1:
             raise DimensionMismatchError("series needs at least one row and one column")
@@ -83,9 +84,10 @@ def model_series(model, m: int | None) -> None:
     object.__setattr__(model, "names", None if names is None else tuple(names))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SupervisedSet:
-    """Lag-embedded input/output pairs of n_series (the output width) series.
+    """Lag-embedded input/output pairs of n_series (the output width) series,
+    a frozen value whose arrays are read-only copies.
 
     Input columns are grouped by source series, most recent observation
     first within each group; ``partition_map[j]`` (from lag_columns) lists
@@ -97,8 +99,8 @@ class SupervisedSet:
     lag: int
 
     def __post_init__(self):
-        self.inputs = data_array(self.inputs, 2, "inputs")
-        self.outputs = data_array(self.outputs, 2, "outputs")
+        object.__setattr__(self, "inputs", frozen_array(self.inputs, 2, "inputs"))
+        object.__setattr__(self, "outputs", frozen_array(self.outputs, 2, "outputs"))
         if self.inputs.shape[0] != self.outputs.shape[0]:
             raise DimensionMismatchError("inputs and outputs row counts differ")
         if self.inputs.shape[1] != self.n_series * self.lag:
@@ -119,10 +121,9 @@ class SupervisedSet:
         return lag_columns(self.n_series, self.lag)
 
     def subset(self, rows) -> "SupervisedSet":
-        """Row-sliced copy with the same lag."""
+        """The pairs of `rows`, with the same lag."""
         rows = np.asarray(rows)
-        return SupervisedSet(inputs=self.inputs[rows].copy(), outputs=self.outputs[rows].copy(),
-                             lag=self.lag)
+        return SupervisedSet(inputs=self.inputs[rows], outputs=self.outputs[rows], lag=self.lag)
 
 
 def standardize_fit(series: MultivariateSeries, train_len: int) -> NormStats:
@@ -224,8 +225,7 @@ def lag_embed(series: MultivariateSeries, p: int) -> SupervisedSet:
         col = series.values[:, j]
         for k in range(p):
             inputs[:, j * p + k] = col[p - 1 - k : p - 1 - k + n]
-    outputs = series.values[p:].copy()
-    return SupervisedSet(inputs=inputs, outputs=outputs, lag=p)
+    return SupervisedSet(inputs=inputs, outputs=series.values[p:], lag=p)
 
 
 def read_csv(path) -> MultivariateSeries:

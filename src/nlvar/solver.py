@@ -198,20 +198,15 @@ def _gram_sum(grams: GramStack, a) -> np.ndarray:
     return lapack.dtpttr(grams.n_train, packed_sum, uplo="L")[0]
 
 
-def _cholesky(M, overwrite: bool = False):
-    """Lower Cholesky factor of the positive definite M (in place if `overwrite`)."""
-    factor, info = lapack.dpotrf(M, lower=1, clean=0, overwrite_a=overwrite)
-    if info != 0:
-        raise SingularSystemError(f"coefficient system not positive definite (dpotrf info {info})")
-    return factor
-
-
 def _factor_system(grams: GramStack, a, lam: float):
     """M = sum_d a_d K^d + lam I (a Fortran-ordered lower triangle) and its
     lower Cholesky factor."""
     M = _gram_sum(grams, a)
     M.ravel(order="F")[::M.shape[0] + 1] += lam
-    return M, _cholesky(M)
+    factor, info = lapack.dpotrf(M, lower=1, clean=0)
+    if info != 0:
+        raise SingularSystemError(f"coefficient system not positive definite (dpotrf info {info})")
+    return M, factor
 
 
 def _cho_solve(factor, b) -> np.ndarray:
@@ -330,44 +325,45 @@ def _group_gap(a, q, starts, sizes) -> float:
 
 
 #: The cold start's search along the ray stops once phi'(s) >= -_RAY_TOL * P:
-#: phi(s) is then within 1.5e-7 relative of the ray's minimum on random tasks
-#: (1.4e-5 at 1e-2, one factorization fewer). Newton from s = 0 gets there in
-#: 3-5 steps; _RAY_STEPS_MAX only bounds the loop.
+#: phi(s) is then within 1.5e-7 relative of the ray's minimum on random tasks.
+#: Newton from s = 0 gets there in 3-5 steps; _RAY_STEPS_MAX only bounds the loop.
 _RAY_TOL = 1e-3
 _RAY_STEPS_MAX = 50
 
 
-def _ray_start(grams: GramStack, y, lam: float, starts) -> np.ndarray:
-    """Cold start s u: the minimizer of the task objective along the ray of
-    uniform weights u = 1/l, phi(s) = lam y^T (s Kbar + lam I)^-1 y + s P with
-    Kbar = sum_d u_d K^d and P = sum_g ||u_g||.
+@np.errstate(all="ignore")
+def _ray_starts(grams: GramStack, Y, lam: float, group_index) -> np.ndarray:
+    """(l, m) cold starts s u of the tasks on the columns y of the (n, m) Y:
+    the minimizers of the task objectives along the ray of uniform weights
+    u = 1/l, phi(s) = lam y^T (s Kbar + lam I)^-1 y + s P with
+    Kbar = sum_d u_d K^d and P = sum_g ||u_g|| over the groups of group_index.
 
-    phi is convex with phi'(s) = P - g(s), g = lam c^T Kbar c for
-    c = (s Kbar + lam I)^-1 y, so s = 0 when g(0) = y^T Kbar y / lam <= P
-    (within _RAY_TOL). Otherwise Newton solves g^(-1/2) = P^(-1/2): over
-    Kbar's eigenpairs g^(-1/2) is a power mean of degree -2 of the affine
+    phi is convex with phi'(s) = P - g(s), g = lam sum_i mu_i z_i^2 /
+    (s mu_i + lam)^2 over Kbar = V diag(mu) V^T and z = V^T y, so s = 0 when
+    g(0) = y^T Kbar y / lam <= P (within _RAY_TOL). Otherwise Newton solves
+    g^(-1/2) = P^(-1/2): g^(-1/2) is a power mean of degree -2 of the affine
     s mu_i + lam, concave and increasing in s, so Newton climbs from s = 0 to
-    the root without passing it. g'(s) = -2 lam v^T (s Kbar + lam I)^-1 v
-    with v = Kbar c. Only Kbar and one n x n work matrix, factored in place,
-    are held.
+    the root without passing it. Kbar is formed once, and decomposed once (by
+    dsyevr, with no n x n workspace) if a target leaves s = 0.
     """
     u = np.full(grams.n_kernels, 1.0 / grams.n_kernels)
-    P = group_penalty(u, starts)
+    P = group_penalty(u, group_starts(group_sizes(group_index)))
     Kbar = _gram_sum(grams, u)
-    M = np.empty_like(Kbar)
-    s, c, factor = 0.0, y / lam, None
-    for _ in range(_RAY_STEPS_MAX):
-        v = blas.dsymv(1.0, Kbar, c, lower=1)
-        g = lam * float(c @ v)
-        if g <= (1.0 + _RAY_TOL) * P:
-            break
-        curvature = float(v @ v) / lam if factor is None else float(v @ _cho_solve(factor, v))
-        s += g * (math.sqrt(g / P) - 1.0) / (lam * curvature)
-        np.multiply(Kbar, s, out=M)
-        M.ravel(order="F")[::M.shape[0] + 1] += lam
-        factor = _cholesky(M, overwrite=True)
-        c = _cho_solve(factor, y)
-    return s * u
+    g = np.einsum("ij,ij->j", Y, blas.dsymm(1.0, Kbar, Y, lower=1)) / lam
+    s = np.zeros(Y.shape[1])
+    climb = np.flatnonzero(g > (1.0 + _RAY_TOL) * P)
+    if climb.size:
+        mu, V = lapack.dsyevr(Kbar, lower=1, overwrite_a=1)[:2]
+        w = mu[:, None] * blas.dgemm(1.0, V, Y[:, climb], trans_a=1) ** 2  # mu_i z_i^2
+        for _ in range(_RAY_STEPS_MAX):
+            d = lam + np.outer(mu, s[climb])
+            g = lam * np.einsum("ij,ij->j", w, d ** -2)
+            step = g > (1.0 + _RAY_TOL) * P
+            if not step.any():
+                break
+            curvature = np.einsum("ij,ij->j", w * mu[:, None], d ** -3)  # -g'(s) / (2 lam)
+            s[climb[step]] += (g * (np.sqrt(g / P) - 1.0) / (lam * curvature))[step]
+    return np.outer(u, s)
 
 
 @np.errstate(all="ignore")
@@ -385,7 +381,7 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
     a step whose predicted decrease is below the objective's rounding is
     taken whole if it narrows the gap, and the solve stops unconverged if not.
     Without a warm start the solve starts at the best point on the ray of
-    uniform weights (_ray_start), which halves the Newton steps of a cold
+    uniform weights (_ray_starts), which halves the Newton steps of a cold
     fit against a start at a = 1/l. With numpy's warnings off, an overflow
     ends as a non-finite objective or Hessian (NonFiniteObjectiveError). y,
     lam and warm (then >= 0) are read as solve_coefficients reads y, lam and a.
@@ -398,7 +394,8 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
     sizes = group_sizes(group_index)
     starts = group_starts(sizes)
 
-    a = _ray_start(grams, y, lam, starts) if warm is None else data_vector(warm, l, "warm start")
+    a = data_vector(_ray_starts(grams, y[:, None], lam, group_index) if warm is None else warm,
+                    l, "warm start")
     if a.min() < 0.0:
         raise DimensionMismatchError("warm start must be nonnegative")
 
@@ -465,11 +462,13 @@ def solve_task_l12(grams: GramStack, group_index, y, lam: float,
 def l12_path(grams: GramStack, Y, lams, options: SolverOptions = SolverOptions()):
     """nvarl12's (A, C) at each penalty of `lams`: solve_task_l12 on each
     column of the (n, m) array Y (else DimensionMismatchError), from its own
-    weights at the previous penalty (the first from the ray start)."""
-    if not (isinstance(Y, np.ndarray) and Y.ndim == 2 and Y.shape[1]):
-        raise DimensionMismatchError("targets Y must be an (n, m) array of m >= 1 columns")
-    warm = [None] * Y.shape[1]
+    weights at the previous penalty (the first from the stack's ray starts)."""
+    if not (isinstance(Y, np.ndarray) and Y.ndim == 2 and Y.shape[1] and len(Y) == grams.n_train):
+        raise DimensionMismatchError(f"targets Y must be an ({grams.n_train}, m >= 1) array")
+    Y, warm = data_array(Y, 2, "targets Y"), None
     for lam in lams:
+        if warm is None:
+            warm = _ray_starts(grams, Y, _positive_lam(lam), grams.group_index).T
         tasks = [solve_task_l12(grams, grams.group_index, y, lam, warm=a, opts=options)
                  for y, a in zip(Y.T, warm)]
         warm = [task.a for task in tasks]

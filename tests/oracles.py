@@ -6,7 +6,10 @@ value from quantities their solves already hold. kernel_eval evaluates one
 kernel on one pair of vectors, against which the vectorized Grams are checked;
 elementwise_grams evaluates each kernel alone over whole dense matrices, in
 the package's own operations, the bitwise reference for the packed stack.
-dense_l12_fit runs nvarl12's Newton steps over a dense copy of the stack.
+dense_l12_fit runs nvarl12's Newton steps over a dense copy of the stack;
+cholesky_ray_start finds an nvarl12 cold start on the uniform-weight ray by
+Newton steps on a Cholesky factor of s Kbar + lam I per step, the reference
+for the solver's starts from one eigendecomposition of Kbar.
 predict_per_kernel sums a kernel model's forecast one kernel at a time, the
 reference for the partition-wise serving path. full_stack_l1_fit fits the
 l1 route over the whole Gram stack, the reference for the fit that builds
@@ -23,6 +26,7 @@ convention matches the package: ||y - sum B_g w_g||^2 + kappa * sum ||w_g||.
 from unittest import mock
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 import scipy.sparse.linalg
 from scipy.linalg import blas
@@ -108,6 +112,31 @@ def dense_l12_fit(train, lam, opts):
                  for y in train.outputs.T]
     return (np.column_stack([t.a for t in tasks]), np.column_stack([t.c for t in tasks]),
             [len(t.objective_trace) for t in tasks])
+
+
+def cholesky_ray_start(stack, y, lam):
+    """The cold start s u (u = 1/l) of solve_task_l12 on target y, searched
+    along the ray over the dense mean Gram Kbar: Newton on g^(-1/2) = P^(-1/2),
+    g(s) = lam c^T Kbar c for c = (s Kbar + lam I)^-1 y and P = sum_g ||u_g||,
+    whose curvature v^T (s Kbar + lam I)^-1 v (v = Kbar c) comes from a fresh
+    Cholesky factor at each step, until g <= (1 + _RAY_TOL) P."""
+    l, n = stack.n_kernels, stack.n_train
+    u = np.full(l, 1.0 / l)
+    groups = [j for j, _ in stack.group_index]
+    P = sum(np.linalg.norm(u[[d for d in range(l) if groups[d] == g]]) for g in set(groups))
+    Kbar = dense_grams(stack).mean(axis=0)
+    s, c, factor = 0.0, y / lam, None
+    for _ in range(solver._RAY_STEPS_MAX):
+        v = Kbar @ c
+        g = lam * float(c @ v)
+        if g <= (1.0 + solver._RAY_TOL) * P:
+            break
+        curvature = float(v @ v) / lam if factor is None else float(
+            v @ scipy.linalg.cho_solve(factor, v))
+        s += g * (np.sqrt(g / P) - 1.0) / (lam * curvature)
+        factor = scipy.linalg.cho_factor(s * Kbar + lam * np.eye(n), lower=True)
+        c = scipy.linalg.cho_solve(factor, y)
+    return s * u
 
 
 def predict_per_kernel(model, new_inputs) -> np.ndarray:

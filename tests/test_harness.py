@@ -237,6 +237,28 @@ def test_l1_route_makes_no_coefficient_solve(monkeypatch):
     assert len(calls) == train.n_series
 
 
+def test_nvarl12_cv_path_solves_every_penalty_before_its_first_forecast(monkeypatch):
+    # the solves run on scipy's BLAS pool and expand on numpy's: a fold's
+    # whole path is solved before the first forecast, not one pool switch
+    # per penalty
+    events = []
+
+    def recording(name, original):
+        def call(*args, **kwargs):
+            events.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(solver, "solve_task_l12", recording("solve", solver.solve_task_l12))
+    monkeypatch.setattr(solver, "expand", recording("expand", solver.expand))
+    series = generate_synthetic(SyntheticSpec(length=100, seed=23))
+    _, train, val = split_experiment_data(series, train=70, holdout=30, lag=3)
+    lams = [20.0, 2.0, 0.2]
+    assert len(list(_kernel_path("nvarl12", train, val.inputs, lams, DEFAULT_DICTIONARY,
+                                 SolverOptions()))) == 3
+    assert events == ["solve"] * 3 * train.n_series + ["expand"] * 3
+
+
 @pytest.mark.parametrize("method", ["nvarl1", "nvar"])
 def test_l1_route_builds_one_partition_of_grams_at_a_time(monkeypatch, method):
     # each partition's Grams are factored and dropped before the next are
@@ -428,8 +450,9 @@ def test_split_sizes_and_alignment():
 def test_split_never_touches_holdout_rows():
     series = generate_synthetic(SyntheticSpec(length=160, seed=8))
     stats1, train1, _ = split_experiment_data(series, 100, 60, 5)
-    tampered = MultivariateSeries(series.values.copy(), list(series.names))
-    tampered.values[100:] = 1e6 * np.arange(60 * 5).reshape(60, 5)
+    values = series.values.copy()
+    values[100:] = 1e6 * np.arange(60 * 5).reshape(60, 5)
+    tampered = MultivariateSeries(values, list(series.names))
     stats2, train2, _ = split_experiment_data(tampered, 100, 60, 5)
     assert np.array_equal(stats1.mean, stats2.mean)
     assert np.array_equal(stats1.std, stats2.std)

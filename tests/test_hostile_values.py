@@ -24,8 +24,8 @@ from nlvar.errors import (BadDataError, BadRangeError, ConfigError, DimensionMis
 from nlvar.grouplasso import GroupedProblem, optimality_gap, solve_group_lasso
 from nlvar.harness import (GridSpec, cv_select, evaluate_holdout, experiment_config_from_dict,
                            split_experiment_data)
-from nlvar.kernels import (GramStack, build_feature_stack, build_gram_stack, cross_gram,
-                           empirical_features)
+from nlvar.kernels import (GramStack, TrainingRows, build_feature_stack, build_gram_stack,
+                           cross_gram, empirical_features)
 from nlvar.modelio import model_from_dict, model_to_dict, predict_model
 from nlvar.series import (MultivariateSeries, NormStats, SupervisedSet, lag_embed,
                           standardize_apply, standardize_fit)
@@ -230,6 +230,14 @@ HOSTILE_CALLS = {
        for n in (2.5, "3", True)},
     **{f"split_experiment_data {name}={value!r}": (_split(**{name: value}), ConfigError, name)
        for name in ("train", "holdout", "lag") for value in (2.5, "3")},
+    "TrainingRows 2-d list": (lambda t, g: TrainingRows(t.inputs.tolist()),
+                              DimensionMismatchError, "3-d"),
+    "TrainingRows ragged": (lambda t, g: TrainingRows([[[1.0, 2.0]], [[1.0]]]),
+                            DimensionMismatchError, "ragged"),
+    "TrainingRows strings": (lambda t, g: TrainingRows(np.full((1, 3, 2), "x")), BadDataError,
+                             "training rows"),
+    "TrainingRows nan": (lambda t, g: TrainingRows(np.full((1, 3, 2), NAN)), BadDataError,
+                         "training rows"),
     "split_experiment_data holdout=-1": (_split(holdout=-1), BadRangeError, "holdout=-1"),
     "split_experiment_data lag=train": (_split(train=12, holdout=20, lag=12), BadRangeError,
                                         "train=12 > lag=12"),

@@ -388,6 +388,7 @@ def test_a_stacks_group_index_and_half_squared_norms_are_derived_from_their_sour
     rows = np.random.default_rng(18).standard_normal((2, 5, 3))
     assert [f.name for f in dataclasses.fields(TrainingRows) if f.init] == ["rows"]
     assert np.array_equal(TrainingRows(rows).half_sq, -np.sum(rows * rows, axis=-1) / 2)
+    assert TrainingRows([[[1.0, 2.0]]]).half_sq.tolist() == [[-2.5]]  # rows read by data_array
     with pytest.raises(TypeError):
         TrainingRows(rows, np.zeros((2, 5)))
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import warnings
 
 import numpy as np
@@ -220,6 +221,24 @@ def test_series_validation():
         MultivariateSeries(values=np.ones((3, 2)), names=["only_one"])
     with pytest.raises(ValueError):
         MultivariateSeries(values=np.array([[1.0], [np.nan]]), names=["a"])
+
+
+def test_series_and_supervised_sets_are_frozen_values():
+    # a value written into a series after construction escaped its
+    # finite-numbers rule; each holds a read-only copy of the caller's array
+    values = np.arange(12.0).reshape(6, 2)
+    series = MultivariateSeries(values, ["a", "b"])
+    sup = lag_embed(series, 2)
+    for arr in (series.values, sup.inputs, sup.outputs, sup.subset([0, 1]).inputs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = np.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        series.values = values
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sup.outputs = sup.outputs[:, ::-1]
+    values[0, 0] = -1.0  # the caller's array stays writable and apart
+    assert series.values[0, 0] == 0.0
+    assert SupervisedSet(sup.inputs, sup.outputs, 2).inputs is not sup.inputs
 
 
 def test_series_names_are_one_string_per_column():

@@ -3,8 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import (alternating_l1_oracle, cg_solve, dense_grams, dense_l12_fit,
-                     full_stack_l1_fit, predict_per_kernel, task_objective)
+from oracles import (alternating_l1_oracle, cg_solve, cholesky_ray_start, dense_grams,
+                     dense_l12_fit, full_stack_l1_fit, predict_per_kernel, task_objective)
 
 from nlvar import solver
 from nlvar.errors import (BadDataError, ConfigError, DimensionMismatchError,
@@ -23,7 +23,7 @@ from nlvar.kernels import (
     partition_columns,
 )
 from nlvar.modelio import load_model, model_from_dict, model_to_dict, save_model
-from nlvar.series import MultivariateSeries, lag_columns, lag_embed
+from nlvar.series import MultivariateSeries, SupervisedSet, lag_columns, lag_embed
 from nlvar.solver import (
     _PREDICT_BLOCK_ROWS,
     adjacency,
@@ -473,6 +473,39 @@ def test_l12_cold_start_is_the_best_point_on_the_uniform_ray(monkeypatch):
     assert zero_starts > 0
 
 
+@pytest.mark.parametrize("partitions", [None, [None]], ids=["partitioned", "full-input"])
+def test_ray_starts_match_the_cholesky_ray_search(partitions):
+    # one eigendecomposition of Kbar for every target of the stack gives the
+    # starts that Newton steps on a Cholesky factor of s Kbar + lam I per
+    # step find target by target; a target with y^T Kbar y / lam <= P stays at 0
+    series = generate_synthetic(SyntheticSpec(length=120, seed=20))
+    _, train, _ = split_experiment_data(series, train=90, holdout=30, lag=3)
+    grams = build_gram_stack(train.inputs, train.partition_map, partitions=partitions)
+    y = train.outputs[:, 0]
+    Y = np.column_stack([y, 1e-3 * y])
+    starts = solver._ray_starts(grams, Y, 2.0, grams.group_index)
+    assert starts.shape == (grams.n_kernels, 2)
+    ref = cholesky_ray_start(grams, y, 2.0)
+    assert ref[0] > 0.0
+    assert np.abs(starts[:, 0] - ref).max() <= 1e-12 * ref.max()
+    assert not cholesky_ray_start(grams, 1e-3 * y, 2.0).any() and not starts[:, 1].any()
+
+
+def test_nvarl12_fit_forms_the_mean_gram_once(monkeypatch):
+    # the uniform-weight sum Kbar belongs to the stack, not to a task
+    series = generate_synthetic(SyntheticSpec(length=120, seed=20))
+    _, train, _ = split_experiment_data(series, train=90, holdout=30, lag=3)
+    uniform = []
+
+    def recording(grams, a, _sum=solver._gram_sum):
+        uniform.append(np.array_equal(a, np.full(grams.n_kernels, 1.0 / grams.n_kernels)))
+        return _sum(grams, a)
+
+    monkeypatch.setattr(solver, "_gram_sum", recording)
+    fit("nvarl12", train, 2.0)
+    assert uniform.count(True) == 1 and len(uniform) > train.n_series
+
+
 def _assert_unconverged_stop(stack, y, lam, task, opts):
     """An l1/l2 solve that ended before its budget without converging: a
     non-increasing trace, a >= 0, and c solving (sum_d a_d K^d + lam I) c = y."""
@@ -612,8 +645,7 @@ def test_fit_permutation_equivariance():
     rng = np.random.default_rng(13)
     train = _toy_train(rng)
     perm = [2, 0, 1]
-    permuted = train.subset(np.arange(train.n_pairs))
-    permuted.outputs = permuted.outputs[:, perm]
+    permuted = SupervisedSet(train.inputs, train.outputs[:, perm], train.lag)
     base = fit("nvarl1", train, 1.5)
     swapped = fit("nvarl1", permuted, 1.5)
     assert np.array_equal(swapped.A, base.A[:, perm])
@@ -861,12 +893,14 @@ def test_replacing_the_weights_serves_as_a_model_built_fresh(method):
 def test_training_inputs_are_a_read_only_copy():
     rng = np.random.default_rng(28)
     train = _toy_train(rng)
-    model = fit("nvarl1", train, 1.0)
-    before = predict(model, train.inputs[:4])
-    train.inputs[:] = 0.0
-    assert np.array_equal(predict(model, train.inputs[:4] + model.training_inputs[:4]), before)
-    with pytest.raises(ValueError):
-        model.training_inputs[0, 0] = 1.0
+    inputs = train.inputs.copy()  # the training set's own arrays are read-only
+    model = fit("nvarl1", SupervisedSet(inputs, train.outputs, train.lag), 1.0)
+    before = predict(model, inputs[:4])
+    inputs[:] = 0.0
+    assert np.array_equal(predict(model, inputs[:4] + model.training_inputs[:4]), before)
+    for held in (model.training_inputs, train.inputs):
+        with pytest.raises(ValueError):
+            held[0, 0] = 1.0
 
 
 def test_predict_serves_a_document_that_lists_a_partitions_kernels_apart():
